@@ -27,7 +27,7 @@ out_dir = Path("out/pulse-error-map")
 
 raw = get_preset("pulse-error-map")
 cfg = ExperimentConfig.from_dict(raw)
-manifest = errmap_experiment(cfg, out_dir, threads=4)
+manifest = errmap_experiment(cfg, out_dir)
 print(f"xyn map: {manifest['extras']['rows']}x{manifest['extras']['cols']} cells, "
       f"F~ range [{manifest['extras']['min_f_tilde']:.3f}, "
       f"{manifest['extras']['max_f_tilde']:.3f}], "
@@ -37,7 +37,7 @@ raw_cpmg = get_preset("pulse-error-map")
 raw_cpmg["name"] = "pulse-error-map-cpmg"
 raw_cpmg["sequence"]["family"] = "cpmg"
 cfg_cpmg = ExperimentConfig.from_dict(raw_cpmg)
-manifest_cpmg = errmap_experiment(cfg_cpmg, out_dir, threads=4)
+manifest_cpmg = errmap_experiment(cfg_cpmg, out_dir)
 print(f"cpmg map: F~ range [{manifest_cpmg['extras']['min_f_tilde']:.3f}, "
       f"{manifest_cpmg['extras']['max_f_tilde']:.3f}]")
 

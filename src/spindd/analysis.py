@@ -15,6 +15,10 @@ from numpy.typing import NDArray
 
 from .algebra import DensityMatrix, Operator
 
+# relative eigenvalue floor for counting the rank of a state; rounding in
+# an evolved state stays orders of magnitude below it
+_RANK_RTOL = 1e-12
+
 _PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -136,43 +140,69 @@ def tomography(values: dict) -> DensityMatrix:
     return DensityMatrix(Operator(projected, (2,) * n), label="tomography")
 
 
+def _truncated_eigh(mat: NDArray[np.complex128]) -> tuple:
+    """Spectrum of a state with its rounding-level eigenvalues set to zero.
+
+    Returns ``(w, v, rank)``: eigenvalues at or below ``_RANK_RTOL`` of
+    the largest become 0 and ``rank`` counts the rest.
+    """
+    w, v = np.linalg.eigh(mat)
+    w = np.where(w > _RANK_RTOL * w.max(), w, 0.0)
+    return w, v, int(np.count_nonzero(w))
+
+
 def state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity ``(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2``.
 
     Squared convention: coincident states give 1 and for pure states
-    this is the squared overlap.
+    this is the squared overlap.  ``sqrt(rho) sigma sqrt(rho)`` has rank
+    at most ``min(rank rho, rank sigma)``; only that many of its largest
+    eigenvalues enter the trace, since the square root would lift the
+    rounding-level rest to about ``1e-8``.  Against a pure ``sigma =
+    |psi><psi|`` the result is ``<psi|rho|psi>``.
     """
     if rho.dims != sigma.dims:
         raise ValueError("states live on different registers")
-    w, v = np.linalg.eigh(rho.mat)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[None, :]) @ v.conj().T
+    w, v, rank_rho = _truncated_eigh(rho.mat)
+    sqrt_rho = (v * np.sqrt(w)[None, :]) @ v.conj().T
     inner = sqrt_rho @ sigma.mat @ sqrt_rho
     w2 = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    f = float(np.sqrt(np.clip(w2, 0.0, None)).sum() ** 2)
+    keep = min(rank_rho, _truncated_eigh(sigma.mat)[2])
+    f = float(np.sqrt(np.clip(w2[w2.size - keep:], 0.0, None)).sum() ** 2)
     return min(f, 1.0) if f < 1.0 + 1e-9 else f
 
 
 def concurrence(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence via the spin-flipped product spectrum."""
+    """Two-qubit concurrence via the spin-flipped product spectrum.
+
+    Rounding-level eigenvalues of ``rho`` are dropped first; the product
+    then has rank at most ``rank rho``, and only that many of its
+    eigenvalues enter, for the same reason as in ``state_fidelity``.
+    """
     if rho.dims != (2, 2):
         raise ValueError(f"concurrence requires a two-qubit state, got dims {rho.dims}")
     yy = np.kron(_PAULI["Y"], _PAULI["Y"])
-    r = rho.mat @ yy @ rho.mat.conj() @ yy
+    w, v, rank = _truncated_eigh(rho.mat)
+    clean = (v * w[None, :]) @ v.conj().T
+    r = clean @ yy @ clean.conj() @ yy
     lam = np.sqrt(np.clip(np.linalg.eigvals(r).real, 0.0, None))
     lam.sort()
+    lam[:lam.size - rank] = 0.0
     return float(max(0.0, lam[-1] - lam[-2] - lam[-3] - lam[-4]))
 
 
-def _cosine_design(n: np.ndarray, period: float):
-    arg = 2.0 * np.pi * n / period
-    return np.column_stack([np.ones_like(n), np.cos(arg), np.sin(arg)])
+def _cosine_fits(n: np.ndarray, y: np.ndarray, periods: np.ndarray):
+    """Least-squares ``a + b cos + c sin`` at every trial period at once.
 
-
-def _cosine_lsq(n: np.ndarray, y: np.ndarray, period: float):
-    design = _cosine_design(n, period)
-    coeff, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coeff
-    return coeff, float(np.sqrt(np.mean(resid ** 2)))
+    Solves the 3x3 normal equations of all periods in one batched call;
+    returns the coefficients ``(P, 3)`` and the rms residuals ``(P,)``.
+    """
+    arg = 2.0 * np.pi * n[None, :] / periods[:, None]
+    design = np.stack([np.ones_like(arg), np.cos(arg), np.sin(arg)], axis=-1)
+    design_t = design.transpose(0, 2, 1)
+    coeff = np.linalg.solve(design_t @ design, design_t @ y[:, None])
+    resid = y - (design @ coeff)[..., 0]
+    return coeff[..., 0], np.sqrt(np.mean(resid ** 2, axis=1))
 
 
 def pseudo_fidelity(sweep: SweepResult, label: str, value_range) -> tuple:
@@ -194,23 +224,23 @@ def pseudo_fidelity(sweep: SweepResult, label: str, value_range) -> tuple:
         raise ValueError(f"invalid observable range {value_range}")
     if n.size < 6:
         raise ValueError("need at least 6 points to fit an oscillation")
+    if not np.isfinite(y).all():
+        raise ValueError("trace has non-finite values")
 
     span = n.max() - n.min()
+    # the first minimum on the grid, then a refinement around it that
+    # wins only when strictly better
     periods = np.linspace(3.0, 1.5 * span, 600)
-    best_t, best_rms = None, np.inf
-    for t in periods:
-        _, rms = _cosine_lsq(n, y, t)
-        if rms < best_rms:
-            best_t, best_rms = t, rms
-    # parabolic-style refinement around the best grid period
-    lo_t = max(2.5, best_t * 0.9)
-    hi_t = min(1.6 * span, best_t * 1.1)
-    for t in np.linspace(lo_t, hi_t, 400):
-        _, rms = _cosine_lsq(n, y, t)
-        if rms < best_rms:
-            best_t, best_rms = t, rms
+    coeffs, rms = _cosine_fits(n, y, periods)
+    i = int(np.argmin(rms))
+    best_t, best_rms, coeff = periods[i], rms[i], coeffs[i]
+    fine = np.linspace(max(2.5, best_t * 0.9), min(1.6 * span, best_t * 1.1), 400)
+    coeffs, rms = _cosine_fits(n, y, fine)
+    i = int(np.argmin(rms))
+    if rms[i] < best_rms:
+        best_t, best_rms, coeff = fine[i], rms[i], coeffs[i]
+    best_t, rms = float(best_t), float(best_rms)
 
-    coeff, rms = _cosine_lsq(n, y, best_t)
     amp = float(np.hypot(coeff[1], coeff[2]))
     if best_t > 1.26 * span:
         raise ValueError(

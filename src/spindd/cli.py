@@ -50,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=doc)
         add_config(p)
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent grid cells")
         p.add_argument("--dt", type=float, default=None,
                        help="override the integrator step")
 
@@ -72,11 +70,9 @@ def main(argv=None) -> int:
             print(f"OK {cfg.name} {cfg.config_hash()}")
             return 0
         if args.verb == "run":
-            manifest = run_experiment(cfg, args.out, threads=args.threads,
-                                      dt_override=args.dt)
+            manifest = run_experiment(cfg, args.out, dt_override=args.dt)
         else:
-            manifest = errmap_experiment(cfg, args.out, threads=args.threads,
-                                         dt_override=args.dt)
+            manifest = errmap_experiment(cfg, args.out, dt_override=args.dt)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2

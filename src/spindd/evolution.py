@@ -4,24 +4,40 @@ Free evolution is a single exact exponential of the static Hamiltonian.
 Driven intervals are Trotterized: the lab-frame Hamiltonian including
 the oscillating carrier is sampled at the midpoint of each step of
 length ``dt`` and the step exponentials (each exactly unitary, via
-eigendecomposition) are multiplied right to left.  The lab clock runs
-continuously across the whole sequence, so the carrier phase of later
-pulses follows from their start time; ``SimConfig.carrier_reset``
-restarts the carrier at every pulse instead, for comparison.
+eigendecomposition) are multiplied, later steps on the left, by a
+pairwise reduction.  The lab clock runs continuously across the whole
+sequence, so the carrier phase of later pulses follows from their start
+time; ``SimConfig.carrier_reset`` restarts the carrier at every pulse
+instead, for comparison.  A pulse's propagator depends on its start time
+only through that carrier phase, so the cache keys pulses by phase, and
+N sweeps reuse one running product over the pi train.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .algebra import DensityMatrix, Operator, eig_hermitian
 from .analysis import SweepResult, expval
-from .sequences import Delay, DrivePulse, Pulse, PulseSequence, SimConfig, compile_cpmg, compile_xyn, inject_errors
+from .sequences import (
+    Delay,
+    DrivePulse,
+    Pulse,
+    PulseSequence,
+    SimConfig,
+    check_error_factors,
+    closing_tail,
+    compile_cpmg,
+    compile_train,
+    compile_xyn,
+    inject_errors,
+    sequence_timing,
+)
 
 _KEY_DIGITS = 12
 
@@ -62,20 +78,26 @@ def pulse_propagator(h0: Operator, pulse: DrivePulse, drive_op: Operator,
     steps = h0.mat[None, :, :] + coeff[:, None, None] * drive_op.mat[None, :, :]
     w, v = np.linalg.eigh(steps)
     phases = np.exp(-2j * np.pi * dt * w)
-    step_us = (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    us = (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
-    u = np.eye(h0.shape[0], dtype=complex)
-    for k in range(nsteps):
-        u = step_us[k] @ u
-    return Operator(u, h0.dims)
+    # pairwise reduction in time order; an odd last step waits a level
+    while len(us) > 1:
+        paired = us[1::2] @ us[0:len(us) - 1:2]
+        us = np.concatenate((paired, us[-1:])) if len(us) % 2 else paired
+    return Operator(us[0], h0.dims)
 
 
 class PropagatorCache:
     """Memoizes element propagators for one system.
 
     Free propagators reuse a single eigendecomposition of the static
-    Hamiltonian; pulse propagators are keyed by start time and carrier
-    parameters, which lets N sweeps reuse the shared sequence prefix.
+    Hamiltonian.  Pulse propagators are keyed by carrier phase in cycles,
+    ``(omegap t_start + phase / 2 pi) mod 1``, plus duration, amplitude,
+    carrier frequency and ``dt``: a step's Hamiltonian sees ``t_start``
+    only through that phase.  Pulses whose starts differ by whole carrier
+    periods therefore share one build, which is what makes a carrier
+    commensurate with ``tau`` cheap.  Each entry is built at ``t_start = 0``
+    with the keyed phase, so it does not depend on which request built it.
     """
 
     def __init__(self, system):
@@ -95,19 +117,33 @@ class PropagatorCache:
         return u
 
     def pulse(self, pulse: DrivePulse, t_start: float, dt: float) -> np.ndarray:
+        cycles = round((pulse.omegap * t_start + pulse.phase / (2.0 * np.pi)) % 1.0, _KEY_DIGITS)
+        cycles = 0.0 if cycles == 1.0 else cycles
         key = (
-            round(t_start, _KEY_DIGITS),
+            cycles,
             round(pulse.duration, _KEY_DIGITS),
             round(pulse.omega1, _KEY_DIGITS),
             round(pulse.omegap, _KEY_DIGITS),
-            round(pulse.phase, _KEY_DIGITS),
             dt,
         )
         u = self._pulses.get(key)
         if u is None:
-            u = pulse_propagator(self.system.h0, pulse, self.system.drive_op, t_start, dt).mat
+            keyed = replace(pulse, phase=2.0 * np.pi * cycles)
+            u = pulse_propagator(self.system.h0, keyed, self.system.drive_op, 0.0, dt).mat
             self._pulses[key] = u
         return u
+
+
+def _advance(cache: PropagatorCache, el, t: float, cfg: SimConfig) -> tuple:
+    """Propagator of one element (None for an empty delay) and the clock after it."""
+    if isinstance(el, Delay):
+        return (cache.free(el.duration) if el.duration > 0 else None), t + el.duration
+    if isinstance(el, Pulse):
+        u = cache.pulse(el.pulse, 0.0 if cfg.carrier_reset else t, cfg.dt)
+        # the clock advances by the snapped duration so later carrier
+        # phases stay consistent with the actual evolution
+        return u, t + round(el.duration / cfg.dt) * cfg.dt
+    raise TypeError(f"unknown sequence element {el!r}")
 
 
 def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
@@ -127,20 +163,9 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
     times = [] if cfg.record_intermediate else None
 
     for el in seq.elements:
-        if isinstance(el, Delay):
-            if el.duration > 0:
-                u_el = cache.free(el.duration)
-                u_total = u_el @ u_total
-            t += el.duration
-        elif isinstance(el, Pulse):
-            t_start = 0.0 if cfg.carrier_reset else t
-            u_el = cache.pulse(el.pulse, t_start, cfg.dt)
+        u_el, t = _advance(cache, el, t, cfg)
+        if u_el is not None:
             u_total = u_el @ u_total
-            # the clock advances by the snapped duration so later
-            # carrier phases stay consistent with the actual evolution
-            t += round(el.duration / cfg.dt) * cfg.dt
-        else:
-            raise TypeError(f"unknown sequence element {el!r}")
         if intermediates is not None:
             rho_t = u_total @ rho0 @ u_total.conj().T
             intermediates.append(DensityMatrix(Operator(rho_t, system.h0.dims)))
@@ -155,14 +180,19 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
     )
 
 
+_DEFAULT_RULES = {"cpmg": "plain", "xyn": "xy8-parity"}
+
+
+def _family_rule(family, closing_rule):
+    if family not in _DEFAULT_RULES:
+        raise ValueError(f"unknown sequence family {family!r}")
+    return _DEFAULT_RULES[family] if closing_rule is None else closing_rule
+
+
 def _compile_family(family, n, tau, pulse, wrapper_phase, closing_rule):
-    if family == "cpmg":
-        rule = "plain" if closing_rule is None else closing_rule
-        return compile_cpmg(n, tau, pulse, wrapper_phase, rule)
-    if family == "xyn":
-        rule = "xy8-parity" if closing_rule is None else closing_rule
-        return compile_xyn(n, tau, pulse, wrapper_phase, rule)
-    raise ValueError(f"unknown sequence family {family!r}")
+    rule = _family_rule(family, closing_rule)
+    compiler = compile_cpmg if family == "cpmg" else compile_xyn
+    return compiler(n, tau, pulse, wrapper_phase, rule)
 
 
 def _provenance(payload: dict) -> dict:
@@ -228,14 +258,44 @@ def sweep_n(system, family: str, n_values, tau: float, pulse: DrivePulse,
         wrapper_phase = system.wrapper_phase
     if cache is None:
         cache = PropagatorCache(system)
-    traces = {obs.label: np.empty(n_values.size) for obs in system.observables}
-    for i, n in enumerate(n_values):
-        seq = _compile_family(family, int(n), tau, pulse, wrapper_phase, closing_rule)
-        if length_factor != 1.0 or freq_factor != 1.0:
-            seq = inject_errors(seq, length_factor, freq_factor)
-        res = apply_sequence(system, seq, cfg, cache)
-        for label, value in _measure(system, res.rho_final).items():
-            traces[label][i] = value
+    rule = _family_rule(family, closing_rule)
+    injected = length_factor != 1.0 or freq_factor != 1.0
+    # the checks that compiling, injecting errors into and applying each
+    # sequence on its own would run, in the same order
+    for i, n in enumerate(n_values.tolist()):
+        sequence_timing(family, n, tau, pulse, rule)
+        if injected:
+            check_error_factors(length_factor, freq_factor)
+            sequence_timing(family, n, tau, pulse, rule, length_factor, freq_factor)
+        if i == 0:
+            cfg.validate_for(compile_train(family, n, tau, pulse, wrapper_phase, rule,
+                                           length_factor, freq_factor))
+
+    # one running product over the longest pi train; each wanted N
+    # closes a copy of it after its N-th pi pulse
+    train = compile_train(family, int(n_values.max()), tau, pulse, wrapper_phase, rule,
+                          length_factor, freq_factor)
+    wanted = set(n_values.tolist())
+    rho0 = system.rho0.mat
+    u = np.eye(rho0.shape[0], dtype=complex)
+    t = 0.0
+    measured = {}
+    for i, el in enumerate(train.elements):
+        u_el, t = _advance(cache, el, t, cfg)
+        if u_el is not None:
+            u = u_el @ u
+        n = i // 2  # element 2 n is the n-th pi pulse
+        if i % 2 or n not in wanted:
+            continue
+        u_n, t_n = u, t
+        for tail_el in closing_tail(train, n):
+            u_el, t_n = _advance(cache, tail_el, t_n, cfg)
+            if u_el is not None:
+                u_n = u_el @ u_n
+        rho = DensityMatrix(Operator(u_n @ rho0 @ u_n.conj().T, system.h0.dims))
+        measured[n] = _measure(system, rho)
+    traces = {obs.label: np.array([measured[n][obs.label] for n in n_values.tolist()])
+              for obs in system.observables}
     prov = _provenance({
         "sweep": "n", "family": family,
         "n_values": [int(x) for x in n_values], "tau": tau,

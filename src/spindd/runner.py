@@ -2,8 +2,9 @@
 
 CSV values are written with 12 significant digits and newline-terminated
 rows, so identical configs produce byte-identical files.  The manifest
-records the canonical config hash, the package version, wall-clock time,
-a checksum for every emitted file and the computed metric summary.
+records the canonical config hash, the settings actually used
+(``effective``), the package version, wall-clock time, a checksum for
+every emitted file and the computed metric summary.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -188,7 +188,7 @@ def _sweep_rows(sweep, labels):
     return rows
 
 
-def _manifest(cfg, verb, out_dir, files, metrics, extras, wall_clock):
+def _manifest(cfg, verb, out_dir, files, metrics, extras, sim_cfg, wall_clock):
     entries = []
     for path in files:
         entries.append({"path": path.name, "sha256": _sha256(path), "bytes": path.stat().st_size})
@@ -196,6 +196,7 @@ def _manifest(cfg, verb, out_dir, files, metrics, extras, wall_clock):
         "name": cfg.name,
         "verb": verb,
         "config_hash": cfg.config_hash(),
+        "effective": {"dt": sim_cfg.dt},
         "version": __version__,
         "wall_clock_s": round(wall_clock, 3),
         "axis": cfg.sweep_axis,
@@ -210,8 +211,7 @@ def _manifest(cfg, verb, out_dir, files, metrics, extras, wall_clock):
     return payload
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
-                   dt_override: float | None = None) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None = None) -> dict:
     """Execute one sweep config; returns the manifest dictionary."""
     start = time.perf_counter()
     out = Path(out_dir)
@@ -228,7 +228,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
         csv_path = out / f"{cfg.name}.csv"
         _write_csv(csv_path, [sweep.axis] + labels, _sweep_rows(sweep, labels))
         metrics, extras = _compute_metrics(cfg, system, pulse, sim_cfg, sweep, cache)
-        return _manifest(cfg, "run", out, [csv_path], metrics, extras,
+        return _manifest(cfg, "run", out, [csv_path], metrics, extras, sim_cfg,
                          time.perf_counter() - start)
 
     # one sweep per coupling value, then the inverse-coupling gate-time fit
@@ -242,11 +242,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
         return sweep, labels, n_pi
 
     azx_values = [float(a) for a in scan]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, azx_values))
-    else:
-        results = [run_one(a) for a in azx_values]
+    results = [run_one(a) for a in azx_values]
 
     files = []
     gate_times = {}
@@ -265,12 +261,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
         "worst_residual": float(np.abs(residuals).max()),
         "gate_time_by_azx": gate_times,
     }
-    return _manifest(cfg, "run", out, files, metrics, extras, time.perf_counter() - start)
+    return _manifest(cfg, "run", out, files, metrics, extras, sim_cfg,
+                     time.perf_counter() - start)
 
 
-def errmap_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
-                      dt_override: float | None = None) -> dict:
-    """Pseudo-fidelity over a pulse-error grid; failed cells become nan."""
+def errmap_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None = None) -> dict:
+    """Pseudo-fidelity over a pulse-error grid.
+
+    A cell whose sweep or fit raises ``ValueError`` becomes nan in the
+    CSV; the manifest lists its factors and the error.
+    """
     start = time.perf_counter()
     grid = cfg.data.get("errmap")
     if grid is None:
@@ -286,23 +286,21 @@ def errmap_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
     length_factors = [float(x) for x in grid["length_factors"]]
     freq_factors = [float(x) for x in grid["freq_factors"]]
 
-    def cell(factors):
-        lf, ff = factors
+    failures = []
+
+    def cell(lf, ff):
         try:
             sweep = _run_sweep(cfg, system, pulse, sim_cfg, cache=None,
                                length_factor=lf * seq["length_factor"],
                                freq_factor=ff * seq["freq_factor"])
             f_tilde, _ = pseudo_fidelity(sweep, obs.label, (obs.lo, obs.hi))
             return f_tilde
-        except ValueError:
+        except ValueError as exc:
+            failures.append({"length_factor": lf, "freq_factor": ff,
+                             "error": type(exc).__name__, "message": str(exc)})
             return math.nan
 
-    cells = [(lf, ff) for lf in length_factors for ff in freq_factors]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(cell, cells))
-    else:
-        flat = [cell(c) for c in cells]
+    flat = [cell(lf, ff) for lf in length_factors for ff in freq_factors]
     values = np.array(flat).reshape(len(length_factors), len(freq_factors))
 
     csv_path = out / f"{cfg.name}-errmap.csv"
@@ -315,8 +313,9 @@ def errmap_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
         "rows": len(length_factors),
         "cols": len(freq_factors),
         "failed_cells": int(np.isnan(values).sum()),
+        "failed_cell_causes": failures,
         "min_f_tilde": float(finite.min()) if finite.size else math.nan,
         "max_f_tilde": float(finite.max()) if finite.size else math.nan,
     }
-    return _manifest(cfg, "errmap", out, [csv_path], GateMetrics(), extras,
+    return _manifest(cfg, "errmap", out, [csv_path], GateMetrics(), extras, sim_cfg,
                      time.perf_counter() - start)

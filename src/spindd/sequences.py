@@ -18,6 +18,9 @@ such a conjugated frame, because x pulses are phase-sign invariant.  The closing
 ``"xy8-parity"`` rule upgrades it to ``3 pi / 2`` when the number of
 two-pulse blocks ``n // 2`` is odd, which keeps the sign of the central
 observable consistent across an N sweep of XY sequences.
+
+``compile_train`` and ``closing_tail`` split a sequence after its last
+pi pulse, so an N sweep can share one pi train across all N.
 """
 
 from __future__ import annotations
@@ -157,25 +160,32 @@ def _axis_phases(family: str, n: int, wrapper_phase: float):
     raise ValueError(f"unknown sequence family {family!r}")
 
 
-def _compile(family, n, tau, pi_pulse, wrapper_phase, closing_rule,
-             length_factor=1.0, freq_factor=1.0) -> PulseSequence:
+@dataclass(frozen=True)
+class SequenceTiming:
+    """Durations and gaps of one sequence; see the module docstring."""
+
+    t_pi: float
+    omegap: float
+    t_half: float
+    closing: float
+    t_close: float
+    open_gap: float
+    close_gap: float
+    inner_gap: float
+
+
+def sequence_timing(family, n, tau, pi_pulse, closing_rule,
+                    length_factor=1.0, freq_factor=1.0) -> SequenceTiming:
+    """Timing of the ``n``-pulse sequence; raises where the pulses do not fit."""
     if n < 1:
         raise ValueError(f"need at least one pi pulse, got n={n}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
 
     t_pi = pi_pulse.duration * length_factor
-    omegap = pi_pulse.omegap * freq_factor
     t_half = t_pi / 2.0
     closing = _closing_angle(family, n, closing_rule)
     t_close = t_half * (3.0 if closing > math.pi else 1.0)
-
-    def mk(duration, angle, axis):
-        return Pulse(
-            DrivePulse(pi_pulse.omega1, omegap, axis, duration),
-            nominal_angle=angle,
-            axis_phase=axis,
-        )
 
     open_gap = tau / 2.0 - t_pi / 2.0 - t_half / 2.0
     close_gap = tau / 2.0 - t_pi / 2.0 - t_close / 2.0
@@ -185,14 +195,30 @@ def _compile(family, n, tau, pi_pulse, wrapper_phase, closing_rule,
             raise ValueError(
                 f"{name} gap is negative ({gap:.4g}): tau={tau} too short for pulse length {t_pi}"
             )
+    return SequenceTiming(t_pi, pi_pulse.omegap * freq_factor, t_half, closing, t_close,
+                          open_gap, close_gap, inner_gap)
 
-    elements = [mk(t_half, HALF_PI, wrapper_phase), Delay(max(open_gap, 0.0))]
+
+def _driven(pi_pulse, timing, duration, angle, axis) -> Pulse:
+    return Pulse(DrivePulse(pi_pulse.omega1, timing.omegap, axis, duration),
+                 nominal_angle=angle, axis_phase=axis)
+
+
+def compile_train(family, n, tau, pi_pulse, wrapper_phase, closing_rule,
+                  length_factor=1.0, freq_factor=1.0) -> PulseSequence:
+    """Opening wrapper and ``n`` pi pulses: the start every longer sequence shares.
+
+    Element ``2 k`` is the ``k``-th pi pulse; ``closing_tail(train, k)``
+    completes the first ``2 k + 1`` elements to the ``k``-pulse
+    sequence.  Errors are applied directly, as ``inject_errors`` would.
+    """
+    timing = sequence_timing(family, n, tau, pi_pulse, closing_rule, length_factor, freq_factor)
+    elements = [_driven(pi_pulse, timing, timing.t_half, HALF_PI, wrapper_phase),
+                Delay(max(timing.open_gap, 0.0))]
     for k, axis in enumerate(_axis_phases(family, n, wrapper_phase)):
-        elements.append(mk(t_pi, math.pi, axis))
-        if k < n - 1:
-            elements.append(Delay(inner_gap))
-    elements.append(Delay(max(close_gap, 0.0)))
-    elements.append(mk(t_close, closing, wrapper_phase))
+        if k:
+            elements.append(Delay(timing.inner_gap))
+        elements.append(_driven(pi_pulse, timing, timing.t_pi, math.pi, axis))
 
     return PulseSequence(
         elements=tuple(elements),
@@ -205,6 +231,22 @@ def _compile(family, n, tau, pi_pulse, wrapper_phase, closing_rule,
         error_length_factor=length_factor,
         error_freq_factor=freq_factor,
     )
+
+
+def closing_tail(train: PulseSequence, n: int) -> tuple:
+    """Closing gap and closing wrapper that end ``train`` after ``n`` pi pulses."""
+    timing = sequence_timing(train.family, n, train.tau, train.base_pulse, train.closing_rule,
+                             train.error_length_factor, train.error_freq_factor)
+    return (Delay(max(timing.close_gap, 0.0)),
+            _driven(train.base_pulse, timing, timing.t_close, timing.closing,
+                    train.wrapper_phase))
+
+
+def _compile(family, n, tau, pi_pulse, wrapper_phase, closing_rule,
+             length_factor=1.0, freq_factor=1.0) -> PulseSequence:
+    train = compile_train(family, n, tau, pi_pulse, wrapper_phase, closing_rule,
+                          length_factor, freq_factor)
+    return replace(train, elements=train.elements + closing_tail(train, n))
 
 
 def compile_cpmg(n: int, tau: float, pi_pulse: DrivePulse,
@@ -226,6 +268,12 @@ def compile_xyn(n: int, tau: float, pi_pulse: DrivePulse,
     return _compile("xyn", n, tau, pi_pulse, wrapper_phase, closing_rule)
 
 
+def check_error_factors(length_factor: float, freq_factor: float):
+    """Raise unless both miscalibration factors are positive."""
+    if length_factor <= 0 or freq_factor <= 0:
+        raise ValueError("error factors must be positive")
+
+
 def inject_errors(seq: PulseSequence, length_factor: float = 1.0,
                   freq_factor: float = 1.0) -> PulseSequence:
     """Systematic pulse miscalibration.
@@ -235,8 +283,7 @@ def inject_errors(seq: PulseSequence, length_factor: float = 1.0,
     centers remain ``tau`` apart.  Raises when the stretched pulses no
     longer fit into the timing grid.
     """
-    if length_factor <= 0 or freq_factor <= 0:
-        raise ValueError("error factors must be positive")
+    check_error_factors(length_factor, freq_factor)
     return _compile(
         seq.family, seq.n_pulses, seq.tau, seq.base_pulse,
         seq.wrapper_phase, seq.closing_rule,

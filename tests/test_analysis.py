@@ -131,6 +131,63 @@ def test_state_fidelity_diagonal_states_and_symmetry():
         state_fidelity(p, bell_dm())
 
 
+def perturbed(rho, size, seed):
+    rng = np.random.default_rng(seed)
+    d = rho.mat.shape[0]
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = h + h.conj().T
+    h -= np.trace(h) / d * np.eye(d)
+    return DensityMatrix(Operator(rho.mat + size * h / np.abs(h).max(), rho.dims))
+
+
+def test_state_fidelity_against_a_pure_target_is_the_overlap():
+    for seed in range(5):
+        rho = random_dm(seed)
+        rng = np.random.default_rng(100 + seed)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        target = DensityMatrix(Operator(np.outer(psi, psi.conj()), (2, 2)))
+        overlap = float(np.real(psi.conj() @ rho.mat @ psi))
+        assert abs(state_fidelity(rho, target) - overlap) <= 1e-14
+    # a nearly pure qubit against |1>, as in the gate-inversion metric
+    rho = DensityMatrix(Operator(np.array([[0.009096875813, 0.0934j],
+                                           [-0.0934j, 0.990903124187]])))
+    assert abs(state_fidelity(rho, basis_dm((2,), (1,))) - 0.990903124187) <= 1e-14
+
+
+def pure_dm(*amplitudes):
+    psi = np.array(amplitudes, dtype=complex)
+    psi /= np.linalg.norm(psi)
+    n = int(np.log2(psi.size))
+    return DensityMatrix(Operator(np.outer(psi, psi.conj()), (2,) * n))
+
+
+def test_state_fidelity_ignores_rounding_level_perturbations():
+    nearly_one = pure_dm(0.0953, 0.9954j)
+    rank_two = DensityMatrix(Operator(np.kron(np.diag([0.5, 0.5, 0.0]),
+                                              np.diag([1.0, 0.0])).astype(complex), (3, 2)))
+    pairs = [
+        (nearly_one, basis_dm((2,), (1,))),
+        (nearly_one, nearly_one),
+        (random_dm(3), basis_dm((2, 2), (0, 1))),
+        (rank_two, rank_two),
+        (rank_two, DensityMatrix(Operator(np.eye(6) / 6.0, (3, 2)))),
+    ]
+    for k, (rho, sigma) in enumerate(pairs):
+        base = state_fidelity(rho, sigma)
+        for seed in range(3):
+            moved = state_fidelity(perturbed(rho, 1e-15, 10 * k + seed), sigma)
+            assert abs(moved - base) <= 1e-12, (k, seed, moved - base)
+
+
+def test_concurrence_ignores_rounding_level_perturbations():
+    for k, rho in enumerate((bell_dm(), pure_dm(0.8, 0.0, 0.3j, 0.52), basis_dm((2, 2), (0, 1)))):
+        base = concurrence(rho)
+        for seed in range(3):
+            moved = concurrence(perturbed(rho, 1e-15, 10 * k + seed))
+            assert abs(moved - base) <= 1e-12, (k, seed, moved - base)
+
+
 def test_concurrence_reference_states():
     assert concurrence(bell_dm()) == pytest.approx(1.0)
     assert concurrence(basis_dm((2, 2), (0, 1))) == pytest.approx(0.0, abs=1e-12)
@@ -183,6 +240,8 @@ def test_pseudo_fidelity_failure_modes():
     noise = sweep_of(n, rng.uniform(-0.5, 0.5, n.size))
     with pytest.raises(ValueError, match="residual"):
         pseudo_fidelity(noise, "Iz", (-0.5, 0.5))
+    with pytest.raises(ValueError, match="non-finite"):
+        pseudo_fidelity(sweep_of(n, np.where(n == 7, np.nan, np.cos(n))), "Iz", (-0.5, 0.5))
     with pytest.raises(ValueError, match="invalid observable range"):
         pseudo_fidelity(sweep_of(n, np.cos(n)), "Iz", (0.5, 0.5))
 

@@ -112,7 +112,7 @@ def test_errmap_single_cell_matches_direct_sweep(tmp_path):
     raw["errmap"] = {"length_factors": [1.1], "freq_factors": [1.0]}
     path = write_config(tmp_path, raw)
     out = tmp_path / "out"
-    proc = run_cli("errmap", "--config", str(path), "--out", str(out), "--threads", "2")
+    proc = run_cli("errmap", "--config", str(path), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
 
     rows = (out / "tiny-errmap.csv").read_text().splitlines()
@@ -145,6 +145,28 @@ def test_errmap_failed_cell_marked_nan(tmp_path):
     assert rows[1].split(",")[1] == "nan"
     manifest = json.loads((out / "tiny-manifest.json").read_text())
     assert manifest["extras"]["failed_cells"] == 1
+
+    # the manifest names the cell and the error its fit raised
+    cfg = ExperimentConfig.from_dict(raw)
+    sweep = sweep_n(cfg.build_system(), "cpmg", cfg.sweep_values(), 0.5, cfg.build_pulse(),
+                    cfg.sim_config())
+    with pytest.raises(ValueError) as exc:
+        pseudo_fidelity(sweep, "Iz", (-0.5, 0.5))
+    assert manifest["extras"]["failed_cell_causes"] == [
+        {"length_factor": 1.0, "freq_factor": 1.0, "error": "ValueError",
+         "message": str(exc.value)},
+    ]
+
+
+def test_dt_override_is_recorded_in_the_manifest(tmp_path):
+    path = write_config(tmp_path, SMALL)
+    out = tmp_path / "out"
+    proc = run_cli("run", "--config", str(path), "--out", str(out), "--dt", "0.0005")
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "tiny-manifest.json").read_text())
+    assert manifest["effective"] == {"dt": 0.0005}
+    # the hash stays the hash of the config, which does not change
+    assert manifest["config_hash"] == ExperimentConfig.from_dict(SMALL).config_hash()
 
 
 def test_run_preset_by_name(tmp_path):

@@ -1,0 +1,263 @@
+"""The incremental sweep engine against references kept in this file.
+
+Golden outputs under ``golden/`` were written by the sequential engine
+this one replaced (one full compile and product per N, pulses keyed by
+start time, a per-step loop, one ``lstsq`` per trial period), with the
+rank-aware ``state_fidelity`` already in place; see ``golden/README``.
+"""
+
+import csv
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spindd import evolution
+from spindd.analysis import SweepResult, pseudo_fidelity
+from spindd.config import ExperimentConfig
+from spindd.evolution import PropagatorCache, apply_sequence, pulse_propagator, sweep_n
+from spindd.hamiltonians import (
+    DrivePulse,
+    GenericSystemParams,
+    NvParams,
+    TargetParams,
+    generic_system,
+    nv_system,
+)
+from spindd.presets import get_preset
+from spindd.runner import errmap_experiment, run_experiment
+from spindd.sequences import SimConfig, compile_cpmg, compile_xyn, inject_errors
+
+GOLDEN = Path(__file__).parent / "golden"
+GENERIC = generic_system(GenericSystemParams(50.0, (TargetParams(1.0, 0.2),)))
+PI_PULSE = DrivePulse(5.0, 50.0, 0.0, 0.1)
+CFG = SimConfig(dt=0.001)
+
+
+# ---------------------------------------------------------------- golden outputs
+
+def golden_config(name):
+    if name != "errmap-cell":
+        return ExperimentConfig.from_dict(get_preset(name))
+    raw = get_preset("pulse-error-map")
+    del raw["errmap"]
+    raw["name"] = "errmap-cell"
+    raw["sequence"].update(length_factor=1.1, freq_factor=0.99)
+    raw["outputs"]["metrics"] = ["pseudo-fidelity"]
+    return ExperimentConfig.from_dict(raw)
+
+
+def read_table(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], np.array([[float(v) for v in row] for row in rows[1:]])
+
+
+def numbers(tree, prefix=""):
+    """Flat ``{path: float}`` of every number in a JSON tree."""
+    if isinstance(tree, dict):
+        out = {}
+        for key, value in tree.items():
+            out.update(numbers(value, f"{prefix}/{key}"))
+        return out
+    if isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        return {prefix: float(tree)}
+    return {}
+
+
+@pytest.mark.parametrize("name", ["ddgate", "nv-polarize", "nv-ddgate", "errmap-cell"])
+def test_run_matches_golden_outputs(name, tmp_path):
+    manifest = run_experiment(golden_config(name), tmp_path)
+    header, table = read_table(tmp_path / f"{name}.csv")
+    gold_header, gold = read_table(GOLDEN / f"{name}.csv")
+    assert header == gold_header
+    assert np.max(np.abs(table - gold)) <= 1e-10
+
+    expected = numbers(json.loads((GOLDEN / f"{name}-metrics.json").read_text()))
+    got = numbers({"metrics": manifest["metrics"], "extras": manifest["extras"]})
+    assert got.keys() == expected.keys()
+    for key, value in expected.items():
+        assert got[key] == pytest.approx(value, abs=1e-10), key
+
+
+def test_errmap_cell_matches_golden_f_tilde(tmp_path):
+    raw = get_preset("pulse-error-map")
+    raw["errmap"] = {"length_factors": [1.1], "freq_factors": [0.99]}
+    errmap_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+    _, table = read_table(tmp_path / "pulse-error-map-errmap.csv")
+    gold = json.loads((GOLDEN / "errmap-cell-metrics.json").read_text())
+    assert table[0, 1] == pytest.approx(gold["metrics"]["f_tilde"], abs=1e-10)
+
+
+# ---------------------------------------------------------------- prefix products
+
+def per_n_sweep(system, family, n_values, tau, pulse, cfg, lf, ff, cache):
+    """Central and target traces, one compiled sequence per N."""
+    compiler = compile_cpmg if family == "cpmg" else compile_xyn
+    traces = {obs.label: [] for obs in system.observables}
+    for n in n_values:
+        seq = compiler(int(n), tau, pulse, system.wrapper_phase)
+        if lf != 1.0 or ff != 1.0:
+            seq = inject_errors(seq, lf, ff)
+        rho = apply_sequence(system, seq, cfg, cache).rho_final.mat
+        for obs in system.observables:
+            traces[obs.label].append(float(np.real(np.trace(rho @ obs.op.mat))))
+    return traces
+
+
+@pytest.mark.parametrize("family", ["cpmg", "xyn"])
+@pytest.mark.parametrize("tau", [0.5, 0.4937])
+@pytest.mark.parametrize("factors", [(1.0, 1.0), (1.1, 0.99), (0.8, 1.02)])
+def test_sweep_n_equals_per_n_sequences(family, tau, factors):
+    n_values = [7, 3, 12, 3, 1, 12, 5, 2]
+    cache = PropagatorCache(GENERIC)
+    sweep = sweep_n(GENERIC, family, n_values, tau, PI_PULSE, CFG,
+                    length_factor=factors[0], freq_factor=factors[1], cache=cache)
+    expected = per_n_sweep(GENERIC, family, n_values, tau, PI_PULSE, CFG, *factors, cache)
+    assert sweep.values.tolist() == [float(n) for n in n_values]
+    for label, trace in expected.items():
+        assert np.max(np.abs(sweep.trace(label) - trace)) <= 1e-13
+
+
+@pytest.mark.parametrize("carrier_reset", [False, True])
+def test_sweep_n_equals_per_n_sequences_on_the_nv_center(carrier_reset):
+    system = nv_system(NvParams(b0=32.0, theta0=math.radians(2.9)))
+    t_pi = 0.01285
+    pulse = DrivePulse(27.5683, 1975.6682, 0.0, t_pi)
+    cfg = SimConfig(dt=t_pi / 512.0, carrier_reset=carrier_reset)
+    n_values = [4, 1, 6, 4]
+    cache = PropagatorCache(system)
+    sweep = sweep_n(system, "xyn", n_values, 0.364, pulse, cfg, cache=cache)
+    expected = per_n_sweep(system, "xyn", n_values, 0.364, pulse, cfg, 1.0, 1.0, cache)
+    for label, trace in expected.items():
+        assert np.max(np.abs(sweep.trace(label) - trace)) <= 1e-13
+
+
+def error_of(fn):
+    try:
+        fn()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("family, n_values, tau, factors, dt", [
+    ("xyn", [1, 4, 3, 2], 0.2, (1.0, 1.0), 0.001),     # 3 pi/2 closer of n = 3 does not fit
+    ("xyn", [4, 3], 0.2, (1.0, 1.0), 0.01),            # dt too coarse, found before n = 3
+    ("cpmg", [5, 2], 0.15, (1.3, 1.0), 0.001),         # stretched pulses overlap
+    ("cpmg", [2, 3], 0.1, (0.5, 1.0), 0.001),          # the nominal pulses already overlap
+    ("cpmg", [2, 3], 0.5, (0.0, 1.0), 0.001),          # non-positive error factor
+    ("cpmg", [3], 0.5, (0.3, 1.0), 0.002),             # dt too coarse for the shortened pulse
+])
+def test_sweep_n_raises_what_compiling_each_n_raised(family, n_values, tau, factors, dt):
+    cfg = SimConfig(dt=dt)
+    expected = error_of(lambda: per_n_sweep(GENERIC, family, n_values, tau, PI_PULSE, cfg,
+                                            *factors, PropagatorCache(GENERIC)))
+    assert expected is not None
+    got = error_of(lambda: sweep_n(GENERIC, family, n_values, tau, PI_PULSE, cfg,
+                                   length_factor=factors[0], freq_factor=factors[1]))
+    assert got == expected
+
+
+# ---------------------------------------------------------------- phase-keyed cache
+
+def counting_builds(monkeypatch):
+    calls = []
+    original = evolution.pulse_propagator
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "pulse_propagator", counted)
+    return calls
+
+
+def test_pulse_cache_shares_builds_across_whole_carrier_periods(monkeypatch):
+    builds = counting_builds(monkeypatch)
+    cache = PropagatorCache(GENERIC)
+    pulse = DrivePulse(5.0, 50.0, 0.3, 0.1)
+    t0 = 0.1374
+    starts = (t0, t0 + 7 / 50.0, t0 + 400 / 50.0)
+    for t in starts:
+        ref = pulse_propagator(GENERIC.h0, pulse, GENERIC.drive_op, t, 0.001).mat
+        assert np.max(np.abs(cache.pulse(pulse, t, 0.001) - ref)) <= 1e-11
+    assert len(builds) == 1
+
+    off_grid = t0 + 0.0031
+    ref = pulse_propagator(GENERIC.h0, pulse, GENERIC.drive_op, off_grid, 0.001).mat
+    assert np.max(np.abs(cache.pulse(pulse, off_grid, 0.001) - ref)) <= 1e-11
+    assert len(builds) == 2
+
+
+def test_pulse_cache_wraps_a_full_cycle_to_zero(monkeypatch):
+    builds = counting_builds(monkeypatch)
+    cache = PropagatorCache(GENERIC)
+    pulse = DrivePulse(5.0, 50.0, 0.0, 0.1)
+    # one period minus rounding lands on the same key as the start
+    a = cache.pulse(pulse, 0.0, 0.001)
+    b = cache.pulse(pulse, 1.0 / 50.0 - 1e-16, 0.001)
+    assert len(builds) == 1 and a is b
+
+
+# ---------------------------------------------------------------- step product
+
+@pytest.mark.parametrize("duration", [0.001, 0.051, 0.1, 0.101, 0.128])
+def test_log_depth_step_product_equals_the_sequential_loop(duration):
+    dt = 0.001
+    pulse = DrivePulse(5.0, 50.0, 0.7, duration)
+    t_start = 0.213
+    steps = int(round(duration / dt))
+    t_mid = t_start + (np.arange(steps) + 0.5) * dt
+    coeff = pulse.omega1 * np.cos(2.0 * np.pi * pulse.omegap * t_mid + pulse.phase)
+    h = GENERIC.h0.mat[None] + coeff[:, None, None] * GENERIC.drive_op.mat[None]
+    w, v = np.linalg.eigh(h)
+    step_us = (v * np.exp(-2j * np.pi * dt * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    u = np.eye(4, dtype=complex)
+    for step in step_us:
+        u = step @ u
+    got = pulse_propagator(GENERIC.h0, pulse, GENERIC.drive_op, t_start, dt).mat
+    assert np.max(np.abs(got - u)) <= 1e-13
+
+
+# ---------------------------------------------------------------- batched fit
+
+def scalar_fit(n, y, value_range):
+    """The period scan with one ``lstsq`` per trial period."""
+    def lsq(t):
+        arg = 2.0 * np.pi * n / t
+        design = np.column_stack([np.ones_like(n), np.cos(arg), np.sin(arg)])
+        coeff, *_ = np.linalg.lstsq(design, y, rcond=None)
+        return coeff, float(np.sqrt(np.mean((y - design @ coeff) ** 2)))
+
+    span = n.max() - n.min()
+    best_t, best_rms = None, np.inf
+    for t in np.linspace(3.0, 1.5 * span, 600):
+        _, rms = lsq(t)
+        if rms < best_rms:
+            best_t, best_rms = t, rms
+    for t in np.linspace(max(2.5, best_t * 0.9), min(1.6 * span, best_t * 1.1), 400):
+        _, rms = lsq(t)
+        if rms < best_rms:
+            best_t, best_rms = t, rms
+    coeff, _ = lsq(best_t)
+    rng = value_range[1] - value_range[0]
+    return min(2.0 * float(np.hypot(coeff[1], coeff[2])) / rng, 1.0), best_t / 2.0
+
+
+@pytest.mark.parametrize("period, noise, amp", [
+    (24.0, 0.0, 0.45),    # clean
+    (19.3, 0.03, 0.4),    # noisy
+    (47.0, 0.01, 0.3),    # longer than the sweep
+    (7.7, 0.05, 0.5),     # fast, near full contrast
+])
+def test_batched_fit_equals_scalar_lstsq_scan(period, noise, amp):
+    rng = np.random.default_rng(11)
+    n = np.arange(1, 41, dtype=float)
+    y = 0.02 + amp * np.cos(2.0 * np.pi * n / period + 0.4) + noise * rng.normal(size=n.size)
+    sweep = SweepResult(axis="n", values=n, traces={"Iz": y})
+    got = pseudo_fidelity(sweep, "Iz", (-0.5, 0.5))
+    expected = scalar_fit(n, y, (-0.5, 0.5))
+    assert got == pytest.approx(expected, abs=1e-9)
