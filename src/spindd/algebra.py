@@ -118,14 +118,7 @@ class DensityMatrix:
     def __init__(self, op: Operator, label: str = ""):
         if not isinstance(op, Operator):
             op = Operator(op)
-        tr = op.trace()
-        if abs(tr - 1.0) > DM_TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} deviates from 1")
-        if not op.is_hermitian(DM_HERM_TOL):
-            raise ValueError("density matrix is not Hermitian")
-        evals = np.linalg.eigvalsh(0.5 * (op.mat + op.mat.conj().T))
-        if evals.min() < DM_EIG_FLOOR:
-            raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
+        check_states(op.mat[None])
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "label", label)
 
@@ -146,6 +139,31 @@ class DensityMatrix:
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"DensityMatrix(dims={self.dims}{tag})"
+
+
+def check_states(mats) -> None:
+    """Check that every matrix of a ``(n, d, d)`` stack is a physical state.
+
+    The checks, tolerances and messages are those of ``DensityMatrix``:
+    unit trace, then Hermiticity (relative to the largest entry, at
+    least 1), then eigenvalues above the floor, each over the whole
+    stack.  The first state failing the first failing check raises
+    ``ValueError``.
+    """
+    mats = np.asarray(mats)
+    tr = np.trace(mats, axis1=1, axis2=2)
+    bad = np.flatnonzero(np.abs(tr - 1.0) > DM_TRACE_TOL)
+    if bad.size:
+        raise ValueError(f"density matrix trace {complex(tr[bad[0]])} deviates from 1")
+    adj = np.swapaxes(mats, 1, 2).conj()
+    scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1.0)
+    # "not within" so that a nan entry fails here, before eigvalsh
+    if not np.all(np.abs(mats - adj).max(axis=(1, 2)) <= DM_HERM_TOL * scale):
+        raise ValueError("density matrix is not Hermitian")
+    lowest = np.linalg.eigvalsh(0.5 * (mats + adj))[:, 0]
+    bad = np.flatnonzero(lowest < DM_EIG_FLOOR)
+    if bad.size:
+        raise ValueError(f"density matrix has negative eigenvalue {lowest[bad[0]]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -244,9 +262,18 @@ def herm_propagator(h: Operator, duration: float) -> Operator:
     if duration < 0:
         raise ValueError(f"negative evolution duration {duration}")
     w, v = eig_hermitian(h)
+    return Operator(eig_propagator(w, v.mat, duration), h.dims)
+
+
+def eig_propagator(w, v, duration: float) -> NDArray[np.complex128]:
+    """Propagator ``v exp(-i 2 pi duration w) v^dag`` from an eigendecomposition.
+
+    ``w`` holds eigenvalues with shape ``(..., d)`` and ``v`` the matching
+    eigenvector columns with shape ``(..., d, d)``; leading axes are a
+    batch.  Unitary to machine precision for any duration.
+    """
     phases = np.exp(-2j * np.pi * duration * w)
-    u = (v.mat * phases[None, :]) @ v.mat.conj().T
-    return Operator(u, h.dims)
+    return (v * phases[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
 def partial_trace(rho, keep):

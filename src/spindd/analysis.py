@@ -62,11 +62,18 @@ def expval(rho: DensityMatrix, obs: Operator) -> float:
     """Expectation value ``Tr(rho obs)`` for a Hermitian observable."""
     if rho.dims != obs.dims:
         raise ValueError(f"state dims {rho.dims} do not match observable dims {obs.dims}")
-    val = np.trace(rho.mat @ obs.mat)
-    scale = max(np.abs(obs.mat).max(), 1.0)
-    if abs(val.imag) > 1e-10 * scale:
-        raise ValueError(f"non-real expectation value {val}; observable not Hermitian?")
-    return float(val.real)
+    return float(expvals(rho.mat[None], obs.mat[None])[0, 0])
+
+
+def expvals(rhos, obs) -> np.ndarray:
+    """``Tr(rho obs)`` for a ``(n, d, d)`` stack of states and a
+    ``(m, d, d)`` stack of Hermitian observables, shape ``(n, m)``."""
+    vals = np.einsum("nij,mji->nm", rhos, obs)
+    scale = np.maximum(np.abs(obs).max(axis=(1, 2)), 1.0)
+    bad = np.abs(vals.imag) > 1e-10 * scale
+    if bad.any():
+        raise ValueError(f"non-real expectation value {vals[bad][0]}; observable not Hermitian?")
+    return vals.real
 
 
 def fluorescence(rho0: DensityMatrix, rhof: DensityMatrix) -> float:

@@ -3,9 +3,14 @@
 Free evolution is a single exact exponential of the static Hamiltonian.
 Driven intervals are Trotterized: the lab-frame Hamiltonian including
 the oscillating carrier is sampled at the midpoint of each step of
-length ``dt`` and the step exponentials (each exactly unitary, via
-eigendecomposition) are multiplied, later steps on the left, by a
-pairwise reduction.  The lab clock runs continuously across the whole
+length ``dt`` and the step exponentials are multiplied, later steps on
+the left, by a pairwise reduction.  A step Hamiltonian
+``h0 + omega1 x drive_op`` depends on the step only through the carrier
+amplitude ``x`` in [-1, 1], so each step exponential is read off a
+Chebyshev interpolant in ``x`` through a few exactly exponentiated
+nodes; the node count is chosen so that the interpolation error bound
+``2 y^K / K!`` stays below 1e-17, far under rounding (see
+``pulse_propagator``).  The lab clock runs continuously across the whole
 sequence, so the carrier phase of later pulses follows from their start
 time; ``SimConfig.carrier_reset`` restarts the carrier at every pulse
 instead, for comparison.  A pulse's propagator depends on its start time
@@ -21,9 +26,10 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
-from .algebra import DensityMatrix, Operator, eig_hermitian
-from .analysis import SweepResult, expval
+from .algebra import DensityMatrix, Operator, check_states, eig_hermitian, eig_propagator
+from .analysis import SweepResult, expval, expvals
 from .sequences import (
     Delay,
     DrivePulse,
@@ -40,6 +46,23 @@ from .sequences import (
 )
 
 _KEY_DIGITS = 12
+
+# Error bound of an interpolated step exponential.  Interpolating a
+# smooth f at the K Chebyshev nodes misses it by at most
+# max|f^(K)| / (2^(K-1) K!), here in each real and imaginary part of each
+# entry.  For U(x) = exp(-2 pi i dt (h0 + omega1 x drive_op)) the
+# Duhamel expansion bounds the K-th derivative in x by
+# (2 pi dt omega1 |drive_op|_2)^K = (2 y)^K, which gives 2 y^K / K!.
+_CHEB_TOL = 1e-17
+
+
+def _node_count(y: float) -> int:
+    """Smallest K with ``2 y^K / K! <= _CHEB_TOL``."""
+    k, bound = 1, 2.0 * y
+    while bound > _CHEB_TOL:
+        k += 1
+        bound *= y / k
+    return k
 
 
 @dataclass(frozen=True)
@@ -59,8 +82,16 @@ def pulse_propagator(h0: Operator, pulse: DrivePulse, drive_op: Operator,
     The pulse duration is snapped to an integer number of steps; the
     snap never moves the duration by more than half a step, and a pulse
     shorter than half a step is rejected.  Each step evolves under
-    ``h0 + omega1 cos(2 pi omegap t + phase) * drive_op`` with ``t``
-    taken at the step midpoint.
+    ``h0 + pulse.carrier(t) * drive_op`` with ``t`` taken at the step
+    midpoint.
+
+    The step exponential ``U(x) = exp(-2 pi i dt (h0 + omega1 x drive_op))``
+    is an entire function of the carrier amplitude ``x`` in [-1, 1].  It
+    is computed exactly (one batched ``eigh``) at the K Chebyshev nodes
+    ``x_j = cos(pi (j + 1/2) / K)``, turned into Chebyshev coefficient
+    matrices by the discrete cosine transform, and evaluated at every
+    step as ``sum_m T_m(x) c_m``.  With ``y = pi dt omega1 |drive_op|_2``,
+    K is the smallest node count with ``2 y^K / K! <= 1e-17``.
     """
     if dt is None or dt <= 0:
         raise ValueError("pulse_propagator requires a positive dt")
@@ -73,12 +104,19 @@ def pulse_propagator(h0: Operator, pulse: DrivePulse, drive_op: Operator,
     if h0.dims != drive_op.dims:
         raise ValueError("h0 and drive operator live on different registers")
 
+    y = np.pi * dt * pulse.omega1 * np.linalg.norm(drive_op.mat, 2)
+    k = _node_count(y)
+    theta = np.pi * (np.arange(k) + 0.5) / k
+    nodes = h0.mat[None] + (pulse.omega1 * np.cos(theta))[:, None, None] * drive_op.mat[None]
+    w, v = np.linalg.eigh(nodes)
+    u_nodes = eig_propagator(w, v, dt).reshape(k, -1)
+    # c_m = (2 / K) sum_j U(x_j) T_m(x_j), halved for m = 0
+    transform = (2.0 / k) * chebvander(np.cos(theta), k - 1).T
+    transform[0] *= 0.5
     t_mid = t_start + (np.arange(nsteps) + 0.5) * dt
-    coeff = pulse.omega1 * np.cos(2.0 * np.pi * pulse.omegap * t_mid + pulse.phase)
-    steps = h0.mat[None, :, :] + coeff[:, None, None] * drive_op.mat[None, :, :]
-    w, v = np.linalg.eigh(steps)
-    phases = np.exp(-2j * np.pi * dt * w)
-    us = (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    x = pulse.carrier(t_mid) / pulse.omega1
+    d = h0.shape[0]
+    us = (chebvander(x, k - 1) @ (transform @ u_nodes)).reshape(nsteps, d, d)
 
     # pairwise reduction in time order; an odd last step waits a level
     while len(us) > 1:
@@ -111,8 +149,7 @@ class PropagatorCache:
         key = round(duration, _KEY_DIGITS)
         u = self._free.get(key)
         if u is None:
-            phases = np.exp(-2j * np.pi * duration * self._evals)
-            u = (self._evecs * phases[None, :]) @ self._evecs.conj().T
+            u = eig_propagator(self._evals, self._evecs, duration)
             self._free[key] = u
         return u
 
@@ -279,7 +316,8 @@ def sweep_n(system, family: str, n_values, tau: float, pulse: DrivePulse,
     rho0 = system.rho0.mat
     u = np.eye(rho0.shape[0], dtype=complex)
     t = 0.0
-    measured = {}
+    row = {}  # n -> its state's index in rhos
+    rhos = []
     for i, el in enumerate(train.elements):
         u_el, t = _advance(cache, el, t, cfg)
         if u_el is not None:
@@ -292,10 +330,13 @@ def sweep_n(system, family: str, n_values, tau: float, pulse: DrivePulse,
             u_el, t_n = _advance(cache, tail_el, t_n, cfg)
             if u_el is not None:
                 u_n = u_el @ u_n
-        rho = DensityMatrix(Operator(u_n @ rho0 @ u_n.conj().T, system.h0.dims))
-        measured[n] = _measure(system, rho)
-    traces = {obs.label: np.array([measured[n][obs.label] for n in n_values.tolist()])
-              for obs in system.observables}
+        row[n] = len(rhos)
+        rhos.append(u_n @ rho0 @ u_n.conj().T)
+    rhos = np.array(rhos)
+    check_states(rhos)
+    values = expvals(rhos, np.array([obs.op.mat for obs in system.observables]))
+    rows = [row[n] for n in n_values.tolist()]
+    traces = {obs.label: values[rows, j] for j, obs in enumerate(system.observables)}
     prov = _provenance({
         "sweep": "n", "family": family,
         "n_values": [int(x) for x in n_values], "tau": tau,

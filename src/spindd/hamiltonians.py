@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .algebra import (
     DensityMatrix,
@@ -163,11 +162,11 @@ def generic_h0(params: GenericSystemParams) -> Operator:
 def drive_h1(t: float, pulse: DrivePulse, drive_op: Operator) -> Operator:
     """Drive Hamiltonian at lab time ``t``.
 
-    ``omega1 cos(2 pi omegap t + phase)`` times the system's drive
-    operator (twice the central spin-x, embedded).
+    ``DrivePulse.carrier(t)``, ``omega1 cos(2 pi omegap t + phase)``,
+    times the system's drive operator (twice the central spin-x,
+    embedded).
     """
-    coeff = pulse.omega1 * math.cos(2.0 * math.pi * pulse.omegap * t + pulse.phase)
-    return Operator(coeff * drive_op.mat, drive_op.dims, herm=True)
+    return Operator(float(pulse.carrier(t)) * drive_op.mat, drive_op.dims, herm=True)
 
 
 def nv_rotated_tensor(params: NvParams) -> np.ndarray:
@@ -287,13 +286,37 @@ def _central_level_projector(system: SpinSystem) -> Operator:
     return embed(Operator(proj, (system.dims[0],), herm=True), 0, system.dims)
 
 
+_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1 / golden ratio squared
+
+
+def _golden_max(f, lo: float, hi: float, xatol: float) -> float:
+    """Maximizer of a unimodal ``f`` on ``[lo, hi]`` by golden-section search.
+
+    The bracket shrinks by the golden ratio per evaluation until it is
+    at most ``xatol`` wide; its midpoint is returned.
+    """
+    x1, x2 = lo + _INV_PHI2 * (hi - lo), hi - _INV_PHI2 * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > xatol:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = lo + _INV_PHI2 * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = hi - _INV_PHI2 * (hi - lo)
+            f2 = f(x2)
+    return 0.5 * (lo + hi)
+
+
 def calibrate_rabi(system: SpinSystem, target_tpi: float, carrier: float,
                    dt: float | None = None) -> float:
     """Drive amplitude that makes a ``target_tpi`` pulse a pi pulse.
 
     Simulates a single resonant pulse of the requested duration and
     maximizes the population transferred out of the initial central
-    level over ``omega1`` (bounded scalar search).  Raises if the best
+    level over ``omega1`` (golden-section search on
+    ``[0.15, 0.65] / target_tpi`` to ``1e-6 / target_tpi``).  Raises if the best
     transfer stays below 0.99, which signals an unresolvable transition
     or a too-coarse ``dt``.
     """
@@ -312,10 +335,7 @@ def calibrate_rabi(system: SpinSystem, target_tpi: float, carrier: float,
         rho_f = u @ rho0 @ u.conj().T
         return 1.0 - float(np.real(np.trace(proj0.mat @ rho_f)))
 
-    lo, hi = 0.15 / target_tpi, 0.65 / target_tpi
-    res = minimize_scalar(lambda x: -transfer(x), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-6 / target_tpi})
-    best = float(res.x)
+    best = _golden_max(transfer, 0.15 / target_tpi, 0.65 / target_tpi, 1e-6 / target_tpi)
     achieved = transfer(best)
     if achieved < 0.99:
         raise ValueError(

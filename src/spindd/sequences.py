@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 HALF_PI = math.pi / 2.0
 
 NOMINAL_ANGLES = (HALF_PI, math.pi, 3.0 * HALF_PI)
@@ -56,6 +58,13 @@ class DrivePulse:
             raise ValueError(f"omegap must be positive, got {self.omegap}")
         if self.duration <= 0:
             raise ValueError(f"pulse duration must be positive, got {self.duration}")
+
+    def carrier(self, t):
+        """Drive amplitude ``omega1 cos(2 pi omegap t + phase)`` at lab time ``t``.
+
+        ``t`` may be an array of times.
+        """
+        return self.omega1 * np.cos(2.0 * np.pi * self.omegap * t + self.phase)
 
 
 @dataclass(frozen=True)

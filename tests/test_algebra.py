@@ -9,6 +9,7 @@ from spindd.algebra import (
     Operator,
     basis_dm,
     basis_ket,
+    check_states,
     eig_hermitian,
     embed,
     herm_propagator,
@@ -138,6 +139,59 @@ def test_density_matrix_validation():
     neg = np.diag([1.2, -0.2])
     with pytest.raises(ValueError):
         DensityMatrix(Operator(neg))
+
+
+def one_state_error(m):
+    """Message of the first failing check on one state, checked on its own."""
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > 1e-10:
+        return f"density matrix trace {tr} deviates from 1"
+    if not Operator(m).is_hermitian(1e-10):
+        return "density matrix is not Hermitian"
+    evals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    if evals.min() < -1e-9:
+        return f"density matrix has negative eigenvalue {evals.min():.3e}"
+    return None
+
+
+def stack_error(mats):
+    """The first state's message for the first check that any state fails."""
+    errors = [one_state_error(m) for m in mats]
+    for check in ("trace", "Hermitian", "negative"):
+        for error in errors:
+            if error is not None and check in error:
+                return error
+    return None
+
+
+PURE = np.diag([1.0, 0.0]).astype(complex)
+MIXED = np.full((2, 2), 0.25) + np.diag([0.25, 0.25])
+NEGATIVE = np.diag([1.2, -0.2]).astype(complex)
+TRACE_4 = 2.0 * np.eye(2, dtype=complex)
+SKEW = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
+NAN = np.array([[1.0, np.nan], [np.nan, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("stack", [
+    [PURE, MIXED],
+    [PURE, NEGATIVE, TRACE_4],
+    [MIXED, NEGATIVE, SKEW],
+    [PURE, SKEW, NEGATIVE],
+    [NEGATIVE, NAN],
+    [PURE, MIXED, 0.7 * NEGATIVE + 0.3 * PURE, NEGATIVE],
+    [TRACE_4],
+])
+def test_check_states_raises_the_single_state_messages(stack):
+    def error_of(fn):
+        try:
+            fn()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    assert error_of(lambda: check_states(np.array(stack))) == stack_error(stack)
+    for m in stack:
+        assert error_of(lambda: DensityMatrix(Operator(m))) == one_state_error(m)
 
 
 def test_density_matrix_purity():

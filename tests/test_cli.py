@@ -44,6 +44,13 @@ def test_list_presets_names_everything():
     assert listed == set(PRESETS)
 
 
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = "import sys, spindd.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_validate_accepts_every_preset():
     for name in PRESETS:
         proc = run_cli("validate", "--config", name)

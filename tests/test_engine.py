@@ -204,22 +204,82 @@ def test_pulse_cache_wraps_a_full_cycle_to_zero(monkeypatch):
 
 # ---------------------------------------------------------------- step product
 
-@pytest.mark.parametrize("duration", [0.001, 0.051, 0.1, 0.101, 0.128])
-def test_log_depth_step_product_equals_the_sequential_loop(duration):
-    dt = 0.001
-    pulse = DrivePulse(5.0, 50.0, 0.7, duration)
-    t_start = 0.213
-    steps = int(round(duration / dt))
+def eigh_step_product(system, pulse, t_start, dt):
+    """Pulse propagator with one ``eigh`` per Trotter step, multiplied in a loop."""
+    steps = int(round(pulse.duration / dt))
     t_mid = t_start + (np.arange(steps) + 0.5) * dt
     coeff = pulse.omega1 * np.cos(2.0 * np.pi * pulse.omegap * t_mid + pulse.phase)
-    h = GENERIC.h0.mat[None] + coeff[:, None, None] * GENERIC.drive_op.mat[None]
+    h = system.h0.mat[None] + coeff[:, None, None] * system.drive_op.mat[None]
     w, v = np.linalg.eigh(h)
     step_us = (v * np.exp(-2j * np.pi * dt * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    u = np.eye(4, dtype=complex)
+    u = np.eye(system.h0.shape[0], dtype=complex)
     for step in step_us:
         u = step @ u
-    got = pulse_propagator(GENERIC.h0, pulse, GENERIC.drive_op, t_start, dt).mat
+    return u
+
+
+@pytest.mark.parametrize("duration", [0.001, 0.051, 0.1, 0.101, 0.128])
+def test_log_depth_step_product_equals_the_sequential_loop(duration):
+    pulse = DrivePulse(5.0, 50.0, 0.7, duration)
+    u = eigh_step_product(GENERIC, pulse, 0.213, 0.001)
+    got = pulse_propagator(GENERIC.h0, pulse, GENERIC.drive_op, 0.213, 0.001).mat
     assert np.max(np.abs(got - u)) <= 1e-13
+
+
+# ---------------------------------------------------------------- Chebyshev steps
+
+NV = nv_system(NvParams(b0=32.0, theta0=math.radians(2.9)))
+NV_PI = DrivePulse(27.5683, 1975.6682, 0.0, 0.01285)
+SX_IY = np.zeros((3, 3))
+SX_IY[2, 0], SX_IY[0, 1] = 0.2, 0.07  # azx plus an Sx Iy entry: a complex h0
+THREE = generic_system(GenericSystemParams(50.0, (TargetParams(1.0, SX_IY),
+                                                  TargetParams(1.6, 0.15))))
+
+
+@pytest.mark.parametrize("system, pulse, dt", [
+    (NV, NV_PI, 0.01285 / 512),                             # NV pi pulse, 512 steps
+    (GENERIC, DrivePulse(5.0, 50.0, 0.7, 0.07), 0.001),     # length factor 0.7
+    (GENERIC, DrivePulse(5.0, 50.0, 0.7, 0.13), 0.001),     # length factor 1.3
+    (THREE, DrivePulse(5.0, 50.0, 1.9, 0.1), 0.001),        # 3 qubits, complex coupling
+    (GENERIC, DrivePulse(5.0, 50.0, 0.3, 0.1), 0.01),       # coarse dt = t_pulse / 10
+    (GENERIC, DrivePulse(5.0, 50.0, 0.3, 0.001), 0.001),    # one step
+], ids=["nv-pi", "generic-0.7", "generic-1.3", "three-qubit-complex", "coarse-dt", "one-step"])
+def test_chebyshev_steps_match_the_per_step_eigh_product(system, pulse, dt):
+    t_start = 0.0173
+    ref = eigh_step_product(system, pulse, t_start, dt)
+    got = pulse_propagator(system.h0, pulse, system.drive_op, t_start, dt).mat
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    assert np.max(np.abs(got.conj().T @ got - np.eye(len(got)))) <= 1e-12
+
+
+@pytest.mark.parametrize("y", [0.0043, 0.0157, 0.157, 0.9, 3.0])
+def test_node_count_is_the_smallest_meeting_the_bound(y):
+    k = evolution._node_count(y)
+    assert 2.0 * y**k / math.factorial(k) <= evolution._CHEB_TOL
+    assert 2.0 * y**(k - 1) / math.factorial(k - 1) > evolution._CHEB_TOL
+
+
+def test_node_counts_of_the_nv_generic_and_coarse_pulses():
+    # y = pi dt omega1 |drive_op|_2; |2 Sx| is 2 on the spin-1, 1 on the spin-1/2
+    assert evolution._node_count(np.pi * 0.01285 / 512 * 27.5683 * 2.0) == 7
+    assert evolution._node_count(np.pi * 0.001 * 5.0) == 8
+    assert evolution._node_count(np.pi * 0.01 * 5.0) == 12
+
+
+def test_nv_pulse_eigendecomposes_the_nodes_not_the_steps(monkeypatch):
+    seen = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        seen.append(1 if np.ndim(a) == 2 else len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cfg = ExperimentConfig.from_dict(get_preset("nv-ddgate"))
+    system, pulse, dt = cfg.build_system(), cfg.build_pulse(), cfg.sim_config().dt
+    assert round(pulse.duration / dt) == 512
+    pulse_propagator(system.h0, pulse, system.drive_op, 0.0, dt)
+    assert seen == [7]  # one batched eigh of the K = 7 nodes, not of 512 steps
 
 
 # ---------------------------------------------------------------- batched fit

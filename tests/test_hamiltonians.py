@@ -183,11 +183,18 @@ def test_nv_system_layout():
     assert mixed.rho0.purity() == pytest.approx(0.5)
 
 
+# omega1 that scipy's bounded Brent search (``minimize_scalar`` with the
+# same bounds and xatol) returns for these two calibrations
+BRENT_OMEGA1_GENERIC = 5.001020516070087
+BRENT_OMEGA1_NV = 27.568326386242003
+
+
 def test_calibrate_rabi_generic():
     sys = generic_system(GENERIC)
     omega1 = calibrate_rabi(sys, 0.1, 50.0)
     # resonant spin-1/2: t_pi = 1 / (2 omega1)
     assert omega1 == pytest.approx(5.0, rel=0.02)
+    assert omega1 == pytest.approx(BRENT_OMEGA1_GENERIC, rel=1e-6)
 
 
 def test_calibrate_rabi_nv_picks_up_sqrt2():
@@ -195,6 +202,7 @@ def test_calibrate_rabi_nv_picks_up_sqrt2():
     t_pi = 0.01285
     omega1 = calibrate_rabi(sys, t_pi, 1975.6682)
     assert omega1 == pytest.approx(1.0 / (2.0 * math.sqrt(2.0) * t_pi), rel=0.05)
+    assert omega1 == pytest.approx(BRENT_OMEGA1_NV, rel=1e-6)
 
 
 def test_calibrate_rabi_fails_off_resonance():
