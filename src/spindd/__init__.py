@@ -63,11 +63,9 @@ from .evolution import (
 from .analysis import (
     GateMetrics,
     SweepResult,
-    baseline_correct,
     concurrence,
     expval,
     find_resonance,
-    fluorescence,
     pauli_expectations,
     pseudo_fidelity,
     state_fidelity,

@@ -8,7 +8,7 @@ simulated sweeps and on externally measured traces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,14 +32,11 @@ class SweepResult:
     """Observable traces along one swept axis.
 
     ``traces`` maps observable labels to arrays aligned with ``values``.
-    ``provenance`` records the hash of the generating parameters and a
-    timestamp.
     """
 
     axis: str
     values: NDArray[np.float64]
     traces: dict
-    provenance: dict = field(default_factory=dict)
 
     def trace(self, label: str) -> NDArray[np.float64]:
         if label not in self.traces:
@@ -74,18 +71,6 @@ def expvals(rhos, obs) -> np.ndarray:
     if bad.any():
         raise ValueError(f"non-real expectation value {vals[bad][0]}; observable not Hermitian?")
     return vals.real
-
-
-def fluorescence(rho0: DensityMatrix, rhof: DensityMatrix) -> float:
-    """Overlap readout ``Tr(2 rho0 rhof)``.
-
-    With the reference ``rho0 = |0><0| x 1/2`` this equals the
-    population of the central level 0 and lies in [0, 1].
-    """
-    if rho0.dims != rhof.dims:
-        raise ValueError("reference and final state live on different registers")
-    val = 2.0 * np.trace(rho0.mat @ rhof.mat)
-    return float(val.real)
 
 
 def _pauli_labels(n: int):
@@ -286,42 +271,6 @@ def find_resonance(sweep: SweepResult, label: str) -> float:
     vertex = -b / (2.0 * a)
     vertex = float(np.clip(vertex, xs[0] - xs[1], xs[2] - xs[1]))
     return float(xs[1] + vertex)
-
-
-def baseline_correct(x, y, order: int = 2, renormalize: bool = True) -> NDArray[np.float64]:
-    """Remove a slow polynomial background from a spectrum.
-
-    Fits a polynomial of the given order, masks points deviating more
-    than two standard deviations (the resonances), refits, and subtracts.
-    With ``renormalize`` the corrected trace is scaled to span [0, 1];
-    a flat trace is returned unscaled.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("x and y must have the same length")
-    if x.size <= order + 1:
-        raise ValueError(f"too few points ({x.size}) for polynomial order {order}")
-
-    mask = np.ones(x.size, dtype=bool)
-    coeffs = np.polynomial.polynomial.polyfit(x, y, order)
-    for _ in range(2):
-        fit = np.polynomial.polynomial.polyval(x, coeffs)
-        resid = y - fit
-        sigma = resid[mask].std()
-        if sigma == 0:
-            break
-        mask = np.abs(resid) <= 2.0 * sigma
-        if mask.sum() <= order + 1:
-            raise ValueError("baseline fit excluded almost every point")
-        coeffs = np.polynomial.polynomial.polyfit(x[mask], y[mask], order)
-
-    corrected = y - np.polynomial.polynomial.polyval(x, coeffs)
-    if renormalize:
-        span = corrected.max() - corrected.min()
-        if span > 1e-12:
-            corrected = (corrected - corrected.min()) / span
-    return corrected
 
 
 def tpi_scaling(fits) -> tuple:

@@ -137,7 +137,6 @@ SCHEMA = {
                 "fit_observable": {"type": ["string", "null"]},
             },
         },
-        "seed": {"type": "integer", "minimum": 0},
         "errmap": {
             "type": "object",
             "required": ["length_factors", "freq_factors"],
@@ -250,7 +249,6 @@ def _normalize(raw: dict) -> dict:
     cfg.setdefault("name", "run")
     cfg.setdefault("description", "")
     cfg.setdefault("initial_state", "polarized")
-    cfg.setdefault("seed", 0)
 
     system = cfg["system"]
     if system["model"] == "generic":

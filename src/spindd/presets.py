@@ -65,7 +65,6 @@ PRESETS = {
             "metrics": ["pseudo-fidelity", "concurrence", "inversion-fidelity"],
             "fit_observable": "Iz",
         },
-        "seed": 7,
     },
     "pulse-error-map": {
         "name": "pulse-error-map",

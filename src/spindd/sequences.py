@@ -86,12 +86,11 @@ class Pulse:
 
     ``nominal_angle`` is one of pi/2, pi, 3 pi/2 and records the intended
     rotation; the actual rotation follows from the carrier parameters and
-    duration.  ``axis_phase`` duplicates ``pulse.phase`` for readability.
+    duration.  The drive axis is ``pulse.phase``.
     """
 
     pulse: DrivePulse
     nominal_angle: float
-    axis_phase: float
 
     def __post_init__(self):
         if not any(abs(self.nominal_angle - a) < 1e-12 for a in NOMINAL_ANGLES):
@@ -210,7 +209,7 @@ def sequence_timing(family, n, tau, pi_pulse, closing_rule,
 
 def _driven(pi_pulse, timing, duration, angle, axis) -> Pulse:
     return Pulse(DrivePulse(pi_pulse.omega1, timing.omegap, axis, duration),
-                 nominal_angle=angle, axis_phase=axis)
+                 nominal_angle=angle)
 
 
 def compile_train(family, n, tau, pi_pulse, wrapper_phase, closing_rule,

@@ -7,11 +7,9 @@ from spindd.algebra import DensityMatrix, Operator, basis_dm, basis_ket
 from spindd.analysis import (
     GateMetrics,
     SweepResult,
-    baseline_correct,
     concurrence,
     expval,
     find_resonance,
-    fluorescence,
     pauli_expectations,
     pseudo_fidelity,
     state_fidelity,
@@ -54,16 +52,6 @@ def test_expval_rejects_bad_input():
     skew = Operator(np.diag([1.0j, 0.0]))
     with pytest.raises(ValueError, match="non-real"):
         expval(basis_dm((2,), (0,)), skew)
-
-
-def test_fluorescence_reads_central_population():
-    ref = DensityMatrix(Operator(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), (2, 2)))
-    assert fluorescence(ref, basis_dm((2, 2), (0, 1))) == pytest.approx(1.0)
-    assert fluorescence(ref, basis_dm((2, 2), (1, 0))) == pytest.approx(0.0)
-    even = DensityMatrix(Operator(np.eye(4) / 4.0, (2, 2)))
-    assert fluorescence(ref, even) == pytest.approx(0.5)
-    with pytest.raises(ValueError, match="different registers"):
-        fluorescence(ref, basis_dm((2,), (0,)))
 
 
 def test_pauli_expectations_bell_state():
@@ -259,33 +247,6 @@ def test_find_resonance_boundary_and_size_guards():
         find_resonance(sweep_of(x, np.exp(x), axis="tau"), "Iz")
     with pytest.raises(ValueError, match="at least 3"):
         find_resonance(sweep_of([0.0, 1.0], [0.0, 1.0], axis="tau"), "Iz")
-
-
-def test_baseline_correct_removes_a_pure_polynomial():
-    x = np.linspace(0.0, 4.0, 80)
-    y = 0.3 - 0.1 * x + 0.02 * x ** 2
-    corrected = baseline_correct(x, y, renormalize=False)
-    assert np.max(np.abs(corrected)) < 1e-10
-
-
-def test_baseline_correct_keeps_dips_and_normalizes():
-    x = np.linspace(0.0, 4.0, 200)
-    background = 0.9 - 0.05 * x + 0.01 * x ** 2
-    dip = -0.4 / (1.0 + ((x - 2.5) / 0.05) ** 2)
-    corrected = baseline_correct(x, background + dip)
-    assert corrected.min() == pytest.approx(0.0)
-    assert corrected.max() == pytest.approx(1.0)
-    assert x[np.argmin(corrected)] == pytest.approx(2.5, abs=0.05)
-    # away from the dip the corrected trace sits flat at its ceiling
-    far = corrected[x < 1.5]
-    assert far.min() > 0.93
-
-
-def test_baseline_correct_input_guards():
-    with pytest.raises(ValueError, match="same length"):
-        baseline_correct(np.arange(4), np.arange(5))
-    with pytest.raises(ValueError, match="too few points"):
-        baseline_correct(np.arange(3), np.arange(3), order=2)
 
 
 def test_tpi_scaling_exact_inverse_law():

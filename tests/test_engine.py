@@ -3,12 +3,14 @@
 Golden outputs under ``golden/`` were written by the sequential engine
 this one replaced (one full compile and product per N, pulses keyed by
 start time, a per-step loop, one ``lstsq`` per trial period), with the
-rank-aware ``state_fidelity`` already in place; see ``golden/README``.
+rank-aware ``state_fidelity`` already in place, except the tau spectrum,
+whose every pulse phase was built exactly; see ``golden/README``.
 """
 
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +69,8 @@ def numbers(tree, prefix=""):
     return {}
 
 
-@pytest.mark.parametrize("name", ["ddgate", "nv-polarize", "nv-ddgate", "errmap-cell"])
+@pytest.mark.parametrize("name", ["ddgate", "nv-polarize", "nv-ddgate", "errmap-cell",
+                                  "nv-xyn-spectrum"])
 def test_run_matches_golden_outputs(name, tmp_path):
     manifest = run_experiment(golden_config(name), tmp_path)
     header, table = read_table(tmp_path / f"{name}.csv")
@@ -280,6 +283,88 @@ def test_nv_pulse_eigendecomposes_the_nodes_not_the_steps(monkeypatch):
     assert round(pulse.duration / dt) == 512
     pulse_propagator(system.h0, pulse, system.drive_op, 0.0, dt)
     assert seen == [7]  # one batched eigh of the K = 7 nodes, not of 512 steps
+
+
+# ---------------------------------------------------------------- phase interpolant
+
+NV_HALF = replace(NV_PI, duration=0.01285 / 2.0)
+NV_DT = 0.01285 / 512
+
+
+def keyed_cycles(pulse, t_start):
+    """The carrier phase in cycles that ``PropagatorCache.pulse`` keys on."""
+    cycles = round((pulse.omegap * t_start + pulse.phase / (2.0 * math.pi)) % 1.0, 12)
+    return 0.0 if cycles == 1.0 else cycles
+
+
+def keyed_build(system, pulse, t_start, dt):
+    keyed = replace(pulse, phase=2.0 * math.pi * keyed_cycles(pulse, t_start))
+    return pulse_propagator(system.h0, keyed, system.drive_op, 0.0, dt).mat
+
+
+def phase_bound(a, h):
+    q = math.e * a / (h + 1)
+    return 2.0 * q ** (h + 1) / (1.0 - q) if q < 1.0 else math.inf
+
+
+@pytest.mark.parametrize("a", [0.0, 0.01, 0.3, np.pi * 0.1 * 5.0, 2.2, 7.0, 40.0])
+def test_phase_count_is_the_smallest_meeting_the_bound(a):
+    m = evolution._phase_count(a)
+    assert m % 2 == 1
+    h = (m - 1) // 2
+    assert phase_bound(a, h) <= evolution._PHASE_TOL
+    assert all(phase_bound(a, j) > evolution._PHASE_TOL for j in range(h))
+
+
+def test_phase_counts_of_the_nv_and_generic_pulses():
+    # a = pi nsteps dt omega1 |drive_op|_2
+    assert evolution._phase_count(np.pi * 0.01285 * 27.5683 * 2.0) == 51        # NV pi
+    assert evolution._phase_count(np.pi * 0.01285 / 2 * 27.5683 * 2.0) == 39    # NV pi/2
+    assert evolution._phase_count(np.pi * 0.1 * 5.0) == 43                      # generic pi
+
+
+def request_phases(cache, pulse, dt, cycles):
+    return [cache.pulse(pulse, c / pulse.omegap, dt) for c in cycles]
+
+
+@pytest.mark.parametrize("system, pulse, dt, m", [
+    (NV, NV_PI, NV_DT, 51),
+    (NV, NV_HALF, NV_DT, 39),
+    (GENERIC, DrivePulse(5.0, 50.0, 0.0, 0.05), 0.001, 35),    # length factor 0.5
+    (GENERIC, DrivePulse(5.0, 50.0, 0.0, 0.13), 0.001, 49),    # length factor 1.3
+], ids=["nv-pi", "nv-half-pi", "generic-0.5", "generic-1.3"])
+def test_interpolated_entries_match_the_keyed_exact_build(monkeypatch, system, pulse, dt, m):
+    builds = counting_builds(monkeypatch)
+    cache = PropagatorCache(system)
+    rng = np.random.default_rng(5)
+    request_phases(cache, pulse, dt, rng.random(2 * m + 1))
+    assert len(builds) == 3 * m
+    starts = rng.random(200) / pulse.omegap
+    got = [cache.pulse(pulse, t, dt) for t in starts]
+    assert len(builds) == 3 * m  # every later phase comes from the interpolant
+    worst = max(np.max(np.abs(u - keyed_build(system, pulse, t, dt))) for u, t in zip(got, starts))
+    assert worst <= 1e-13
+
+
+def test_a_shape_switches_to_the_interpolant_after_2m_phases(monkeypatch):
+    builds = counting_builds(monkeypatch)
+    cache = PropagatorCache(GENERIC)
+    m = 43  # generic pi pulse
+    cycles = np.arange(2 * m + 1) / (2 * m + 1) + 0.001
+    got = request_phases(cache, PI_PULSE, 0.001, cycles[:2 * m])
+    assert len(builds) == 2 * m
+    # no samples: each build is one requested phase
+    requested = [2.0 * np.pi * keyed_cycles(PI_PULSE, c / PI_PULSE.omegap) for c in cycles[:2 * m]]
+    assert [args[1].phase for args in builds] == requested
+    # below the switch every entry is the keyed exact build, bit for bit
+    for u, c in zip(got, cycles):
+        assert np.array_equal(u, keyed_build(GENERIC, PI_PULSE, c / PI_PULSE.omegap, 0.001))
+    request_phases(cache, PI_PULSE, 0.001, cycles[:2 * m])  # repeats are cache hits
+    assert len(builds) == 2 * m
+    request_phases(cache, PI_PULSE, 0.001, cycles[2 * m:])
+    assert len(builds) == 3 * m
+    samples = [args[1].phase for args in builds[2 * m:]]
+    assert samples == pytest.approx([2.0 * np.pi * j / m for j in range(m)], abs=1e-15)
 
 
 # ---------------------------------------------------------------- batched fit

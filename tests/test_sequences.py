@@ -64,20 +64,20 @@ def test_pi_pulse_centers_sit_tau_apart():
 def test_cpmg_phases_all_x():
     seq = compile_cpmg(4, 0.5, PI_PULSE)
     pulses = pulses_of(seq)
-    assert pulses[0].axis_phase == pytest.approx(PI / 2.0)
-    assert pulses[-1].axis_phase == pytest.approx(PI / 2.0)
-    assert all(p.axis_phase == 0.0 for p in pulses[1:-1])
-    assert all(p.pulse.phase == p.axis_phase for p in pulses)
+    assert pulses[0].pulse.phase == pytest.approx(PI / 2.0)
+    assert pulses[-1].pulse.phase == pytest.approx(PI / 2.0)
+    assert all(p.pulse.phase == 0.0 for p in pulses[1:-1])
+    assert [p.pulse.phase for p in pulses] == [PI / 2.0, 0.0, 0.0, 0.0, 0.0, PI / 2.0]
 
 
 def test_xyn_phases_alternate_with_wrapper():
     seq = compile_xyn(5, 0.5, PI_PULSE)
-    inner = [p.axis_phase for p in pulses_of(seq)[1:-1]]
+    inner = [p.pulse.phase for p in pulses_of(seq)[1:-1]]
     assert inner == pytest.approx([0.0, PI / 2.0, 0.0, PI / 2.0, 0.0])
     conj = compile_xyn(5, 0.5, PI_PULSE, wrapper_phase=3.0 * PI / 2.0)
-    inner = [p.axis_phase for p in pulses_of(conj)[1:-1]]
+    inner = [p.pulse.phase for p in pulses_of(conj)[1:-1]]
     assert inner == pytest.approx([0.0, 3.0 * PI / 2.0, 0.0, 3.0 * PI / 2.0, 0.0])
-    assert pulses_of(conj)[0].axis_phase == pytest.approx(3.0 * PI / 2.0)
+    assert pulses_of(conj)[0].pulse.phase == pytest.approx(3.0 * PI / 2.0)
 
 
 @pytest.mark.parametrize("n,angle", [(2, 1.5 * PI), (4, 0.5 * PI), (6, 1.5 * PI), (8, 0.5 * PI)])
@@ -118,7 +118,7 @@ def test_drive_pulse_validation():
     with pytest.raises(ValueError, match="negative delay"):
         Delay(-0.01)
     with pytest.raises(ValueError, match="nominal angle"):
-        Pulse(PI_PULSE, nominal_angle=PI / 3.0, axis_phase=0.0)
+        Pulse(PI_PULSE, nominal_angle=PI / 3.0)
 
 
 def test_inject_errors_rescales_pulses_and_delays():
