@@ -7,6 +7,7 @@ simulated sweeps and on externally measured traces.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -183,18 +184,37 @@ def concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, lam[-1] - lam[-2] - lam[-3] - lam[-4]))
 
 
-def _cosine_fits(n: np.ndarray, y: np.ndarray, periods: np.ndarray):
-    """Least-squares ``a + b cos + c sin`` at every trial period at once.
-
-    Solves the 3x3 normal equations of all periods in one batched call;
-    returns the coefficients ``(P, 3)`` and the rms residuals ``(P,)``.
-    """
+def _trig_tables(n: np.ndarray, periods: np.ndarray) -> tuple:
+    """The periods, their ``(P, n)`` cos and sin tables and the 3x3 normal
+    matrices of ``a + b cos + c sin``, formed from row sums of the tables."""
     arg = 2.0 * np.pi * n[None, :] / periods[:, None]
-    design = np.stack([np.ones_like(arg), np.cos(arg), np.sin(arg)], axis=-1)
-    design_t = design.transpose(0, 2, 1)
-    coeff = np.linalg.solve(design_t @ design, design_t @ y[:, None])
-    resid = y - (design @ coeff)[..., 0]
-    return coeff[..., 0], np.sqrt(np.mean(resid ** 2, axis=1))
+    cos, sin = np.cos(arg), np.sin(arg)
+    c, s, cc, cs, ss = (t.sum(axis=1) for t in (cos, sin, cos * cos, cos * sin, sin * sin))
+    normal = np.stack([np.full_like(c, n.size), c, s, c, cc, cs, s, cs, ss], axis=-1)
+    return periods, cos, sin, normal.reshape(-1, 3, 3)
+
+
+@functools.lru_cache(maxsize=1)
+def _coarse_tables(key: bytes) -> tuple:
+    """Read-only trig tables of the coarse period grid, which depends only
+    on the float64 ``n`` whose bytes are ``key``."""
+    n = np.frombuffer(key)
+    tables = _trig_tables(n, np.linspace(3.0, 1.5 * (n.max() - n.min()), 600))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _cosine_fits(y: np.ndarray, tables: tuple):
+    """Least-squares ``a + b cos + c sin`` at every trial period at once:
+    the coefficients ``(P, 3)`` and the rms residuals ``(P,)``.  The residual
+    is explicit, as the normal-equation identity for it cancels badly on
+    near-perfect fits."""
+    _, cos, sin, normal = tables
+    rhs = np.stack([np.full(len(cos), y.sum()), cos @ y, sin @ y], axis=-1)
+    coeff = np.linalg.solve(normal, rhs[..., None])[..., 0]
+    resid = y - coeff[:, :1] - coeff[:, 1:2] * cos - coeff[:, 2:] * sin
+    return coeff, np.sqrt(np.mean(resid ** 2, axis=1))
 
 
 def pseudo_fidelity(sweep: SweepResult, label: str, value_range) -> tuple:
@@ -202,11 +222,12 @@ def pseudo_fidelity(sweep: SweepResult, label: str, value_range) -> tuple:
 
     Fits ``a + b cos(2 pi n / T + phi)`` by scanning the period over a
     dense grid (linear least squares at each trial period, then a local
-    refinement).  Returns ``(f_tilde, n_pi)`` where ``f_tilde = 2|b|``
-    normalized by the declared observable range and clipped to 1, and
-    ``n_pi = T / 2`` is the inversion period in pulses.  Raises when the
-    series is shorter than one period or the fit residual exceeds 0.15
-    of the range.
+    refinement); the coarse grid's trig tables depend only on the N
+    values and are shared by the fits on the same N.  Returns
+    ``(f_tilde, n_pi)`` where ``f_tilde = 2|b|`` normalized by the declared
+    observable range and clipped to 1, and ``n_pi = T / 2`` is the
+    inversion period in pulses.  Raises when the series is shorter than
+    one period or the fit residual exceeds 0.15 of the range.
     """
     n = np.asarray(sweep.values, dtype=float)
     y = np.asarray(sweep.trace(label), dtype=float)
@@ -222,12 +243,12 @@ def pseudo_fidelity(sweep: SweepResult, label: str, value_range) -> tuple:
     span = n.max() - n.min()
     # the first minimum on the grid, then a refinement around it that
     # wins only when strictly better
-    periods = np.linspace(3.0, 1.5 * span, 600)
-    coeffs, rms = _cosine_fits(n, y, periods)
+    coarse = _coarse_tables(n.tobytes())
+    coeffs, rms = _cosine_fits(y, coarse)
     i = int(np.argmin(rms))
-    best_t, best_rms, coeff = periods[i], rms[i], coeffs[i]
+    best_t, best_rms, coeff = coarse[0][i], rms[i], coeffs[i]
     fine = np.linspace(max(2.5, best_t * 0.9), min(1.6 * span, best_t * 1.1), 400)
-    coeffs, rms = _cosine_fits(n, y, fine)
+    coeffs, rms = _cosine_fits(y, _trig_tables(n, fine))
     i = int(np.argmin(rms))
     if rms[i] < best_rms:
         best_t, best_rms, coeff = fine[i], rms[i], coeffs[i]

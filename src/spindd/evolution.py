@@ -14,8 +14,12 @@ nodes; the node count is chosen so that the interpolation error bound
 sequence, so the carrier phase of later pulses follows from their start
 time; ``SimConfig.carrier_reset`` restarts the carrier at every pulse
 instead, for comparison.  A pulse's propagator depends on its start time
-only through that carrier phase, so the cache keys pulses by phase, and
-N sweeps reuse one running product over the pi train.
+only through that carrier phase, so the cache keys pulses by phase.
+
+An N sweep walks the pi train of its largest N once; each wanted N closes
+the running product with a tail built once per closing class.  Error
+cells walk together: one batched product of ``(cells, d, d)`` stacks per
+element, with the identity for an empty delay or a failed cell.
 
 A tau sweep moves every carrier phase, so a pulse shape requested at
 many phases is served from a trigonometric interpolant in the phase.
@@ -29,6 +33,7 @@ taken once the shape has been built exactly at 2 M phases.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +48,7 @@ from .sequences import (
     PulseSequence,
     SimConfig,
     check_error_factors,
+    closing_class,
     closing_tail,
     compile_cpmg,
     compile_train,
@@ -88,12 +94,10 @@ def _phase_count(a: float) -> int:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Final state, total propagator, optional per-element snapshots."""
+    """Final state and total propagator."""
 
     rho_final: DensityMatrix
     unitary: Operator
-    intermediates: list | None = None
-    times: list | None = None
 
 
 def _step_coefficients(h0: Operator, drive_op: Operator, omega1: float, dt: float) -> tuple:
@@ -272,25 +276,15 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
     dim = system.h0.shape[0]
     u_total = np.eye(dim, dtype=complex)
     t = 0.0
-    rho0 = system.rho0.mat
-    intermediates = [] if cfg.record_intermediate else None
-    times = [] if cfg.record_intermediate else None
-
     for el in seq.elements:
         u_el, t = _advance(cache, el, t, cfg)
         if u_el is not None:
             u_total = u_el @ u_total
-        if intermediates is not None:
-            rho_t = u_total @ rho0 @ u_total.conj().T
-            intermediates.append(DensityMatrix(Operator(rho_t, system.h0.dims)))
-            times.append(t)
 
-    rho_f = u_total @ rho0 @ u_total.conj().T
+    rho_f = u_total @ system.rho0.mat @ u_total.conj().T
     return EvolutionResult(
         rho_final=DensityMatrix(Operator(rho_f, system.h0.dims), label=system.rho0.label),
         unitary=Operator(u_total, system.h0.dims),
-        intermediates=intermediates,
-        times=times,
     )
 
 
@@ -307,10 +301,6 @@ def _compile_family(family, n, tau, pulse, wrapper_phase, closing_rule):
     rule = _family_rule(family, closing_rule)
     compiler = compile_cpmg if family == "cpmg" else compile_xyn
     return compiler(n, tau, pulse, wrapper_phase, rule)
-
-
-def _measure(system, rho: DensityMatrix) -> dict:
-    return {obs.label: expval(rho, obs.op) for obs in system.observables}
 
 
 def sweep_tau(system, family: str, n: int, tau_grid, pulse: DrivePulse,
@@ -335,9 +325,103 @@ def sweep_tau(system, family: str, n: int, tau_grid, pulse: DrivePulse,
         if length_factor != 1.0 or freq_factor != 1.0:
             seq = inject_errors(seq, length_factor, freq_factor)
         res = apply_sequence(system, seq, cfg, cache)
-        for label, value in _measure(system, res.rho_final).items():
-            traces[label][i] = value
+        for obs in system.observables:
+            traces[obs.label][i] = expval(res.rho_final, obs.op)
     return SweepResult(axis="tau", values=tau_grid, traces=traces)
+
+
+def _open_cell(family, n_values, firsts, tau, pulse, cfg, wrapper_phase, closing_rule,
+               length_factor, freq_factor) -> tuple:
+    """One cell's pi train of max N and closing tail per closing class, after
+    the checks of compiling, injecting errors into and applying each N's
+    sequence.  Those read N only through N >= 1 and its closing class, so
+    running them at ``firsts``, each class's first N, raises the same error."""
+    if n_values.size == 0 or n_values.min() < 1:
+        raise ValueError("n values must be positive integers")
+    rule = _family_rule(family, closing_rule)
+    args = (tau, pulse, wrapper_phase, rule, length_factor, freq_factor)
+    for i, n in enumerate(firsts.values()):
+        sequence_timing(family, n, tau, pulse, rule)
+        if length_factor != 1.0 or freq_factor != 1.0:
+            check_error_factors(length_factor, freq_factor)
+            sequence_timing(family, n, tau, pulse, rule, length_factor, freq_factor)
+        if i == 0:
+            cfg.validate_for(compile_train(family, n, *args))
+    train = compile_train(family, int(n_values.max()), *args)
+    return train.elements, {c: closing_tail(train, n) for c, n in firsts.items()}
+
+
+def sweep_n_cells(system, family: str, n_values, tau: float, pulse: DrivePulse,
+                  cfg: SimConfig, cells, wrapper_phase: float | None = None,
+                  closing_rule: str | None = None,
+                  cache: PropagatorCache | None = None) -> list:
+    """N sweeps of error cells ``(length_factor, freq_factor)`` that share
+    everything else, in one walk: per cell its ``SweepResult``, or the
+    ``ValueError`` that ``sweep_n`` raises for it (see the module docstring)."""
+    n_values = np.asarray(n_values, dtype=int)
+    if wrapper_phase is None:
+        wrapper_phase = system.wrapper_phase
+    if cache is None:
+        cache = PropagatorCache(system)
+    firsts = {}  # closing class -> its first N
+    for n in n_values.tolist():
+        firsts.setdefault(closing_class(n), n)
+    idle = itertools.repeat(None)  # the elements of a cell that failed its checks
+    results, trains, tails = [None] * len(cells), [], []
+    for j, (lf, ff) in enumerate(cells):
+        try:
+            train, tail = _open_cell(family, n_values, firsts, tau, pulse, cfg, wrapper_phase,
+                                     closing_rule, lf, ff)
+        except ValueError as exc:
+            results[j], train, tail = exc, idle, dict.fromkeys(firsts, idle)
+        trains.append(train)
+        tails.append(tail)
+    if None not in results:
+        return results
+
+    d = system.h0.shape[0]
+    eye = np.eye(d, dtype=complex)
+    u = np.array([eye] * len(cells))  # running products
+    spare, factors = np.empty_like(u), np.empty_like(u)
+
+    def advance(elements, clocks):  # a ValueError fails only its cell
+        for j, el in enumerate(elements):
+            u_el = None
+            if results[j] is None:
+                try:
+                    u_el, clocks[j] = _advance(cache, el, clocks[j], cfg)
+                except ValueError as exc:
+                    results[j] = exc
+            factors[j] = eye if u_el is None else u_el
+
+    wanted = {n: k for k, n in enumerate(sorted(set(n_values.tolist())))}
+    states = np.empty((len(cells), len(wanted), d, d), dtype=complex)
+    clocks = [0.0] * len(cells)
+    for i, elements in enumerate(zip(*trains)):
+        advance(elements, clocks)
+        u, spare = np.matmul(factors, u, out=spare), u
+        n = i // 2  # element 2 n is the n-th pi pulse
+        if i % 2 or n not in wanted:
+            continue
+        closed, ends = u, list(clocks)
+        for elements in zip(*(tail[closing_class(n)] for tail in tails)):
+            advance(elements, ends)
+            closed = factors @ closed
+        states[:, wanted[n]] = closed @ system.rho0.mat @ closed.conj().transpose(0, 2, 1)
+
+    observables = np.array([obs.op.mat for obs in system.observables])
+    rows = [wanted[n] for n in n_values.tolist()]
+    for j, rhos in enumerate(states):
+        if results[j] is None:
+            try:
+                check_states(rhos)
+                values = expvals(rhos, observables)
+            except ValueError as exc:
+                results[j] = exc
+                continue
+            traces = {obs.label: values[rows, m] for m, obs in enumerate(system.observables)}
+            results[j] = SweepResult(axis="n", values=n_values.astype(float), traces=traces)
+    return results
 
 
 def sweep_n(system, family: str, n_values, tau: float, pulse: DrivePulse,
@@ -345,57 +429,11 @@ def sweep_n(system, family: str, n_values, tau: float, pulse: DrivePulse,
             closing_rule: str | None = None,
             length_factor: float = 1.0, freq_factor: float = 1.0,
             cache: PropagatorCache | None = None) -> SweepResult:
-    """Observable traces versus pulse count at fixed ``tau``.
-
-    ``wrapper_phase`` defaults to the system's own convention.
-    """
-    n_values = np.asarray(n_values, dtype=int)
-    if n_values.size == 0 or n_values.min() < 1:
-        raise ValueError("n values must be positive integers")
-    if wrapper_phase is None:
-        wrapper_phase = system.wrapper_phase
-    if cache is None:
-        cache = PropagatorCache(system)
-    rule = _family_rule(family, closing_rule)
-    injected = length_factor != 1.0 or freq_factor != 1.0
-    # the checks that compiling, injecting errors into and applying each
-    # sequence on its own would run, in the same order
-    for i, n in enumerate(n_values.tolist()):
-        sequence_timing(family, n, tau, pulse, rule)
-        if injected:
-            check_error_factors(length_factor, freq_factor)
-            sequence_timing(family, n, tau, pulse, rule, length_factor, freq_factor)
-        if i == 0:
-            cfg.validate_for(compile_train(family, n, tau, pulse, wrapper_phase, rule,
-                                           length_factor, freq_factor))
-
-    # one running product over the longest pi train; each wanted N
-    # closes a copy of it after its N-th pi pulse
-    train = compile_train(family, int(n_values.max()), tau, pulse, wrapper_phase, rule,
-                          length_factor, freq_factor)
-    wanted = set(n_values.tolist())
-    rho0 = system.rho0.mat
-    u = np.eye(rho0.shape[0], dtype=complex)
-    t = 0.0
-    row = {}  # n -> its state's index in rhos
-    rhos = []
-    for i, el in enumerate(train.elements):
-        u_el, t = _advance(cache, el, t, cfg)
-        if u_el is not None:
-            u = u_el @ u
-        n = i // 2  # element 2 n is the n-th pi pulse
-        if i % 2 or n not in wanted:
-            continue
-        u_n, t_n = u, t
-        for tail_el in closing_tail(train, n):
-            u_el, t_n = _advance(cache, tail_el, t_n, cfg)
-            if u_el is not None:
-                u_n = u_el @ u_n
-        row[n] = len(rhos)
-        rhos.append(u_n @ rho0 @ u_n.conj().T)
-    rhos = np.array(rhos)
-    check_states(rhos)
-    values = expvals(rhos, np.array([obs.op.mat for obs in system.observables]))
-    rows = [row[n] for n in n_values.tolist()]
-    traces = {obs.label: values[rows, j] for j, obs in enumerate(system.observables)}
-    return SweepResult(axis="n", values=n_values.astype(float), traces=traces)
+    """Observable traces versus pulse count at fixed ``tau``: the one-cell
+    case of ``sweep_n_cells``.  ``wrapper_phase`` defaults to the system's
+    own convention."""
+    (result,) = sweep_n_cells(system, family, n_values, tau, pulse, cfg,
+                              [(length_factor, freq_factor)], wrapper_phase, closing_rule, cache)
+    if isinstance(result, ValueError):
+        raise result
+    return result

@@ -23,7 +23,7 @@ from . import __version__
 from .algebra import DensityMatrix, Operator, basis_dm, partial_trace
 from .analysis import GateMetrics, concurrence, find_resonance, pseudo_fidelity, state_fidelity
 from .config import ConfigError, ExperimentConfig
-from .evolution import PropagatorCache, apply_sequence, sweep_n, sweep_tau
+from .evolution import PropagatorCache, apply_sequence, sweep_n, sweep_n_cells, sweep_tau
 from .sequences import inject_errors
 
 
@@ -68,15 +68,10 @@ def _fit_observable(cfg: ExperimentConfig, system):
     raise ConfigError([f"outputs.fit_observable: unknown {label!r}"])
 
 
-def _run_sweep(cfg, system, pulse, sim_cfg, cache=None, length_factor=None, freq_factor=None):
+def _run_sweep(cfg, system, pulse, sim_cfg, cache):
     seq = cfg.data["sequence"]
-    kwargs = dict(
-        wrapper_phase=seq["wrapper_phase"],
-        closing_rule=seq["closing_rule"],
-        length_factor=seq["length_factor"] if length_factor is None else length_factor,
-        freq_factor=seq["freq_factor"] if freq_factor is None else freq_factor,
-        cache=cache,
-    )
+    keys = ("wrapper_phase", "closing_rule", "length_factor", "freq_factor")
+    kwargs = dict({key: seq[key] for key in keys}, cache=cache)
     values = cfg.sweep_values()
     if cfg.sweep_axis == "n":
         return sweep_n(system, seq["family"], values, float(seq["tau"]), pulse, sim_cfg, **kwargs)
@@ -287,21 +282,22 @@ def errmap_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None 
     freq_factors = [float(x) for x in grid["freq_factors"]]
 
     failures = []
-
-    def cell(lf, ff):
-        try:
-            sweep = _run_sweep(cfg, system, pulse, sim_cfg, cache=None,
-                               length_factor=lf * seq["length_factor"],
-                               freq_factor=ff * seq["freq_factor"])
-            f_tilde, _ = pseudo_fidelity(sweep, obs.label, (obs.lo, obs.hi))
-            return f_tilde
-        except ValueError as exc:
-            failures.append({"length_factor": lf, "freq_factor": ff,
-                             "error": type(exc).__name__, "message": str(exc)})
-            return math.nan
-
-    flat = [cell(lf, ff) for lf in length_factors for ff in freq_factors]
-    values = np.array(flat).reshape(len(length_factors), len(freq_factors))
+    values = np.empty((len(length_factors), len(freq_factors)))
+    # one walk per row: its cells share every delay, and so one cache
+    for i, lf in enumerate(length_factors):
+        cells = [(lf * seq["length_factor"], ff * seq["freq_factor"]) for ff in freq_factors]
+        sweeps = sweep_n_cells(system, seq["family"], cfg.sweep_values(), float(seq["tau"]),
+                               pulse, sim_cfg, cells, seq["wrapper_phase"],
+                               seq["closing_rule"], PropagatorCache(system))
+        for j, (ff, sweep) in enumerate(zip(freq_factors, sweeps)):
+            try:
+                if isinstance(sweep, ValueError):
+                    raise sweep
+                values[i, j], _ = pseudo_fidelity(sweep, obs.label, (obs.lo, obs.hi))
+            except ValueError as exc:
+                failures.append({"length_factor": lf, "freq_factor": ff,
+                                 "error": type(exc).__name__, "message": str(exc)})
+                values[i, j] = math.nan
 
     csv_path = out / f"{cfg.name}-errmap.csv"
     header = ["length_factor"] + [_fmt(ff) for ff in freq_factors]

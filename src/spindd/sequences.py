@@ -133,7 +133,6 @@ class SimConfig:
     """
 
     dt: float
-    record_intermediate: bool = False
     carrier_reset: bool = False
 
     def __post_init__(self):
@@ -148,13 +147,18 @@ class SimConfig:
             )
 
 
+def closing_class(n: int) -> int:
+    """Parity of ``n``'s two-pulse blocks, all a closing rule reads of ``n``."""
+    return (n // 2) % 2
+
+
 def _closing_angle(family: str, n: int, closing_rule: str) -> float:
     if closing_rule == "plain":
         return HALF_PI
     if closing_rule == "xy8-parity":
         # odd number of two-pulse blocks flips the sign of the central
         # observable; a 3pi/2 closer undoes that
-        return 3.0 * HALF_PI if (n // 2) % 2 == 1 else HALF_PI
+        return 3.0 * HALF_PI if closing_class(n) else HALF_PI
     raise ValueError(f"unknown closing rule {closing_rule!r}")
 
 

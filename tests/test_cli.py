@@ -10,7 +10,8 @@ import yaml
 from spindd.analysis import pseudo_fidelity
 from spindd.config import ExperimentConfig
 from spindd.evolution import sweep_n
-from spindd.presets import PRESETS
+from spindd.presets import PRESETS, get_preset
+from spindd.runner import errmap_experiment, run_experiment
 
 
 def run_cli(*args, cwd=None):
@@ -58,6 +59,21 @@ def test_validate_accepts_every_preset():
         assert name in proc.stdout
         expected = ExperimentConfig.from_dict(PRESETS[name]).config_hash()
         assert expected in proc.stdout
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_runs_with_finite_metrics(name, tmp_path):
+    cfg = ExperimentConfig.from_dict(get_preset(name))
+    run = errmap_experiment if name == "pulse-error-map" else run_experiment
+    manifest = run(cfg, tmp_path)
+    values = [v for v in manifest["metrics"].values() if v is not None]
+    values += [v for v in manifest["extras"].values() if isinstance(v, (int, float))]
+    values += [v for v in manifest["extras"].get("gate_time_by_azx", {}).values()]
+    assert values and np.isfinite(values).all()
+    assert manifest["extras"].get("failed_cells", 0) == 0
+    for entry in manifest["outputs"]:
+        rows = (tmp_path / entry["path"]).read_text().splitlines()[1:]
+        assert np.isfinite([[float(v) for v in row.split(",")] for row in rows]).all()
 
 
 def test_validate_rejects_bad_file_with_exit_2(tmp_path):

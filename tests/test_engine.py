@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spindd import evolution
+from spindd import analysis, evolution
 from spindd.analysis import SweepResult, pseudo_fidelity
 from spindd.config import ExperimentConfig
 from spindd.evolution import PropagatorCache, apply_sequence, pulse_propagator, sweep_n
@@ -94,6 +94,30 @@ def test_errmap_cell_matches_golden_f_tilde(tmp_path):
     assert table[0, 1] == pytest.approx(gold["metrics"]["f_tilde"], abs=1e-10)
 
 
+def test_errmap_matches_golden_map(tmp_path):
+    # every cell: rows walked together on one cache each, fits sharing tables
+    errmap_experiment(ExperimentConfig.from_dict(get_preset("pulse-error-map")), tmp_path)
+    header, table = read_table(tmp_path / "pulse-error-map-errmap.csv")
+    gold_header, gold = read_table(GOLDEN / "pulse-error-map-errmap.csv")
+    assert header == gold_header
+    assert np.max(np.abs(table - gold)) <= 1e-10
+
+
+def test_errmap_records_a_failed_sweep_with_the_sweep_n_message(tmp_path):
+    raw = get_preset("pulse-error-map")
+    raw["errmap"] = {"length_factors": [5.0, 1.0], "freq_factors": [1.0]}
+    manifest = errmap_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+    _, table = read_table(tmp_path / "pulse-error-map-errmap.csv")
+    _, gold = read_table(GOLDEN / "pulse-error-map-errmap.csv")
+    assert np.isnan(table[0, 1]) and table[1, 1] == pytest.approx(gold[6, 4], abs=1e-10)
+    cfg = ExperimentConfig.from_dict(raw)
+    message = error_of(lambda: sweep_n(cfg.build_system(), "xyn", cfg.sweep_values(), 0.5,
+                                       cfg.build_pulse(), cfg.sim_config(), length_factor=5.0))
+    assert manifest["extras"]["failed_cell_causes"] == [
+        {"length_factor": 5.0, "freq_factor": 1.0, "error": "ValueError", "message": message},
+    ]
+
+
 # ---------------------------------------------------------------- prefix products
 
 def per_n_sweep(system, family, n_values, tau, pulse, cfg, lf, ff, cache):
@@ -162,6 +186,67 @@ def test_sweep_n_raises_what_compiling_each_n_raised(family, n_values, tau, fact
     got = error_of(lambda: sweep_n(GENERIC, family, n_values, tau, PI_PULSE, cfg,
                                    length_factor=factors[0], freq_factor=factors[1]))
     assert got == expected
+
+
+# ---------------------------------------------------------------- error-cell walk
+
+def outcome(fn):
+    """What ``fn`` returns, or the ValueError it raises."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return exc
+
+
+def assert_walk_matches_each_cell(family, n_values, tau, cells, failing):
+    """The walk against ``sweep_n`` and the per-N sequences of each cell."""
+    got = evolution.sweep_n_cells(GENERIC, family, n_values, tau, PI_PULSE, CFG, cells)
+    assert len(got) == len(cells)
+    for j, ((lf, ff), result) in enumerate(zip(cells, got)):
+        alone = outcome(lambda: sweep_n(GENERIC, family, n_values, tau, PI_PULSE, CFG,
+                                        length_factor=lf, freq_factor=ff))
+        per_n = outcome(lambda: per_n_sweep(GENERIC, family, n_values, tau, PI_PULSE, CFG,
+                                            lf, ff, PropagatorCache(GENERIC)))
+        if j in failing:
+            assert type(result) is ValueError
+            assert str(result) == str(alone) == str(per_n)
+            continue
+        assert result.values.tolist() == [float(n) for n in n_values]
+        for label, trace in per_n.items():
+            assert np.max(np.abs(result.trace(label) - alone.trace(label))) <= 1e-13
+            assert np.max(np.abs(result.trace(label) - trace)) <= 1e-13
+
+
+SHUFFLED = [7, 3, 12, 3, 1, 12, 5, 2]
+
+
+@pytest.mark.parametrize("family, n_values, tau, cells, failing", [
+    # at 1.0 the opening gap is empty, at 0.9 it is not, at 1.3 it is negative
+    ("cpmg", SHUFFLED, 0.15, [(0.9, 1.0), (1.0, 1.0), (1.3, 1.0)], {2}),
+    ("cpmg", SHUFFLED, 0.15, [(1.3, 1.0), (1.0, 1.0), (1.3, 0.99)], {0, 2}),
+    # both closing classes, a 3 pi/2 closer, one carrier per cell
+    ("xyn", SHUFFLED, 0.5, [(1.1, 0.99), (1.1, 1.0), (1.1, 1.02)], set()),
+    # at 1.1 only the 3 pi/2 closer of the second class (N = 3) does not fit
+    ("xyn", [1, 4, 3, 2], 0.25, [(1.0, 1.0), (1.1, 1.0)], {1}),
+    # the nominal 3 pi/2 closer of N = 3 does not fit, the shortened one would
+    ("xyn", [1, 4, 3, 2], 0.2, [(0.8, 1.0), (1.0, 1.0)], {0, 1}),
+    ("cpmg", SHUFFLED, 0.15, [(1.3, 1.0)], {0}),    # no cell left to walk
+])
+def test_walk_equals_each_cell_alone(family, n_values, tau, cells, failing):
+    assert_walk_matches_each_cell(family, n_values, tau, cells, failing)
+
+
+def test_a_failing_build_fails_only_its_cell(monkeypatch):
+    original = PropagatorCache.pulse
+
+    def pulse(self, drive, t_start, dt):
+        if drive.omegap == 50.0 * 1.02 and t_start > 1.0:
+            raise ValueError("no pulse after the second")
+        return original(self, drive, t_start, dt)
+
+    monkeypatch.setattr(PropagatorCache, "pulse", pulse)
+    cells = [(1.1, 0.99), (1.1, 1.02), (1.1, 1.0)]
+    assert_walk_matches_each_cell("xyn", [7, 3, 12, 1], 0.5, cells, {1})
 
 
 # ---------------------------------------------------------------- phase-keyed cache
@@ -406,3 +491,22 @@ def test_batched_fit_equals_scalar_lstsq_scan(period, noise, amp):
     got = pseudo_fidelity(sweep, "Iz", (-0.5, 0.5))
     expected = scalar_fit(n, y, (-0.5, 0.5))
     assert got == pytest.approx(expected, abs=1e-9)
+
+
+def test_coarse_fit_tables_are_shared_and_read_only():
+    n = np.arange(1, 41, dtype=float)
+    noise = 0.01 * np.random.default_rng(3).normal(size=n.size)
+    first = SweepResult("n", n, {"Iz": 0.4 * np.cos(2.0 * np.pi * n / 31.0) + noise})
+    second = SweepResult("n", n, {"Iz": 0.45 * np.cos(2.0 * np.pi * n / 17.0 + 0.3)})
+    analysis._coarse_tables.cache_clear()
+    fresh = pseudo_fidelity(second, "Iz", (-0.5, 0.5))
+    analysis._coarse_tables.cache_clear()
+    pseudo_fidelity(first, "Iz", (-0.5, 0.5))
+    assert pseudo_fidelity(second, "Iz", (-0.5, 0.5)) == fresh  # bit for bit
+    info = analysis._coarse_tables.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    for table in analysis._coarse_tables(n.tobytes()):
+        assert not table.flags.writeable
+    # another n replaces the one entry
+    pseudo_fidelity(SweepResult("n", n + 1.0, second.traces), "Iz", (-0.5, 0.5))
+    assert analysis._coarse_tables.cache_info().currsize == 1

@@ -140,16 +140,6 @@ def test_wrapper_pair_with_zero_net_rotation_restores_the_pole():
     assert central_sz(sys, res.rho_final) == pytest.approx(0.5, abs=0.01)
 
 
-def test_record_intermediate_snapshots():
-    sys = generic_system(GENERIC)
-    seq = compile_cpmg(2, 0.5, PI_PULSE)
-    res = apply_sequence(sys, seq, SimConfig(dt=0.001, record_intermediate=True))
-    assert len(res.intermediates) == len(seq.elements)
-    assert res.times == sorted(res.times)
-    assert res.times[-1] == pytest.approx(seq.duration())
-    assert np.max(np.abs(res.intermediates[-1].mat - res.rho_final.mat)) < 1e-12
-
-
 def test_apply_sequence_rejects_foreign_cache_and_elements():
     sys = generic_system(GENERIC)
     other = generic_system(UNCOUPLED)
