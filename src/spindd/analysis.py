@@ -33,11 +33,14 @@ class SweepResult:
     """Observable traces along one swept axis.
 
     ``traces`` maps observable labels to arrays aligned with ``values``.
+    ``states`` holds a simulated sweep's ``(len(values), d, d)`` final
+    density matrices, and is None for traces produced elsewhere.
     """
 
     axis: str
     values: NDArray[np.float64]
     traces: dict
+    states: NDArray[np.complex128] | None = None
 
     def trace(self, label: str) -> NDArray[np.float64]:
         if label not in self.traces:

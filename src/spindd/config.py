@@ -3,7 +3,9 @@
 A configuration is a YAML (or plain dict) description of one runnable
 experiment: which system to build, which sequence family to sweep, how
 to integrate it and what to report.  Loading validates against a JSON
-schema, then fills in every default so that two configs with the same
+schema (a small walker over the keywords ``SCHEMA`` uses, with JSON
+Schema's semantics except that nan and infinities are not numbers), then
+fills in every default so that two configs with the same
 meaning normalize to the same dictionary; the canonical SHA-256 hash is
 taken over that normalized form.
 
@@ -22,14 +24,16 @@ import copy
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
-import yaml
 
 from .hamiltonians import GenericSystemParams, NvParams, TargetParams, generic_system, nv_system
 from .sequences import DrivePulse, SimConfig
+
+# metrics read off an N sweep: its oscillation fit or its state at some N
+_N_METRICS = ["pseudo-fidelity", "inversion-fidelity", "concurrence", "polarization"]
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -122,18 +126,7 @@ SCHEMA = {
             "properties": {
                 "observables": {"type": ["array", "null"],
                                 "items": {"type": "string"}, "minItems": 1},
-                "metrics": {
-                    "type": "array",
-                    "items": {
-                        "enum": [
-                            "pseudo-fidelity",
-                            "resonance",
-                            "inversion-fidelity",
-                            "concurrence",
-                            "polarization",
-                        ]
-                    },
-                },
+                "metrics": {"type": "array", "items": {"enum": ["resonance", *_N_METRICS]}},
                 "fit_observable": {"type": ["string", "null"]},
             },
         },
@@ -169,13 +162,82 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  - {p}" for p in self.problems))
 
 
+def _is_number(value) -> bool:
+    """A finite real; bools are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    # an integral float is an integer
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or float(v).is_integer()),
+}
+
+
+def _walk(value, schema: dict, path: tuple, out: list) -> None:
+    """Append ``(path, message)`` for every rule of ``schema`` that ``value``
+    breaks, in keyword order.  As in JSON Schema, a keyword that constrains
+    one kind of value ignores the others (``minimum`` passes a string)."""
+    is_dict, is_list = isinstance(value, dict), isinstance(value, list)
+
+    def fail(message):
+        out.append((path, message))
+
+    for key, rule in schema.items():
+        if key == "type":
+            names = [rule] if isinstance(rule, str) else rule
+            if not any(_TYPES[name](value) for name in names):
+                fail(f"{value!r} is not a finite number"
+                     if isinstance(value, float) and not math.isfinite(value)
+                     else f"{value!r} is not of type {', '.join(map(repr, names))}")
+        elif key == "enum":
+            if value not in rule:
+                fail(f"{value!r} is not one of {rule!r}")
+        elif key == "required":
+            for name in rule if is_dict else ():
+                if name not in value:
+                    fail(f"{name!r} is a required property")
+        elif key == "properties":
+            for name, sub in rule.items() if is_dict else ():
+                if name in value:
+                    _walk(value[name], sub, path + (name,), out)
+        elif key == "additionalProperties" and rule is False:
+            extra = sorted(set(value) - set(schema["properties"]), key=str) if is_dict else []
+            if extra:
+                fail(f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
+                     f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        elif key == "items":
+            for i, item in enumerate(value if is_list else ()):
+                _walk(item, rule, path + (i,), out)
+        elif key == "minItems":
+            if is_list and len(value) < rule:
+                fail(f"{value!r} should be non-empty" if rule == 1 else f"{value!r} is too short")
+        elif key == "maxItems":
+            if is_list and len(value) > rule:
+                fail(f"{value!r} is too long")
+        elif key == "minimum":
+            if _is_number(value) and value < rule:
+                fail(f"{value!r} is less than the minimum of {rule!r}")
+        elif key == "exclusiveMinimum":
+            if _is_number(value) and value <= rule:
+                fail(f"{value!r} is less than or equal to the minimum of {rule!r}")
+        else:
+            raise ValueError(f"schema keyword {key!r} is not supported")
+
+
 def _schema_problems(raw: dict) -> list:
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    problems = []
-    for err in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        problems.append(f"{path}: {err.message}")
-    return problems
+    """``path: message`` for each schema violation, sorted by path."""
+    found = []
+    _walk(raw, SCHEMA, (), found)
+    found.sort(key=lambda item: item[0])
+    return [f"{'.'.join(map(str, path)) or '<root>'}: {message}" for path, message in found]
 
 
 def _semantic_problems(raw: dict) -> list:
@@ -235,6 +297,12 @@ def _semantic_problems(raw: dict) -> list:
 
     if "errmap" in raw and not has_n_range:
         problems.append("errmap: requires an n_range sweep to fit pseudo-fidelities")
+    metrics = raw.get("outputs", {}).get("metrics", [])
+    if has_tau_range and any(name in _N_METRICS for name in metrics):
+        problems.append("outputs.metrics: pseudo-fidelity, inversion-fidelity, concurrence"
+                        " and polarization need an n_range sweep")
+    if "coupling_scan" in raw and not has_n_range:
+        problems.append("coupling_scan: requires an n_range sweep to fit gate times")
     if "coupling_scan" in raw:
         targets = system.get("targets", [])
         if model != "generic" or len(targets) != 1:
@@ -298,6 +366,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
+        import yaml
+
         try:
             with open(path) as fh:
                 raw = yaml.safe_load(fh)
@@ -313,6 +383,8 @@ class ExperimentConfig:
         return copy.deepcopy(self.data)
 
     def to_yaml(self) -> str:
+        import yaml
+
         return yaml.safe_dump(self.data, sort_keys=True, default_flow_style=False)
 
     def canonical_json(self) -> str:

@@ -320,14 +320,17 @@ def sweep_tau(system, family: str, n: int, tau_grid, pulse: DrivePulse,
     if cache is None:
         cache = PropagatorCache(system)
     traces = {obs.label: np.empty(tau_grid.size) for obs in system.observables}
+    d = system.h0.shape[0]
+    states = np.empty((tau_grid.size, d, d), dtype=complex)
     for i, tau in enumerate(tau_grid):
         seq = _compile_family(family, n, float(tau), pulse, wrapper_phase, closing_rule)
         if length_factor != 1.0 or freq_factor != 1.0:
             seq = inject_errors(seq, length_factor, freq_factor)
         res = apply_sequence(system, seq, cfg, cache)
+        states[i] = res.rho_final.mat
         for obs in system.observables:
             traces[obs.label][i] = expval(res.rho_final, obs.op)
-    return SweepResult(axis="tau", values=tau_grid, traces=traces)
+    return SweepResult(axis="tau", values=tau_grid, traces=traces, states=states)
 
 
 def _open_cell(family, n_values, firsts, tau, pulse, cfg, wrapper_phase, closing_rule,
@@ -420,7 +423,8 @@ def sweep_n_cells(system, family: str, n_values, tau: float, pulse: DrivePulse,
                 results[j] = exc
                 continue
             traces = {obs.label: values[rows, m] for m, obs in enumerate(system.observables)}
-            results[j] = SweepResult(axis="n", values=n_values.astype(float), traces=traces)
+            results[j] = SweepResult(axis="n", values=n_values.astype(float), traces=traces,
+                                     states=rhos[rows])
     return results
 
 

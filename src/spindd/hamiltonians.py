@@ -29,6 +29,7 @@ from .algebra import (
     DensityMatrix,
     Operator,
     basis_dm,
+    basis_ket,
     eig_hermitian,
     embed,
     identity,
@@ -248,18 +249,6 @@ def _label_eigenstates(h0: Operator):
     return w, assignment
 
 
-def _basis_index(dims, levels) -> int:
-    levels = tuple(int(x) for x in levels)
-    if len(levels) != len(dims):
-        raise ValueError(f"expected {len(dims)} level indices, got {levels}")
-    index = 0
-    for lv, d in zip(levels, dims):
-        if not 0 <= lv < d:
-            raise ValueError(f"level {lv} outside dimension {d}")
-        index = index * d + lv
-    return index
-
-
 def transition_frequency(h0: Operator, from_levels, to_levels) -> float:
     """Frequency of a transition between two product-basis-labeled levels.
 
@@ -268,8 +257,8 @@ def transition_frequency(h0: Operator, from_levels, to_levels) -> float:
     the absolute energy difference.
     """
     w, assignment = _label_eigenstates(h0)
-    idx_from = assignment[_basis_index(h0.dims, from_levels)]
-    idx_to = assignment[_basis_index(h0.dims, to_levels)]
+    idx_from = assignment[np.argmax(basis_ket(h0.dims, from_levels))]
+    idx_to = assignment[np.argmax(basis_ket(h0.dims, to_levels))]
     if idx_from == idx_to:
         raise ValueError("both labels map to the same eigenstate")
     return float(abs(w[idx_to] - w[idx_from]))

@@ -23,8 +23,9 @@ from . import __version__
 from .algebra import DensityMatrix, Operator, basis_dm, partial_trace
 from .analysis import GateMetrics, concurrence, find_resonance, pseudo_fidelity, state_fidelity
 from .config import ConfigError, ExperimentConfig
-from .evolution import PropagatorCache, apply_sequence, sweep_n, sweep_n_cells, sweep_tau
-from .sequences import inject_errors
+from .evolution import sweep_n, sweep_n_cells, sweep_tau
+# unused here; benchmarks/spans.py patches these names on this module
+from .evolution import apply_sequence, inject_errors  # noqa: F401
 
 
 def _fmt(value) -> str:
@@ -68,28 +69,14 @@ def _fit_observable(cfg: ExperimentConfig, system):
     raise ConfigError([f"outputs.fit_observable: unknown {label!r}"])
 
 
-def _run_sweep(cfg, system, pulse, sim_cfg, cache):
+def _run_sweep(cfg, system, pulse, sim_cfg):
     seq = cfg.data["sequence"]
     keys = ("wrapper_phase", "closing_rule", "length_factor", "freq_factor")
-    kwargs = dict({key: seq[key] for key in keys}, cache=cache)
+    kwargs = {key: seq[key] for key in keys}
     values = cfg.sweep_values()
     if cfg.sweep_axis == "n":
         return sweep_n(system, seq["family"], values, float(seq["tau"]), pulse, sim_cfg, **kwargs)
     return sweep_tau(system, seq["family"], int(seq["n"]), values, pulse, sim_cfg, **kwargs)
-
-
-def _state_at(cfg, system, pulse, sim_cfg, n, cache):
-    from .evolution import _compile_family
-
-    seq = cfg.data["sequence"]
-    wrapper = seq["wrapper_phase"]
-    if wrapper is None:
-        wrapper = system.wrapper_phase
-    compiled = _compile_family(seq["family"], int(n), float(seq["tau"]), pulse,
-                               wrapper, seq["closing_rule"])
-    if seq["length_factor"] != 1.0 or seq["freq_factor"] != 1.0:
-        compiled = inject_errors(compiled, seq["length_factor"], seq["freq_factor"])
-    return apply_sequence(system, compiled, sim_cfg, cache).rho_final
 
 
 def _target_site(system, label: str) -> int:
@@ -117,18 +104,21 @@ def _polarization_target(system, site: int) -> DensityMatrix:
     return DensityMatrix(Operator(mat, dims))
 
 
-def _clamp_to_grid(n: float, values) -> int:
-    n = int(round(n))
-    return int(min(max(n, int(values.min())), int(values.max())))
-
-
-def _compute_metrics(cfg, system, pulse, sim_cfg, sweep, cache):
+def _compute_metrics(cfg, system, sweep):
     metrics = GateMetrics()
     extras = {}
     obs = _fit_observable(cfg, system)
     value_range = (obs.lo, obs.hi)
     tau = cfg.data["sequence"].get("tau")
     n_pi = None
+
+    def state(k: int) -> DensityMatrix:
+        return DensityMatrix(Operator(sweep.states[k], system.dims))
+
+    def nearest(n: float) -> tuple:
+        """The swept N nearest ``round(n)`` (the smaller on a tie) and its state."""
+        k = int(np.argmin(np.abs(sweep.values - round(n))))
+        return int(sweep.values[k]), state(k)
 
     def fitted_n_pi():
         nonlocal n_pi
@@ -141,21 +131,18 @@ def _compute_metrics(cfg, system, pulse, sim_cfg, sweep, cache):
             f_tilde, n_pi = pseudo_fidelity(sweep, obs.label, value_range)
             metrics.f_tilde = f_tilde
             metrics.n_pi = n_pi
-            if cfg.sweep_axis == "n":
-                metrics.t_pi = n_pi * float(tau)
+            metrics.t_pi = n_pi * float(tau)
         elif name == "resonance":
             extras["resonance_tau"] = find_resonance(sweep, obs.label)
         elif name == "inversion-fidelity":
-            n_star = _clamp_to_grid(fitted_n_pi(), sweep.values)
-            rho = _state_at(cfg, system, pulse, sim_cfg, n_star, cache)
+            n_star, rho = nearest(fitted_n_pi())
             site = _target_site(system, obs.label)
             reduced = partial_trace(rho, {site})
             target = basis_dm(reduced.dims, (1,))
             metrics.state_fidelity = state_fidelity(reduced, target)
             extras["inversion_n"] = n_star
         elif name == "concurrence":
-            n_half = _clamp_to_grid(fitted_n_pi() / 2.0, sweep.values)
-            rho = _state_at(cfg, system, pulse, sim_cfg, n_half, cache)
+            n_half, rho = nearest(fitted_n_pi() / 2.0)
             if rho.dims != (2, 2):
                 raise ConfigError(["outputs.metrics: concurrence needs a two-qubit register"])
             metrics.concurrence = concurrence(rho)
@@ -167,11 +154,9 @@ def _compute_metrics(cfg, system, pulse, sim_cfg, sweep, cache):
             extras["iz_max"] = float(trace[idx])
             extras["iz_max_n"] = n_star
             extras["efficiency"] = float(trace[idx] / obs.hi)
-            if tau is not None:
-                extras["t_pol"] = n_star * float(tau)
-            rho = _state_at(cfg, system, pulse, sim_cfg, n_star, cache)
+            extras["t_pol"] = n_star * float(tau)
             site = _target_site(system, obs.label)
-            metrics.state_fidelity = state_fidelity(rho, _polarization_target(system, site))
+            metrics.state_fidelity = state_fidelity(state(idx), _polarization_target(system, site))
     return metrics, extras
 
 
@@ -218,19 +203,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None = N
     if scan is None:
         system = cfg.build_system()
         labels = _observable_labels(cfg, system)
-        cache = PropagatorCache(system)
-        sweep = _run_sweep(cfg, system, pulse, sim_cfg, cache)
+        sweep = _run_sweep(cfg, system, pulse, sim_cfg)
         csv_path = out / f"{cfg.name}.csv"
         _write_csv(csv_path, [sweep.axis] + labels, _sweep_rows(sweep, labels))
-        metrics, extras = _compute_metrics(cfg, system, pulse, sim_cfg, sweep, cache)
+        metrics, extras = _compute_metrics(cfg, system, sweep)
         return _manifest(cfg, "run", out, [csv_path], metrics, extras, sim_cfg,
                          time.perf_counter() - start)
 
     # one sweep per coupling value, then the inverse-coupling gate-time fit
     def run_one(azx: float):
         system = cfg.build_system(azx_override=azx)
-        cache = PropagatorCache(system)
-        sweep = _run_sweep(cfg, system, pulse, sim_cfg, cache)
+        sweep = _run_sweep(cfg, system, pulse, sim_cfg)
         obs = _fit_observable(cfg, system)
         _, n_pi = pseudo_fidelity(sweep, obs.label, (obs.lo, obs.hi))
         labels = _observable_labels(cfg, system)
@@ -288,7 +271,7 @@ def errmap_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None 
         cells = [(lf * seq["length_factor"], ff * seq["freq_factor"]) for ff in freq_factors]
         sweeps = sweep_n_cells(system, seq["family"], cfg.sweep_values(), float(seq["tau"]),
                                pulse, sim_cfg, cells, seq["wrapper_phase"],
-                               seq["closing_rule"], PropagatorCache(system))
+                               seq["closing_rule"])
         for j, (ff, sweep) in enumerate(zip(freq_factors, sweeps)):
             try:
                 if isinstance(sweep, ValueError):

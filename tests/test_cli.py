@@ -1,5 +1,7 @@
+import copy
 import json
 import hashlib
+import math
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import pytest
 import yaml
 
 from spindd.analysis import pseudo_fidelity
+from spindd.cli import main
 from spindd.config import ExperimentConfig
 from spindd.evolution import sweep_n
 from spindd.presets import PRESETS, get_preset
@@ -52,6 +55,17 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_a_cold_cli_loads_a_preset_without_jsonschema_or_yaml():
+    code = ("import sys, spindd.cli\n"
+            "from spindd.config import ExperimentConfig\n"
+            "from spindd.presets import get_preset\n"
+            "ExperimentConfig.from_dict(get_preset('ddgate'))\n"
+            "print(sorted({'jsonschema', 'yaml'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_validate_accepts_every_preset():
     for name in PRESETS:
         proc = run_cli("validate", "--config", name)
@@ -84,6 +98,31 @@ def test_validate_rejects_bad_file_with_exit_2(tmp_path):
     proc = run_cli("validate", "--config", str(path))
     assert proc.returncode == 2
     assert "sequence.tau" in proc.stderr
+
+
+@pytest.mark.parametrize("field", ["sequence.tau", "sequence.t_pi", "sim.dt", "system.omega00"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_number_is_exit_2(field, value, tmp_path, capsys):
+    raw = copy.deepcopy(SMALL)
+    section, key = field.split(".")
+    raw[section][key] = value
+    path = write_config(tmp_path, raw)  # written as .nan / .inf
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{field}: {value!r} is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("metric", ["pseudo-fidelity", "inversion-fidelity", "concurrence",
+                                    "polarization"])
+def test_an_n_point_metric_on_a_tau_sweep_is_exit_2(metric, tmp_path, capsys):
+    raw = copy.deepcopy(SMALL)
+    del raw["sequence"]["tau"], raw["sequence"]["n_range"]
+    raw["sequence"].update(n=4, tau_range=[0.4, 0.6, 11])
+    raw["outputs"]["metrics"] = ["resonance", metric]
+    path = write_config(tmp_path, raw)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "outputs.metrics: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_name_is_exit_2():

@@ -1,10 +1,11 @@
 import copy
+import random
 
 import numpy as np
 import pytest
 import yaml
 
-from spindd.config import ConfigError, ExperimentConfig
+from spindd.config import SCHEMA, ConfigError, ExperimentConfig, _schema_problems
 from spindd.presets import PRESETS, get_preset, list_presets
 from spindd.sequences import DrivePulse
 
@@ -152,6 +153,15 @@ def test_errmap_needs_n_sweep():
         ExperimentConfig.from_dict(raw)
 
 
+def test_coupling_scan_needs_n_sweep():
+    raw = minimal()
+    del raw["sequence"]["tau"], raw["sequence"]["n_range"]
+    raw["sequence"].update(n=4, tau_range=[0.4, 0.6, 11])
+    raw["coupling_scan"] = [0.1, 0.2]
+    with pytest.raises(ConfigError, match="coupling_scan: requires an n_range sweep"):
+        ExperimentConfig.from_dict(raw)
+
+
 def test_coupling_scan_restrictions():
     raw = minimal()
     raw["system"]["targets"].append({"omega0": 0.5, "azx": 0.1})
@@ -247,3 +257,54 @@ def test_get_preset_returns_copy():
     first = get_preset("ddgate")
     first["sequence"]["tau"] = 99.0
     assert get_preset("ddgate")["sequence"]["tau"] != 99.0
+
+
+# ---------------------------------------------------------------- schema walker
+
+# finite values only: unlike JSON Schema, the walker rejects nan and infinities
+VALUES = [-2, -0.5, 0, 0.0, 1, 3, 2.0, 0.25, 1e3, True, False, None, "", "plain", "nv",
+          "generic", "cpmg", "xyn", "Iz", "polarization", [], [1], [1, 2], [0.5, 1.0, 3],
+          [1.0, 2.0, 3.0], [[0.0] * 3] * 3, {}, {"omega0": 1.0}, {"model": "generic"}]
+
+
+def mutate(raw, rng):
+    """Replace, delete or add one entry somewhere in ``raw``."""
+    node = raw
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            break
+        key = rng.choice(keys)
+        if not isinstance(node[key], (dict, list)) or rng.random() < 0.4:
+            break
+        node = node[key]
+    value = copy.deepcopy(rng.choice(VALUES))
+    action = rng.random()
+    if not keys and isinstance(node, dict):
+        node["bogus"] = value
+    elif not keys:
+        node.append(value)
+    elif isinstance(node, dict) and action < 0.2:
+        del node[key]
+    elif isinstance(node, dict) and action < 0.3:
+        node["bogus"] = value
+    else:
+        node[key] = value
+
+
+def test_walker_reports_the_paths_jsonschema_reports():
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(SCHEMA)
+    rng = random.Random(0)
+    bases = [get_preset(name) for name in sorted(PRESETS)] + [minimal(), nv_minimal()]
+    flagged = 0
+    for _ in range(400):
+        raw = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            mutate(raw, rng)
+        errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
+        expected = [".".join(map(str, e.absolute_path)) or "<root>" for e in errors]
+        got = [problem.split(": ", 1)[0] for problem in _schema_problems(raw)]
+        assert got == expected, raw
+        flagged += bool(expected)
+    assert flagged > 200

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from spindd import analysis, evolution
-from spindd.analysis import SweepResult, pseudo_fidelity
+from spindd.algebra import basis_dm, partial_trace
+from spindd.analysis import SweepResult, pseudo_fidelity, state_fidelity
 from spindd.config import ExperimentConfig
 from spindd.evolution import PropagatorCache, apply_sequence, pulse_propagator, sweep_n
 from spindd.hamiltonians import (
@@ -85,6 +86,23 @@ def test_run_matches_golden_outputs(name, tmp_path):
         assert got[key] == pytest.approx(value, abs=1e-10), key
 
 
+@pytest.mark.parametrize("n_range", [[2, 40, 2], [1, 40, 2]])
+def test_inversion_fidelity_reads_the_state_at_a_swept_n(n_range, tmp_path):
+    # the fitted n_pi is about 19.9: 20 is swept on the even grid, not on the odd one
+    raw = get_preset("ddgate")
+    raw["sequence"]["n_range"] = n_range
+    cfg = ExperimentConfig.from_dict(raw)
+    manifest = run_experiment(cfg, tmp_path)
+    n_star = manifest["extras"]["inversion_n"]
+    assert n_star in cfg.sweep_values().tolist()
+    assert abs(n_star - round(manifest["metrics"]["n_pi"])) <= 1
+    system = cfg.build_system()
+    seq = compile_cpmg(n_star, 0.5, cfg.build_pulse(), system.wrapper_phase)
+    reduced = partial_trace(apply_sequence(system, seq, cfg.sim_config()).rho_final, {1})
+    expected = state_fidelity(reduced, basis_dm(reduced.dims, (1,)))
+    assert manifest["metrics"]["state_fidelity"] == pytest.approx(expected, abs=1e-13)
+
+
 def test_errmap_cell_matches_golden_f_tilde(tmp_path):
     raw = get_preset("pulse-error-map")
     raw["errmap"] = {"length_factors": [1.1], "freq_factors": [0.99]}
@@ -121,17 +139,19 @@ def test_errmap_records_a_failed_sweep_with_the_sweep_n_message(tmp_path):
 # ---------------------------------------------------------------- prefix products
 
 def per_n_sweep(system, family, n_values, tau, pulse, cfg, lf, ff, cache):
-    """Central and target traces, one compiled sequence per N."""
+    """Central and target traces and the final states, one compiled sequence per N."""
     compiler = compile_cpmg if family == "cpmg" else compile_xyn
     traces = {obs.label: [] for obs in system.observables}
+    states = []
     for n in n_values:
         seq = compiler(int(n), tau, pulse, system.wrapper_phase)
         if lf != 1.0 or ff != 1.0:
             seq = inject_errors(seq, lf, ff)
         rho = apply_sequence(system, seq, cfg, cache).rho_final.mat
+        states.append(rho)
         for obs in system.observables:
             traces[obs.label].append(float(np.real(np.trace(rho @ obs.op.mat))))
-    return traces
+    return traces, np.array(states)
 
 
 @pytest.mark.parametrize("family", ["cpmg", "xyn"])
@@ -142,10 +162,12 @@ def test_sweep_n_equals_per_n_sequences(family, tau, factors):
     cache = PropagatorCache(GENERIC)
     sweep = sweep_n(GENERIC, family, n_values, tau, PI_PULSE, CFG,
                     length_factor=factors[0], freq_factor=factors[1], cache=cache)
-    expected = per_n_sweep(GENERIC, family, n_values, tau, PI_PULSE, CFG, *factors, cache)
+    expected, states = per_n_sweep(GENERIC, family, n_values, tau, PI_PULSE, CFG, *factors, cache)
     assert sweep.values.tolist() == [float(n) for n in n_values]
     for label, trace in expected.items():
         assert np.max(np.abs(sweep.trace(label) - trace)) <= 1e-13
+    assert sweep.states.shape == states.shape
+    assert np.max(np.abs(sweep.states - states)) <= 1e-13
 
 
 @pytest.mark.parametrize("carrier_reset", [False, True])
@@ -157,9 +179,11 @@ def test_sweep_n_equals_per_n_sequences_on_the_nv_center(carrier_reset):
     n_values = [4, 1, 6, 4]
     cache = PropagatorCache(system)
     sweep = sweep_n(system, "xyn", n_values, 0.364, pulse, cfg, cache=cache)
-    expected = per_n_sweep(system, "xyn", n_values, 0.364, pulse, cfg, 1.0, 1.0, cache)
+    expected, states = per_n_sweep(system, "xyn", n_values, 0.364, pulse, cfg, 1.0, 1.0, cache)
     for label, trace in expected.items():
         assert np.max(np.abs(sweep.trace(label) - trace)) <= 1e-13
+    assert sweep.states.shape == states.shape
+    assert np.max(np.abs(sweep.states - states)) <= 1e-13
 
 
 def error_of(fn):
@@ -212,9 +236,12 @@ def assert_walk_matches_each_cell(family, n_values, tau, cells, failing):
             assert str(result) == str(alone) == str(per_n)
             continue
         assert result.values.tolist() == [float(n) for n in n_values]
-        for label, trace in per_n.items():
+        traces, states = per_n
+        for label, trace in traces.items():
             assert np.max(np.abs(result.trace(label) - alone.trace(label))) <= 1e-13
             assert np.max(np.abs(result.trace(label) - trace)) <= 1e-13
+        assert np.max(np.abs(result.states - alone.states)) <= 1e-13
+        assert np.max(np.abs(result.states - states)) <= 1e-13
 
 
 SHUFFLED = [7, 3, 12, 3, 1, 12, 5, 2]

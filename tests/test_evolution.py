@@ -15,7 +15,7 @@ from spindd.hamiltonians import (
     generic_system,
     nv_system,
 )
-from spindd.sequences import Delay, Pulse, PulseSequence, SimConfig, compile_cpmg
+from spindd.sequences import Delay, Pulse, PulseSequence, SimConfig, compile_cpmg, compile_xyn
 
 GENERIC = GenericSystemParams(50.0, (TargetParams(1.0, 0.1),))
 UNCOUPLED = GenericSystemParams(50.0, (TargetParams(1.0, 0.0),))
@@ -171,6 +171,10 @@ def test_sweep_tau_layout_and_provenance():
     assert res.values == pytest.approx([0.45, 0.5])
     assert set(res.traces) == {"Sz", "Iz"}
     assert res.traces["Sz"].shape == (2,)
+    assert res.states.shape == (2, 4, 4)
+    for state, tau in zip(res.states, [0.45, 0.5]):
+        seq = compile_xyn(4, tau, PI_PULSE, sys.wrapper_phase)
+        assert np.max(np.abs(state - apply_sequence(sys, seq, CFG).rho_final.mat)) <= 1e-13
     with pytest.raises(ValueError, match="empty tau grid"):
         sweep_tau(sys, "cpmg", 2, [], PI_PULSE, CFG)
 
