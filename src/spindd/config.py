@@ -301,6 +301,8 @@ def _semantic_problems(raw: dict) -> list:
     if has_tau_range and any(name in _N_METRICS for name in metrics):
         problems.append("outputs.metrics: pseudo-fidelity, inversion-fidelity, concurrence"
                         " and polarization need an n_range sweep")
+    if has_n_range and "resonance" in metrics:
+        problems.append("outputs.metrics: resonance needs a tau_range sweep")
     if "coupling_scan" in raw and not has_n_range:
         problems.append("coupling_scan: requires an n_range sweep to fit gate times")
     if "coupling_scan" in raw:

@@ -16,10 +16,13 @@ time; ``SimConfig.carrier_reset`` restarts the carrier at every pulse
 instead, for comparison.  A pulse's propagator depends on its start time
 only through that carrier phase, so the cache keys pulses by phase.
 
-An N sweep walks the pi train of its largest N once; each wanted N closes
-the running product with a tail built once per closing class.  Error
-cells walk together: one batched product of ``(cells, d, d)`` stacks per
-element, with the identity for an empty delay or a failed cell.
+Every sweep is one walk over cells ``(tau, length_factor, freq_factor)``:
+the taus of a tau sweep, or the error cells of N sweeps at one tau.  Each
+cell walks the pi train of its largest N once and closes it at each
+wanted N with a tail built once per closing class.  The cells look up
+their propagators in the order that applying their sequences one after
+another would, then advance by one batched product of ``(cells, d, d)``
+stacks per element, the identity standing for an empty delay or a failed cell.
 
 A tau sweep moves every carrier phase, so a pulse shape requested at
 many phases is served from a trigonometric interpolant in the phase.
@@ -33,14 +36,13 @@ taken once the shape has been built exactly at 2 M phases.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
 from .algebra import DensityMatrix, Operator, check_states, eig_hermitian, eig_propagator
-from .analysis import SweepResult, expval, expvals
+from .analysis import SweepResult, expvals
 from .sequences import (
     Delay,
     DrivePulse,
@@ -50,12 +52,12 @@ from .sequences import (
     check_error_factors,
     closing_class,
     closing_tail,
-    compile_cpmg,
     compile_train,
-    compile_xyn,
-    inject_errors,
+    family_rule,
     sequence_timing,
 )
+# unused here; benchmarks/spans.py patches these names on this module
+from .sequences import compile_cpmg, compile_xyn, inject_errors  # noqa: F401
 
 _KEY_DIGITS = 12
 
@@ -288,60 +290,15 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
     )
 
 
-_DEFAULT_RULES = {"cpmg": "plain", "xyn": "xy8-parity"}
-
-
-def _family_rule(family, closing_rule):
-    if family not in _DEFAULT_RULES:
-        raise ValueError(f"unknown sequence family {family!r}")
-    return _DEFAULT_RULES[family] if closing_rule is None else closing_rule
-
-
-def _compile_family(family, n, tau, pulse, wrapper_phase, closing_rule):
-    rule = _family_rule(family, closing_rule)
-    compiler = compile_cpmg if family == "cpmg" else compile_xyn
-    return compiler(n, tau, pulse, wrapper_phase, rule)
-
-
-def sweep_tau(system, family: str, n: int, tau_grid, pulse: DrivePulse,
-              cfg: SimConfig, wrapper_phase: float | None = None,
-              closing_rule: str | None = None,
-              length_factor: float = 1.0, freq_factor: float = 1.0,
-              cache: PropagatorCache | None = None) -> SweepResult:
-    """Observable traces versus inter-pulse spacing ``tau``.
-
-    ``wrapper_phase`` defaults to the system's own convention.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if tau_grid.size == 0:
-        raise ValueError("empty tau grid")
-    if wrapper_phase is None:
-        wrapper_phase = system.wrapper_phase
-    if cache is None:
-        cache = PropagatorCache(system)
-    traces = {obs.label: np.empty(tau_grid.size) for obs in system.observables}
-    d = system.h0.shape[0]
-    states = np.empty((tau_grid.size, d, d), dtype=complex)
-    for i, tau in enumerate(tau_grid):
-        seq = _compile_family(family, n, float(tau), pulse, wrapper_phase, closing_rule)
-        if length_factor != 1.0 or freq_factor != 1.0:
-            seq = inject_errors(seq, length_factor, freq_factor)
-        res = apply_sequence(system, seq, cfg, cache)
-        states[i] = res.rho_final.mat
-        for obs in system.observables:
-            traces[obs.label][i] = expval(res.rho_final, obs.op)
-    return SweepResult(axis="tau", values=tau_grid, traces=traces, states=states)
-
-
-def _open_cell(family, n_values, firsts, tau, pulse, cfg, wrapper_phase, closing_rule,
-               length_factor, freq_factor) -> tuple:
+def _open_cell(family, n_values, firsts, pulse, cfg, wrapper_phase, closing_rule, cell) -> tuple:
     """One cell's pi train of max N and closing tail per closing class, after
     the checks of compiling, injecting errors into and applying each N's
     sequence.  Those read N only through N >= 1 and its closing class, so
     running them at ``firsts``, each class's first N, raises the same error."""
+    tau, length_factor, freq_factor = cell
     if n_values.size == 0 or n_values.min() < 1:
         raise ValueError("n values must be positive integers")
-    rule = _family_rule(family, closing_rule)
+    rule = family_rule(family, closing_rule)
     args = (tau, pulse, wrapper_phase, rule, length_factor, freq_factor)
     for i, n in enumerate(firsts.values()):
         sequence_timing(family, n, tau, pulse, rule)
@@ -354,6 +311,102 @@ def _open_cell(family, n_values, firsts, tau, pulse, cfg, wrapper_phase, closing
     return train.elements, {c: closing_tail(train, n) for c, n in firsts.items()}
 
 
+def _lookups(cache, cfg, train, tails, wanted) -> dict:
+    """One cell's propagators, None for an empty delay, looked up in time
+    order: train element i's at i, and the k-th of the closing tail after
+    the n-th pi pulse (element 2 n) at (n, k)."""
+    t, found = 0.0, {}
+    for i, el in enumerate(train):
+        found[i], t = _advance(cache, el, t, cfg)
+        if i % 2 == 0 and i // 2 in wanted:
+            end = t
+            for k, el in enumerate(tails[closing_class(i // 2)]):
+                found[i // 2, k], end = _advance(cache, el, end, cfg)
+    return found
+
+
+def _walk(system, family, n_values, pulse, cfg, cells, wrapper_phase, closing_rule,
+          cache) -> tuple:
+    """Final states of the N sweeps of ``cells``, each ``(tau, length_factor,
+    freq_factor)``, walked together: a ``(cells, len(n_values), d, d)``
+    stack, and per cell None or the ``ValueError`` that its checks, the
+    cache's system or a build raised; a failed cell's states are undefined."""
+    if wrapper_phase is None:
+        wrapper_phase = system.wrapper_phase
+    if cache is None:
+        cache = PropagatorCache(system)
+    firsts = {}  # closing class -> its first N
+    for n in n_values.tolist():
+        firsts.setdefault(closing_class(n), n)
+    wanted = {n: k for k, n in enumerate(sorted(set(n_values.tolist())))}
+    errors, looked = [None] * len(cells), [None] * len(cells)
+    for j, cell in enumerate(cells):
+        try:
+            train, tails = _open_cell(family, n_values, firsts, pulse, cfg, wrapper_phase,
+                                      closing_rule, cell)
+            if cache.system is not system:
+                raise ValueError("cache was built for a different system")
+            looked[j] = _lookups(cache, cfg, train, tails, wanted)
+        except ValueError as exc:
+            errors[j] = exc
+
+    d = system.h0.shape[0]
+    states = np.empty((len(cells), len(wanted), d, d), dtype=complex)
+    rows = [wanted[n] for n in n_values.tolist()]
+    if None not in errors:
+        return states[:, rows], errors
+    eye = np.eye(d, dtype=complex)
+    u = np.array([eye] * len(cells))  # running products
+    spare, factors = np.empty_like(u), u.copy()  # a failed cell's factors stay the identity
+    live = [(j, found) for j, found in enumerate(looked) if found is not None]
+
+    def stack(key):  # the identity for an empty delay
+        for j, found in live:
+            u_el = found[key]
+            factors[j] = eye if u_el is None else u_el
+        return factors
+
+    for i in range(2 * max(wanted) + 1):
+        u, spare = np.matmul(stack(i), u, out=spare), u
+        n = i // 2
+        if i % 2 or n not in wanted:
+            continue
+        closed = stack((n, 0)) @ u  # closing gap, then closing wrapper
+        closed = stack((n, 1)) @ closed
+        states[:, wanted[n]] = closed @ system.rho0.mat @ closed.conj().transpose(0, 2, 1)
+    return states[:, rows], errors
+
+
+def _sweep_result(system, axis: str, values, rhos) -> SweepResult:
+    """The traces of final states ``rhos`` along ``values``, once each is checked."""
+    check_states(rhos)
+    traces = expvals(rhos, np.array([obs.op.mat for obs in system.observables]))
+    labels = [obs.label for obs in system.observables]
+    return SweepResult(axis, np.asarray(values, dtype=float), dict(zip(labels, traces.T)), rhos)
+
+
+def sweep_tau(system, family: str, n: int, tau_grid, pulse: DrivePulse,
+              cfg: SimConfig, wrapper_phase: float | None = None,
+              closing_rule: str | None = None,
+              length_factor: float = 1.0, freq_factor: float = 1.0,
+              cache: PropagatorCache | None = None) -> SweepResult:
+    """Observable traces versus inter-pulse spacing ``tau``, one walk cell per
+    tau; raises what the first failing tau in grid order raises on its own.
+    ``wrapper_phase`` defaults to the system's own convention."""
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    if tau_grid.size == 0:
+        raise ValueError("empty tau grid")
+    cells = [(tau, length_factor, freq_factor) for tau in tau_grid.tolist()]
+    states, errors = _walk(system, family, np.array([n]), pulse, cfg, cells, wrapper_phase,
+                           closing_rule, cache)
+    k = next((j for j, exc in enumerate(errors) if exc is not None), len(cells))
+    # a bad state at a tau before the first failure is raised first
+    sweep = _sweep_result(system, "tau", tau_grid[:k], states[:k, 0])
+    if k < len(cells):
+        raise errors[k]
+    return sweep
+
+
 def sweep_n_cells(system, family: str, n_values, tau: float, pulse: DrivePulse,
                   cfg: SimConfig, cells, wrapper_phase: float | None = None,
                   closing_rule: str | None = None,
@@ -362,69 +415,14 @@ def sweep_n_cells(system, family: str, n_values, tau: float, pulse: DrivePulse,
     everything else, in one walk: per cell its ``SweepResult``, or the
     ``ValueError`` that ``sweep_n`` raises for it (see the module docstring)."""
     n_values = np.asarray(n_values, dtype=int)
-    if wrapper_phase is None:
-        wrapper_phase = system.wrapper_phase
-    if cache is None:
-        cache = PropagatorCache(system)
-    firsts = {}  # closing class -> its first N
-    for n in n_values.tolist():
-        firsts.setdefault(closing_class(n), n)
-    idle = itertools.repeat(None)  # the elements of a cell that failed its checks
-    results, trains, tails = [None] * len(cells), [], []
-    for j, (lf, ff) in enumerate(cells):
-        try:
-            train, tail = _open_cell(family, n_values, firsts, tau, pulse, cfg, wrapper_phase,
-                                     closing_rule, lf, ff)
-        except ValueError as exc:
-            results[j], train, tail = exc, idle, dict.fromkeys(firsts, idle)
-        trains.append(train)
-        tails.append(tail)
-    if None not in results:
-        return results
-
-    d = system.h0.shape[0]
-    eye = np.eye(d, dtype=complex)
-    u = np.array([eye] * len(cells))  # running products
-    spare, factors = np.empty_like(u), np.empty_like(u)
-
-    def advance(elements, clocks):  # a ValueError fails only its cell
-        for j, el in enumerate(elements):
-            u_el = None
-            if results[j] is None:
-                try:
-                    u_el, clocks[j] = _advance(cache, el, clocks[j], cfg)
-                except ValueError as exc:
-                    results[j] = exc
-            factors[j] = eye if u_el is None else u_el
-
-    wanted = {n: k for k, n in enumerate(sorted(set(n_values.tolist())))}
-    states = np.empty((len(cells), len(wanted), d, d), dtype=complex)
-    clocks = [0.0] * len(cells)
-    for i, elements in enumerate(zip(*trains)):
-        advance(elements, clocks)
-        u, spare = np.matmul(factors, u, out=spare), u
-        n = i // 2  # element 2 n is the n-th pi pulse
-        if i % 2 or n not in wanted:
-            continue
-        closed, ends = u, list(clocks)
-        for elements in zip(*(tail[closing_class(n)] for tail in tails)):
-            advance(elements, ends)
-            closed = factors @ closed
-        states[:, wanted[n]] = closed @ system.rho0.mat @ closed.conj().transpose(0, 2, 1)
-
-    observables = np.array([obs.op.mat for obs in system.observables])
-    rows = [wanted[n] for n in n_values.tolist()]
+    states, results = _walk(system, family, n_values, pulse, cfg,
+                            [(tau, lf, ff) for lf, ff in cells], wrapper_phase, closing_rule, cache)
     for j, rhos in enumerate(states):
         if results[j] is None:
             try:
-                check_states(rhos)
-                values = expvals(rhos, observables)
+                results[j] = _sweep_result(system, "n", n_values, rhos)
             except ValueError as exc:
                 results[j] = exc
-                continue
-            traces = {obs.label: values[rows, m] for m, obs in enumerate(system.observables)}
-            results[j] = SweepResult(axis="n", values=n_values.astype(float), traces=traces,
-                                     states=rhos[rows])
     return results
 
 

@@ -104,10 +104,21 @@ def _polarization_target(system, site: int) -> DensityMatrix:
     return DensityMatrix(Operator(mat, dims))
 
 
-def _compute_metrics(cfg, system, sweep):
+def _metric_inputs(cfg, system) -> tuple:
+    """The fit observable and, for the metrics that read one, the target
+    site; raises the metrics' config errors before any sweep runs."""
+    obs, site = _fit_observable(cfg, system), None
+    for name in cfg.data["outputs"]["metrics"]:
+        if name in ("inversion-fidelity", "polarization"):
+            site = _target_site(system, obs.label)
+        elif name == "concurrence" and system.dims != (2, 2):
+            raise ConfigError(["outputs.metrics: concurrence needs a two-qubit register"])
+    return obs, site
+
+
+def _compute_metrics(cfg, system, sweep, obs, site):
     metrics = GateMetrics()
     extras = {}
-    obs = _fit_observable(cfg, system)
     value_range = (obs.lo, obs.hi)
     tau = cfg.data["sequence"].get("tau")
     n_pi = None
@@ -136,15 +147,12 @@ def _compute_metrics(cfg, system, sweep):
             extras["resonance_tau"] = find_resonance(sweep, obs.label)
         elif name == "inversion-fidelity":
             n_star, rho = nearest(fitted_n_pi())
-            site = _target_site(system, obs.label)
             reduced = partial_trace(rho, {site})
             target = basis_dm(reduced.dims, (1,))
             metrics.state_fidelity = state_fidelity(reduced, target)
             extras["inversion_n"] = n_star
         elif name == "concurrence":
             n_half, rho = nearest(fitted_n_pi() / 2.0)
-            if rho.dims != (2, 2):
-                raise ConfigError(["outputs.metrics: concurrence needs a two-qubit register"])
             metrics.concurrence = concurrence(rho)
             extras["concurrence_n"] = n_half
         elif name == "polarization":
@@ -155,7 +163,6 @@ def _compute_metrics(cfg, system, sweep):
             extras["iz_max_n"] = n_star
             extras["efficiency"] = float(trace[idx] / obs.hi)
             extras["t_pol"] = n_star * float(tau)
-            site = _target_site(system, obs.label)
             metrics.state_fidelity = state_fidelity(state(idx), _polarization_target(system, site))
     return metrics, extras
 
@@ -203,20 +210,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None = N
     if scan is None:
         system = cfg.build_system()
         labels = _observable_labels(cfg, system)
+        obs, site = _metric_inputs(cfg, system)
         sweep = _run_sweep(cfg, system, pulse, sim_cfg)
         csv_path = out / f"{cfg.name}.csv"
         _write_csv(csv_path, [sweep.axis] + labels, _sweep_rows(sweep, labels))
-        metrics, extras = _compute_metrics(cfg, system, sweep)
+        metrics, extras = _compute_metrics(cfg, system, sweep, obs, site)
         return _manifest(cfg, "run", out, [csv_path], metrics, extras, sim_cfg,
                          time.perf_counter() - start)
 
     # one sweep per coupling value, then the inverse-coupling gate-time fit
     def run_one(azx: float):
         system = cfg.build_system(azx_override=azx)
-        sweep = _run_sweep(cfg, system, pulse, sim_cfg)
-        obs = _fit_observable(cfg, system)
-        _, n_pi = pseudo_fidelity(sweep, obs.label, (obs.lo, obs.hi))
         labels = _observable_labels(cfg, system)
+        obs = _fit_observable(cfg, system)
+        sweep = _run_sweep(cfg, system, pulse, sim_cfg)
+        _, n_pi = pseudo_fidelity(sweep, obs.label, (obs.lo, obs.hi))
         return sweep, labels, n_pi
 
     azx_values = [float(a) for a in scan]

@@ -14,10 +14,13 @@ with a wrapper that brings it back.  When the monitored level of the
 driven transition is the lower one, the effective rotating frame turns
 the other way and every carrier phase acquires a minus sign; passing
 ``wrapper_phase = 3 pi / 2`` realizes the same y-wrapper sequence in
-such a conjugated frame, because x pulses are phase-sign invariant.  The closing wrapper is a plain half-pi by default; the
+such a conjugated frame, because x pulses are phase-sign invariant.  The
+``"plain"`` closing rule ends with a plain half-pi wrapper; the
 ``"xy8-parity"`` rule upgrades it to ``3 pi / 2`` when the number of
 two-pulse blocks ``n // 2`` is odd, which keeps the sign of the central
 observable consistent across an N sweep of XY sequences.
+``family_rule`` holds each family's default: plain for CPMG,
+xy8-parity for XY.
 
 ``compile_train`` and ``closing_tail`` split a sequence after its last
 pi pulse, so an N sweep can share one pi train across all N.
@@ -152,7 +155,17 @@ def closing_class(n: int) -> int:
     return (n // 2) % 2
 
 
-def _closing_angle(family: str, n: int, closing_rule: str) -> float:
+_DEFAULT_RULES = {"cpmg": "plain", "xyn": "xy8-parity"}
+
+
+def family_rule(family: str, closing_rule: str | None) -> str:
+    """``closing_rule``, or ``family``'s default closing rule when None."""
+    if family not in _DEFAULT_RULES:
+        raise ValueError(f"unknown sequence family {family!r}")
+    return _DEFAULT_RULES[family] if closing_rule is None else closing_rule
+
+
+def _closing_angle(n: int, closing_rule: str) -> float:
     if closing_rule == "plain":
         return HALF_PI
     if closing_rule == "xy8-parity":
@@ -196,7 +209,7 @@ def sequence_timing(family, n, tau, pi_pulse, closing_rule,
 
     t_pi = pi_pulse.duration * length_factor
     t_half = t_pi / 2.0
-    closing = _closing_angle(family, n, closing_rule)
+    closing = _closing_angle(n, closing_rule)
     t_close = t_half * (3.0 if closing > math.pi else 1.0)
 
     open_gap = tau / 2.0 - t_pi / 2.0 - t_half / 2.0
@@ -263,21 +276,21 @@ def _compile(family, n, tau, pi_pulse, wrapper_phase, closing_rule,
 
 def compile_cpmg(n: int, tau: float, pi_pulse: DrivePulse,
                  wrapper_phase: float = HALF_PI,
-                 closing_rule: str = "plain") -> PulseSequence:
+                 closing_rule: str | None = None) -> PulseSequence:
     """CPMG-n: all pi pulses along x, wrappers along ``wrapper_phase``."""
-    return _compile("cpmg", n, tau, pi_pulse, wrapper_phase, closing_rule)
+    return _compile("cpmg", n, tau, pi_pulse, wrapper_phase, family_rule("cpmg", closing_rule))
 
 
 def compile_xyn(n: int, tau: float, pi_pulse: DrivePulse,
                 wrapper_phase: float = HALF_PI,
-                closing_rule: str = "xy8-parity") -> PulseSequence:
+                closing_rule: str | None = None) -> PulseSequence:
     """XY-n: pi-pulse axes alternate between x and the wrapper axis.
 
     With the default wrapper this is the usual x, y, x, y, ... pattern;
     odd ``n`` truncates the alternation.  The default closing rule keeps
     the central-observable sign consistent across N sweeps.
     """
-    return _compile("xyn", n, tau, pi_pulse, wrapper_phase, closing_rule)
+    return _compile("xyn", n, tau, pi_pulse, wrapper_phase, family_rule("xyn", closing_rule))
 
 
 def check_error_factors(length_factor: float, freq_factor: float):

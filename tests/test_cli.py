@@ -125,6 +125,27 @@ def test_an_n_point_metric_on_a_tau_sweep_is_exit_2(metric, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("preset, change, message", [
+    ("ddgate", {"metrics": ["resonance"]}, "resonance needs a tau_range sweep"),
+    ("three-qubit-q1", {"metrics": ["pseudo-fidelity", "concurrence"]},
+     "concurrence needs a two-qubit register"),
+    ("ddgate", {"fit_observable": "Sz", "metrics": ["inversion-fidelity"]},
+     "'Sz' is not a target observable"),
+    ("nv-polarize", {"fit_observable": "Sz"}, "'Sz' is not a target observable"),
+    ("ddgate", {"fit_observable": "Jz"}, "outputs.fit_observable: unknown 'Jz'"),
+], ids=["resonance-on-n", "concurrence-of-3-qubits", "inversion-of-Sz", "polarization-of-Sz",
+        "unknown-fit-observable"])
+def test_a_metric_the_run_cannot_compute_is_exit_2_before_the_sweep(preset, change, message,
+                                                                    tmp_path, capsys):
+    raw = get_preset(preset)
+    raw["outputs"].update(change)
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_unknown_config_name_is_exit_2():
     proc = run_cli("run", "--config", "definitely-not-a-preset")
     assert proc.returncode == 2

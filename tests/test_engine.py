@@ -20,7 +20,8 @@ from spindd import analysis, evolution
 from spindd.algebra import basis_dm, partial_trace
 from spindd.analysis import SweepResult, pseudo_fidelity, state_fidelity
 from spindd.config import ExperimentConfig
-from spindd.evolution import PropagatorCache, apply_sequence, pulse_propagator, sweep_n
+from spindd.evolution import (PropagatorCache, apply_sequence, pulse_propagator, sweep_n,
+                              sweep_tau)
 from spindd.hamiltonians import (
     DrivePulse,
     GenericSystemParams,
@@ -274,6 +275,117 @@ def test_a_failing_build_fails_only_its_cell(monkeypatch):
     monkeypatch.setattr(PropagatorCache, "pulse", pulse)
     cells = [(1.1, 0.99), (1.1, 1.02), (1.1, 1.0)]
     assert_walk_matches_each_cell("xyn", [7, 3, 12, 1], 0.5, cells, {1})
+
+
+# ---------------------------------------------------------------- tau walk
+
+def per_tau_sweep(system, family, n, taus, pulse, cfg, lf, ff, cache):
+    """Central and target traces and the final states, one compiled sequence per tau."""
+    compiler = compile_cpmg if family == "cpmg" else compile_xyn
+    traces = {obs.label: [] for obs in system.observables}
+    states = []
+    for tau in taus:
+        seq = compiler(n, tau, pulse, system.wrapper_phase)
+        if lf != 1.0 or ff != 1.0:
+            seq = inject_errors(seq, lf, ff)
+        rho = apply_sequence(system, seq, cfg, cache).rho_final.mat
+        states.append(rho)
+        for obs in system.observables:
+            traces[obs.label].append(float(np.real(np.trace(rho @ obs.op.mat))))
+    return traces, np.array(states)
+
+
+def assert_sweep_tau_matches_per_tau(system, family, n, taus, pulse, cfg, factors=(1.0, 1.0)):
+    sweep = sweep_tau(system, family, n, taus, pulse, cfg, length_factor=factors[0],
+                      freq_factor=factors[1])
+    expected, states = per_tau_sweep(system, family, n, taus, pulse, cfg, *factors,
+                                     PropagatorCache(system))
+    assert sweep.values.tolist() == taus
+    for label, trace in expected.items():
+        assert np.max(np.abs(sweep.trace(label) - trace)) <= 1e-13
+    assert sweep.states.shape == states.shape
+    assert np.max(np.abs(sweep.states - states)) <= 1e-13
+
+
+@pytest.mark.parametrize("family, n", [("cpmg", 4), ("xyn", 6), ("xyn", 3)])
+@pytest.mark.parametrize("factors", [(1.0, 1.0), (1.1, 0.99), (0.8, 1.02)])
+def test_sweep_tau_equals_per_tau_sequences(family, n, factors):
+    taus = [0.5, 0.4937, 0.62, 0.45, 0.5, 0.3]  # unsorted, with a repeat
+    assert_sweep_tau_matches_per_tau(GENERIC, family, n, taus, PI_PULSE, CFG, factors)
+
+
+@pytest.mark.parametrize("carrier_reset", [False, True])
+def test_sweep_tau_equals_per_tau_sequences_on_the_nv_center(carrier_reset):
+    cfg = SimConfig(dt=NV_PI.duration / 512.0, carrier_reset=carrier_reset)
+    assert_sweep_tau_matches_per_tau(NV, "xyn", 8, [0.364, 0.2, 0.41, 0.3655], NV_PI, cfg)
+
+
+def test_walks_look_up_in_the_order_of_one_sequence_after_another(monkeypatch):
+    # the order decides which phases of a shape are built exactly and which
+    # come from its interpolant, so it keeps the walk's states bit for bit
+    requests = []
+
+    def logging(name):
+        original = getattr(PropagatorCache, name)
+
+        def logged(self, *args):
+            requests.append((name,) + args)
+            return original(self, *args)
+        return logged
+
+    for name in ("pulse", "free"):
+        monkeypatch.setattr(PropagatorCache, name, logging(name))
+
+    def requested(fn):
+        requests.clear()
+        fn()
+        return list(requests)
+
+    taus = [0.5, 0.4937, 0.62, 0.45]
+    walked = requested(lambda: sweep_tau(GENERIC, "xyn", 6, taus, PI_PULSE, CFG,
+                                         length_factor=1.1))
+    assert walked == requested(lambda: per_tau_sweep(GENERIC, "xyn", 6, taus, PI_PULSE, CFG,
+                                                     1.1, 1.0, PropagatorCache(GENERIC)))
+    cells, cache = [(1.1, 0.99), (1.1, 1.02)], PropagatorCache(GENERIC)
+    walked = requested(lambda: evolution.sweep_n_cells(GENERIC, "xyn", [7, 3, 12], 0.5,
+                                                       PI_PULSE, CFG, cells))
+    assert walked == requested(lambda: [
+        sweep_n(GENERIC, "xyn", [7, 3, 12], 0.5, PI_PULSE, CFG, length_factor=lf,
+                freq_factor=ff, cache=cache) for lf, ff in cells])
+
+
+@pytest.mark.parametrize("family, n, taus, factors, dt", [
+    ("cpmg", 2, [0.5, 0.08, 0.6], (1.0, 1.0), 0.001),          # the nominal pulses overlap
+    ("xyn", 3, [0.3, 0.2, 0.1], (1.0, 1.0), 0.001),            # only the 3 pi/2 closer fails
+    ("cpmg", 2, [0.5, 0.15, 0.3, 0.1], (1.3, 1.0), 0.001),     # stretched pulses overlap
+    ("cpmg", 2, [0.5, 0.6], (0.3, 1.0), 0.002),                # dt too coarse for short pulses
+    ("cpmg", 2, [0.5, 0.6], (0.0, 1.0), 0.001),                # non-positive error factor
+    ("cpmg", 2, [0.5, math.nan, 0.08], (1.0, 1.0), 0.001),     # a bad state before a failing tau
+])
+def test_sweep_tau_raises_what_the_first_failing_tau_raises(family, n, taus, factors, dt):
+    cfg = SimConfig(dt=dt)
+    expected = error_of(lambda: per_tau_sweep(GENERIC, family, n, taus, PI_PULSE, cfg,
+                                              *factors, PropagatorCache(GENERIC)))
+    assert expected is not None
+    got = error_of(lambda: sweep_tau(GENERIC, family, n, taus, PI_PULSE, cfg,
+                                     length_factor=factors[0], freq_factor=factors[1]))
+    assert got == expected
+
+
+def test_a_failing_build_fails_its_tau_before_a_later_failing_tau(monkeypatch):
+    original = PropagatorCache.pulse
+
+    def pulse(self, drive, t_start, dt):
+        if t_start > 1.2:  # tau 0.7's closing wrapper and tau 0.9's last two pulses
+            raise ValueError(f"no pulse at {t_start}")
+        return original(self, drive, t_start, dt)
+
+    monkeypatch.setattr(PropagatorCache, "pulse", pulse)
+    taus = [0.5, 0.7, 0.9, 0.08]
+    expected = error_of(lambda: per_tau_sweep(GENERIC, "cpmg", 2, taus, PI_PULSE, CFG, 1.0, 1.0,
+                                              PropagatorCache(GENERIC)))
+    assert expected.startswith("no pulse at 1.4")  # tau 0.7's closing wrapper
+    assert error_of(lambda: sweep_tau(GENERIC, "cpmg", 2, taus, PI_PULSE, CFG)) == expected
 
 
 # ---------------------------------------------------------------- phase-keyed cache

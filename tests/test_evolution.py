@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from spindd.algebra import herm_propagator
-from spindd.evolution import PropagatorCache, apply_sequence, pulse_propagator, sweep_n, sweep_tau
+from spindd.evolution import (PropagatorCache, apply_sequence, pulse_propagator, sweep_n,
+                              sweep_n_cells, sweep_tau)
 from spindd.hamiltonians import (
     DrivePulse,
     GenericSystemParams,
@@ -152,6 +153,20 @@ def test_apply_sequence_rejects_foreign_cache_and_elements():
     )
     with pytest.raises(TypeError, match="unknown sequence element"):
         apply_sequence(sys, broken, CFG)
+
+
+def test_sweeps_reject_a_cache_of_another_system():
+    sys = generic_system(GENERIC)
+    foreign = PropagatorCache(generic_system(UNCOUPLED))
+    with pytest.raises(ValueError, match="cache was built for a different system"):
+        sweep_n(sys, "cpmg", [1, 2, 4], 0.5, PI_PULSE, CFG, cache=foreign)
+    with pytest.raises(ValueError, match="cache was built for a different system"):
+        sweep_tau(sys, "cpmg", 2, [0.4, 0.5], PI_PULSE, CFG, cache=foreign)
+    # a cell that fails its own checks keeps their error, as apply_sequence would
+    got = sweep_n_cells(sys, "cpmg", [1, 2, 4], 0.5, PI_PULSE, CFG, [(1.0, 1.0), (0.0, 1.0)],
+                        cache=foreign)
+    assert [str(exc) for exc in got] == ["cache was built for a different system",
+                                         "error factors must be positive"]
 
 
 def test_shared_cache_reproduces_fresh_runs():

@@ -12,6 +12,7 @@ from spindd.sequences import (
     SimConfig,
     compile_cpmg,
     compile_xyn,
+    family_rule,
     inject_errors,
 )
 
@@ -95,6 +96,16 @@ def test_plain_closing_rule_everywhere():
         closer = pulses_of(seq)[-1]
         assert closer.nominal_angle == pytest.approx(PI / 2.0)
         assert seq.closing_rule == "plain"
+
+
+def test_family_rule_holds_each_family_default():
+    assert family_rule("cpmg", None) == "plain"
+    assert family_rule("xyn", None) == "xy8-parity"
+    assert family_rule("cpmg", "xy8-parity") == "xy8-parity"
+    with pytest.raises(ValueError, match="unknown sequence family"):
+        family_rule("udd", None)
+    assert compile_xyn(6, 0.5, PI_PULSE, closing_rule=None) == compile_xyn(6, 0.5, PI_PULSE)
+    assert compile_cpmg(6, 0.5, PI_PULSE, closing_rule=None).closing_rule == "plain"
 
 
 def test_compile_validation():
