@@ -447,6 +447,13 @@ class ExperimentConfig:
         )
 
     def sim_config(self, dt_override: float | None = None) -> SimConfig:
+        """The integrator settings; ``dt_override`` (the CLI's ``--dt``)
+        replaces ``sim.dt`` and must pass the same rule."""
+        if dt_override is not None:
+            found = []
+            _walk(dt_override, SCHEMA["properties"]["sim"]["properties"]["dt"], (), found)
+            if found:
+                raise ConfigError([f"--dt: {message}" for _, message in found])
         sim = self.data["sim"]
         dt = float(sim["dt"]) if dt_override is None else float(dt_override)
         return SimConfig(dt=dt, carrier_reset=bool(sim["carrier_reset"]))

@@ -19,10 +19,12 @@ only through that carrier phase, so the cache keys pulses by phase.
 Every sweep is one walk over cells ``(tau, length_factor, freq_factor)``:
 the taus of a tau sweep, or the error cells of N sweeps at one tau.  Each
 cell walks the pi train of its largest N once and closes it at each
-wanted N with a tail built once per closing class.  The cells look up
-their propagators in the order that applying their sequences one after
-another would, then advance by one batched product of ``(cells, d, d)``
-stacks per element, the identity standing for an empty delay or a failed cell.
+wanted N with a tail built once per closing class.  Before anything is
+built, the walk times every cell's lookups and hands the cache their
+pulse keys; the cells then look up their propagators in the order that
+applying their sequences one after another would, and advance by one
+batched product of ``(cells, d, d)`` stacks per element, the identity
+standing for an empty delay or a failed cell.
 
 A tau sweep moves every carrier phase, so a pulse shape requested at
 many phases is served from a trigonometric interpolant in the phase.
@@ -30,8 +32,10 @@ The Trotter product ``U(phi)`` is a Laurent series in ``z = exp(i phi)``
 bounded by ``exp(a (r - 1/r))`` on ``|z| = r``, ``a = nsteps y``; the
 Cauchy estimate at ``r = m / a`` bounds its m-th Fourier coefficient by
 ``(e a / m)^m``, so with ``q = e a / (h + 1)`` those beyond h sum to at
-most ``2 q^(h+1) / (1 - q)``, kept below 1e-15 by M = 2 h + 1 samples,
-taken once the shape has been built exactly at 2 M phases.
+most ``2 q^(h+1) / (1 - q)``, kept below 1e-15 by M = 2 h + 1 samples.
+A shape whose exact builds, held and still wanted, would pass 2 M phases
+takes its samples at once; the walk's keys tell the cache how many
+phases each shape still wants (see ``PropagatorCache``).
 """
 
 from __future__ import annotations
@@ -186,13 +190,20 @@ class PropagatorCache:
     commensurate with ``tau`` cheap.  Each entry is built at ``t_start = 0``
     with the keyed phase, so it does not depend on which request built it.
     The Chebyshev step coefficients are computed once per amplitude and
-    ``dt``.  A shape (the key without its phase) is built exactly at each
-    new phase until it holds 2 M phases, M from ``_phase_count(nsteps y)``.
-    Its next new phase builds M samples at phases ``2 pi j / M``, one
-    ``pulse_propagator`` call each, and takes their FFT; every later new
-    phase is ``sum_m c_m exp(2 pi i m cycles)``, within twice
+    ``dt``; the phase and the shape (the key without its phase) are each
+    rounded once per unrounded value.
+
+    A shape's new phase is built exactly while the phases it has built
+    plus its demand stay within 2 M, M from ``_phase_count(nsteps y)``.
+    The demand is the number of distinct phases of the shape that a walk
+    will request and the cache lacks, given by ``expect`` before the walk
+    builds anything; an unplanned request's demand is 1.  Otherwise the
+    shape builds M samples at phases ``2 pi j / M``, one
+    ``pulse_propagator`` call each, and takes their FFT; that phase and
+    every later one is ``sum_m c_m exp(2 pi i m cycles)``, within twice
     ``_PHASE_TOL`` of the exact build (measured: 1.3e-14, rounding).  A
-    shape never passes 1.5 times its exact-only builds.
+    shape never takes more than 3 M builds, nor 1.5 times as many as
+    building each of its phases exactly would.
     """
 
     def __init__(self, system):
@@ -200,9 +211,11 @@ class PropagatorCache:
         self._evals, evecs = eig_hermitian(system.h0)
         self._evecs = evecs.mat
         self._free = {}
-        self._pulses = {}
-        self._steps = {}   # (omega1, dt) -> (y, Chebyshev step coefficients)
-        self._shapes = {}  # pulse key without its phase -> _Shape
+        self._pulses = {}      # (cycles, shape) -> propagator
+        self._rounded = {}     # unrounded phase or (duration, omega1, omegap, dt) -> key part
+        self._steps = {}       # (omega1, dt) -> (y, Chebyshev step coefficients)
+        self._shapes = {}      # shape -> _Shape
+        self._demand = {}      # shape -> distinct phases a walk requests and this lacks
 
     def free(self, duration: float) -> np.ndarray:
         key = round(duration, _KEY_DIGITS)
@@ -212,23 +225,35 @@ class PropagatorCache:
             self._free[key] = u
         return u
 
+    def pulse_key(self, pulse: DrivePulse, t_start: float, dt: float) -> tuple:
+        """``(cycles, shape)`` of a pulse started at ``t_start``; each part is
+        rounded once per unrounded value and then looked up."""
+        raw = (pulse.omegap * t_start + pulse.phase / (2.0 * np.pi)) % 1.0
+        cycles = self._rounded.get(raw)
+        if cycles is None:
+            cycles = round(raw, _KEY_DIGITS)
+            cycles = self._rounded[raw] = 0.0 if cycles == 1.0 else cycles
+        raw = (pulse.duration, pulse.omega1, pulse.omegap, dt)
+        shape = self._rounded.get(raw)
+        if shape is None:
+            shape = self._rounded[raw] = tuple(round(x, _KEY_DIGITS) for x in raw[:3]) + (dt,)
+        return cycles, shape
+
+    def expect(self, keys) -> None:
+        """Take the demand of a walk that will request the pulse keys ``keys``."""
+        self._demand = {}
+        for _, shape in set(keys).difference(self._pulses):
+            self._demand[shape] = self._demand.get(shape, 0) + 1
+
     def pulse(self, pulse: DrivePulse, t_start: float, dt: float) -> np.ndarray:
-        cycles = round((pulse.omegap * t_start + pulse.phase / (2.0 * np.pi)) % 1.0, _KEY_DIGITS)
-        cycles = 0.0 if cycles == 1.0 else cycles
-        shape = (
-            round(pulse.duration, _KEY_DIGITS),
-            round(pulse.omega1, _KEY_DIGITS),
-            round(pulse.omegap, _KEY_DIGITS),
-            dt,
-        )
-        key = (cycles,) + shape
+        key = self.pulse_key(pulse, t_start, dt)
         u = self._pulses.get(key)
         if u is None:
-            u = self._new_phase(pulse, cycles, shape, dt)
-            self._pulses[key] = u
+            u = self._pulses[key] = self._new_phase(pulse, key, dt)
         return u
 
-    def _new_phase(self, pulse: DrivePulse, cycles: float, shape: tuple, dt: float) -> np.ndarray:
+    def _new_phase(self, pulse: DrivePulse, key: tuple, dt: float) -> np.ndarray:
+        cycles, shape = key
         steps = self._steps.get((pulse.omega1, dt))
         if steps is None:
             steps = _step_coefficients(self.system.h0, self.system.drive_op, pulse.omega1, dt)
@@ -239,7 +264,9 @@ class PropagatorCache:
             self._shapes[shape] = state
         m = state.samples
         if state.series is None:
-            if state.built < 2 * m:
+            if state.built + self._demand.get(shape, 1) <= 2 * m:
+                # every phase the walk still wants fits: the rest count as unplanned
+                self._demand.pop(shape, None)
                 state.built += 1
                 return self._build(pulse, cycles, dt, steps[1])
             samples = [self._build(pulse, j / m, dt, steps[1]) for j in range(m)]
@@ -254,16 +281,23 @@ class PropagatorCache:
                                 coefficients).mat
 
 
-def _advance(cache: PropagatorCache, el, t: float, cfg: SimConfig) -> tuple:
-    """Propagator of one element (None for an empty delay) and the clock after it."""
+def _start(el, t: float, cfg: SimConfig) -> tuple:
+    """The start that element ``el`` at clock ``t`` is looked up at (None for
+    a delay) and the clock after it."""
     if isinstance(el, Delay):
-        return (cache.free(el.duration) if el.duration > 0 else None), t + el.duration
+        return None, t + el.duration
     if isinstance(el, Pulse):
-        u = cache.pulse(el.pulse, 0.0 if cfg.carrier_reset else t, cfg.dt)
         # the clock advances by the snapped duration so later carrier
         # phases stay consistent with the actual evolution
-        return u, t + round(el.duration / cfg.dt) * cfg.dt
+        return (0.0 if cfg.carrier_reset else t), t + round(el.duration / cfg.dt) * cfg.dt
     raise TypeError(f"unknown sequence element {el!r}")
+
+
+def _lookup(cache: PropagatorCache, el, start, dt: float):
+    """Propagator of element ``el`` looked up at ``start``, None for an empty delay."""
+    if start is None:
+        return cache.free(el.duration) if el.duration > 0 else None
+    return cache.pulse(el.pulse, start, dt)
 
 
 def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
@@ -279,7 +313,8 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
     u_total = np.eye(dim, dtype=complex)
     t = 0.0
     for el in seq.elements:
-        u_el, t = _advance(cache, el, t, cfg)
+        start, t = _start(el, t, cfg)
+        u_el = _lookup(cache, el, start, cfg.dt)
         if u_el is not None:
             u_total = u_el @ u_total
 
@@ -311,18 +346,20 @@ def _open_cell(family, n_values, firsts, pulse, cfg, wrapper_phase, closing_rule
     return train.elements, {c: closing_tail(train, n) for c, n in firsts.items()}
 
 
-def _lookups(cache, cfg, train, tails, wanted) -> dict:
-    """One cell's propagators, None for an empty delay, looked up in time
-    order: train element i's at i, and the k-th of the closing tail after
-    the n-th pi pulse (element 2 n) at (n, k)."""
-    t, found = 0.0, {}
+def _lookups(cfg, train, tails, wanted) -> list:
+    """One cell's lookups in time order, each ``(slot, element, start)`` (see
+    ``_start``): train element i at slot i, and the k-th of the closing tail
+    after the n-th pi pulse (element 2 n) at (n, k)."""
+    t, out = 0.0, []
     for i, el in enumerate(train):
-        found[i], t = _advance(cache, el, t, cfg)
+        start, t = _start(el, t, cfg)
+        out.append((i, el, start))
         if i % 2 == 0 and i // 2 in wanted:
             end = t
-            for k, el in enumerate(tails[closing_class(i // 2)]):
-                found[i // 2, k], end = _advance(cache, el, end, cfg)
-    return found
+            for k, closer in enumerate(tails[closing_class(i // 2)]):
+                start, end = _start(closer, end, cfg)
+                out.append(((i // 2, k), closer, start))
+    return out
 
 
 def _walk(system, family, n_values, pulse, cfg, cells, wrapper_phase, closing_rule,
@@ -346,9 +383,20 @@ def _walk(system, family, n_values, pulse, cfg, cells, wrapper_phase, closing_ru
                                       closing_rule, cell)
             if cache.system is not system:
                 raise ValueError("cache was built for a different system")
-            looked[j] = _lookups(cache, cfg, train, tails, wanted)
+            looked[j] = _lookups(cfg, train, tails, wanted)
         except ValueError as exc:
             errors[j] = exc
+    # every pulse key before the first build, then the lookups cell after cell
+    cache.expect(cache.pulse_key(el.pulse, start, cfg.dt) for plan in looked if plan
+                 for _, el, start in plan if start is not None)
+    for j, plan in enumerate(looked):
+        if plan is None:
+            continue
+        try:
+            looked[j] = {slot: _lookup(cache, el, start, cfg.dt) for slot, el, start in plan}
+        except ValueError as exc:
+            errors[j], looked[j] = exc, None
+    cache.expect(())
 
     d = system.h0.shape[0]
     states = np.empty((len(cells), len(wanted), d, d), dtype=complex)

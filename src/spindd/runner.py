@@ -201,10 +201,10 @@ def _manifest(cfg, verb, out_dir, files, metrics, extras, sim_cfg, wall_clock):
 def run_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None = None) -> dict:
     """Execute one sweep config; returns the manifest dictionary."""
     start = time.perf_counter()
+    sim_cfg = cfg.sim_config(dt_override)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pulse = cfg.build_pulse()
-    sim_cfg = cfg.sim_config(dt_override)
     scan = cfg.data.get("coupling_scan")
 
     if scan is None:
@@ -261,12 +261,12 @@ def errmap_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None 
     grid = cfg.data.get("errmap")
     if grid is None:
         raise ConfigError(["errmap: config has no errmap section"])
+    sim_cfg = cfg.sim_config(dt_override)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     system = cfg.build_system()
     pulse = cfg.build_pulse()
-    sim_cfg = cfg.sim_config(dt_override)
     obs = _fit_observable(cfg, system)
     seq = cfg.data["sequence"]
     length_factors = [float(x) for x in grid["length_factors"]]

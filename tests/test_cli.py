@@ -11,7 +11,7 @@ import yaml
 
 from spindd.analysis import pseudo_fidelity
 from spindd.cli import main
-from spindd.config import ExperimentConfig
+from spindd.config import ConfigError, ExperimentConfig
 from spindd.evolution import sweep_n
 from spindd.presets import PRESETS, get_preset
 from spindd.runner import errmap_experiment, run_experiment
@@ -188,6 +188,20 @@ def test_dt_override_too_coarse_is_exit_3(tmp_path):
                    "--dt", "0.02")
     assert proc.returncode == 3
     assert "numeric failure" in proc.stderr
+
+
+@pytest.mark.parametrize("verb, preset", [("run", "ddgate"), ("errmap", "pulse-error-map")])
+@pytest.mark.parametrize("dt", ["nan", "inf", "0", "-0.001"])
+def test_dt_override_breaking_the_sim_dt_rule_is_exit_2(verb, preset, dt, tmp_path, capsys):
+    raw = get_preset(preset)
+    raw["sim"]["dt"] = float(dt)
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(raw)
+    (problem,) = [p for p in info.value.problems if p.startswith("sim.dt: ")]
+    out = tmp_path / "o"
+    assert main([verb, "--config", preset, "--out", str(out), "--dt", dt]) == 2
+    assert problem.replace("sim.dt: ", "--dt: ") in capsys.readouterr().err
+    assert not out.exists()  # checked before any sweep
 
 
 def test_errmap_single_cell_matches_direct_sweep(tmp_path):

@@ -1,0 +1,19 @@
+"""Every script under ``demos/`` runs to the end."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+def test_all_six_demos_are_found():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs_to_the_end(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # demos 03 and 06 write under out/
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out  # each demo reports what it found

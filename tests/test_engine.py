@@ -591,6 +591,103 @@ def test_a_shape_switches_to_the_interpolant_after_2m_phases(monkeypatch):
     assert samples == pytest.approx([2.0 * np.pi * j / m for j in range(m)], abs=1e-15)
 
 
+# ---------------------------------------------------------------- walk-planned phases
+
+def logged_requests(monkeypatch):
+    requests = []
+    original = PropagatorCache.pulse
+
+    def logged(self, drive, t_start, dt):
+        requests.append((drive, t_start, dt))
+        return original(self, drive, t_start, dt)
+
+    monkeypatch.setattr(PropagatorCache, "pulse", logged)
+    return requests
+
+
+def preset_inputs(name):
+    cfg = ExperimentConfig.from_dict(get_preset(name))
+    return cfg, cfg.build_system(), cfg.build_pulse(), cfg.sim_config()
+
+
+def test_a_tau_sweep_builds_only_the_samples_of_each_shape(monkeypatch):
+    cfg, system, pulse, sim = preset_inputs("nv-xyn-spectrum")
+    taus = cfg.sweep_values().tolist()
+    builds = counting_builds(monkeypatch)
+    sweep = sweep_tau(system, "xyn", 8, taus, pulse, sim)
+    # 1096 pi phases > 2 x 51 and 142 pi/2 phases > 2 x 39: no exact build
+    assert len(builds) == 90
+    phases = {}
+    for args in builds:
+        phases.setdefault(args[1].duration, []).append(args[1].phase)
+    assert sorted(phases) == [pulse.duration / 2.0, pulse.duration]
+    for duration, m in ((pulse.duration, 51), (pulse.duration / 2.0, 39)):
+        assert phases[duration] == pytest.approx([2.0 * np.pi * j / m for j in range(m)],
+                                                 abs=1e-15)
+    _, states = per_tau_sweep(system, "xyn", 8, taus, pulse, sim, 1.0, 1.0,
+                              PropagatorCache(system))
+    assert np.max(np.abs(sweep.states - states)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["nv-ddgate", "pulse-error-map"])
+def test_a_walk_within_2m_phases_builds_each_phase_exactly(monkeypatch, name):
+    cfg, system, pulse, sim = preset_inputs(name)
+    seq = cfg.data["sequence"]
+    grid = cfg.data.get("errmap")
+    cells = [(seq["length_factor"], seq["freq_factor"])] if grid is None else [
+        (grid["length_factors"][0] * seq["length_factor"], ff * seq["freq_factor"])
+        for ff in grid["freq_factors"]]  # one row of the error map
+    builds, requests = counting_builds(monkeypatch), logged_requests(monkeypatch)
+    cache = PropagatorCache(system)
+    results = evolution.sweep_n_cells(system, seq["family"], cfg.sweep_values(), seq["tau"],
+                                      pulse, sim, cells, cache=cache)
+    assert not any(isinstance(result, ValueError) for result in results)
+    phases = {cache.pulse_key(*request): request for request in requests}
+    assert len(builds) == len(phases)  # one build per requested phase, no samples
+    for drive, t_start, dt in phases.values():
+        assert np.array_equal(cache.pulse(drive, t_start, dt),
+                              keyed_build(system, drive, t_start, dt))
+
+
+def test_a_second_walk_counts_only_the_phases_the_cache_lacks(monkeypatch):
+    builds, requests = counting_builds(monkeypatch), logged_requests(monkeypatch)
+    cache = PropagatorCache(GENERIC)
+    # per tau 4 pi phases and one closing pi/2 phase; all taus share the opening one
+    taus = [0.4937 + 0.00131 * k for k in range(30)]
+
+    def walk(k):
+        held = len(builds)
+        requests.clear()
+        sweep_tau(GENERIC, "cpmg", 4, taus[:k], PI_PULSE, CFG, cache=cache)
+        return sorted(args[1].duration for args in builds[held:])
+
+    assert walk(10) == [0.05] * 11 + [0.1] * 40
+    # 40 pi phases held plus 40 new stay within 2 x 43, though 40 + 80 would not
+    assert walk(20) == [0.05] * 10 + [0.1] * 40
+    for drive, t_start, dt in list(requests):
+        assert np.array_equal(cache.pulse(drive, t_start, dt),
+                              keyed_build(GENERIC, drive, t_start, dt))
+    # 80 held plus 40 new do not: the pi shape builds its 43 samples instead
+    assert walk(30) == [0.05] * 10 + [0.1] * 43
+
+
+def test_a_failing_sample_build_fails_only_the_cells_of_its_shape(monkeypatch):
+    failed = []
+    original = evolution.pulse_propagator
+
+    def failing(h0, drive, *args):
+        if drive.omegap == 50.0 * 1.02 and drive.duration == 0.1:
+            failed.append(drive.phase)
+            raise ValueError("no build of the detuned pi pulse")
+        return original(h0, drive, *args)
+
+    monkeypatch.setattr(evolution, "pulse_propagator", failing)
+    # N = 90 at an incommensurate tau: each pi shape has more than 2 x 43 phases
+    cells = [(1.0, 1.0), (1.0, 1.02), (1.1, 1.0), (1.0, 1.02)]
+    assert_walk_matches_each_cell("xyn", [90, 3, 47], 0.4937, cells, {1, 3})
+    assert failed[:2] == [0.0, 0.0]  # the walk's two cells each tried the first sample
+
+
 # ---------------------------------------------------------------- batched fit
 
 def scalar_fit(n, y, value_range):
