@@ -36,6 +36,13 @@ most ``2 q^(h+1) / (1 - q)``, kept below 1e-15 by M = 2 h + 1 samples.
 A shape whose exact builds, held and still wanted, would pass 2 M phases
 takes its samples at once; the walk's keys tell the cache how many
 phases each shape still wants (see ``PropagatorCache``).
+
+The same bound serves a block of B = 32 steps, which makes an
+incommensurate N sweep cheap too.  Where a walk would build more Trotter
+steps of one carrier family ``(omega1, omegap, dt)`` than the
+``M_B = _phase_count(B y)`` block samples cost, each of its pulses is the
+pairwise product of blocks read off one series in the block's start
+phase, times its ``nsteps % B`` trailing steps built exactly.
 """
 
 from __future__ import annotations
@@ -76,6 +83,10 @@ _CHEB_TOL = 1e-17
 
 # bound on the Fourier coefficients beyond a phase interpolant's; see above
 _PHASE_TOL = 1e-15
+
+# Trotter steps per block of a blocked pulse family (see PropagatorCache);
+# a power of two, so that the blocks are subtrees of the steps' reduction
+_BLOCK = 32
 
 
 def _node_count(y: float) -> int:
@@ -161,21 +172,39 @@ def pulse_propagator(h0: Operator, pulse: DrivePulse, drive_op: Operator,
     d = h0.shape[0]
     us = (chebvander(x, len(coefficients) - 1) @ coefficients).reshape(nsteps, d, d)
 
-    # pairwise reduction in time order; an odd last step waits a level
+    return Operator(_reduce(us), h0.dims)
+
+
+def _reduce(us: np.ndarray) -> np.ndarray:
+    """Product of the ``(n, d, d)`` factors ``us``, later ones on the left, by
+    pairwise reduction in time order; an odd last factor waits a level."""
     while len(us) > 1:
         paired = us[1::2] @ us[0:len(us) - 1:2]
         us = np.concatenate((paired, us[-1:])) if len(us) % 2 else paired
-    return Operator(us[0], h0.dims)
+    return us[0]
 
 
 @dataclass
-class _Shape:
-    """Phase bookkeeping of one pulse shape: its sample count M, how many
-    phases were built exactly, and its Fourier series once sampled."""
+class _Series:
+    """Phase interpolant of one pulse shape or block family: its sample
+    count M, how many phases a shape built exactly, and once sampled its
+    Fourier coefficients and their frequencies ``2 pi i m``."""
 
     samples: int
     built: int = 0
     series: np.ndarray | None = None
+    harmonics: np.ndarray | None = None
+
+    def sample(self, build) -> None:
+        """Take the FFT of ``build(j / M)``, j < M; nothing is kept if a build raises."""
+        m = self.samples
+        samples = [build(j / m) for j in range(m)]
+        self.harmonics = 2j * np.pi * np.fft.fftfreq(m, 1.0 / m)
+        self.series = np.fft.fft(np.array(samples).reshape(m, -1), axis=0) / m
+
+    def at(self, cycles) -> np.ndarray:
+        """The flattened series at phase ``cycles``, one row per phase of a column."""
+        return np.exp(self.harmonics * cycles) @ self.series
 
 
 class PropagatorCache:
@@ -190,20 +219,32 @@ class PropagatorCache:
     commensurate with ``tau`` cheap.  Each entry is built at ``t_start = 0``
     with the keyed phase, so it does not depend on which request built it.
     The Chebyshev step coefficients are computed once per amplitude and
-    ``dt``; the phase and the shape (the key without its phase) are each
-    rounded once per unrounded value.
+    ``dt``; a free duration, the phase and the shape (the key without its
+    phase) are each rounded once per unrounded value.
 
-    A shape's new phase is built exactly while the phases it has built
-    plus its demand stay within 2 M, M from ``_phase_count(nsteps y)``.
-    The demand is the number of distinct phases of the shape that a walk
-    will request and the cache lacks, given by ``expect`` before the walk
-    builds anything; an unplanned request's demand is 1.  Otherwise the
-    shape builds M samples at phases ``2 pi j / M``, one
-    ``pulse_propagator`` call each, and takes their FFT; that phase and
-    every later one is ``sum_m c_m exp(2 pi i m cycles)``, within twice
-    ``_PHASE_TOL`` of the exact build (measured: 1.3e-14, rounding).  A
-    shape never takes more than 3 M builds, nor 1.5 times as many as
-    building each of its phases exactly would.
+    A shape's new phase is built while the phases it has built plus its
+    demand stay within 2 M, M from ``_phase_count(nsteps y)``.  The demand
+    is the number of distinct phases of the shape that a walk will request
+    and the cache lacks, given by ``expect`` before the walk builds
+    anything; an unplanned request's demand is 1.  Otherwise the shape
+    builds M samples at phases ``2 pi j / M`` and takes their FFT; that
+    phase and every later one is ``sum_m c_m exp(2 pi i m cycles)``, within
+    twice ``_PHASE_TOL`` of the exact build (measured: 1.3e-14, rounding).
+    A shape never takes more than 3 M builds, nor 1.5 times as many as
+    building each of its phases would.
+
+    A build is one ``pulse_propagator`` call, except on a blocked family
+    ``(omega1, omegap, dt)``.  Such a pulse's first ``nsteps // B`` blocks
+    of B = ``_BLOCK`` steps are read off the family's series in the block's
+    start phase, ``cycles + j omegap B dt`` for block j; its trailing
+    ``nsteps % B`` steps are one ``pulse_propagator`` call, and the factors
+    are multiplied by the steps' pairwise reduction, whose subtrees the
+    blocks are.  The series has ``M_B = _phase_count(B y)`` samples, each
+    a ``pulse_propagator`` call of one block.  A family is blocked once its
+    series exists, or when the Trotter steps its shapes' demands would
+    build, demand times nsteps summed over its shapes, exceed the
+    ``M_B B`` steps of its series (measured: block-built entries within
+    2.3e-14 of the exact build).
     """
 
     def __init__(self, system):
@@ -211,14 +252,19 @@ class PropagatorCache:
         self._evals, evecs = eig_hermitian(system.h0)
         self._evecs = evecs.mat
         self._free = {}
+        self._free_keys = {}   # unrounded duration -> key
         self._pulses = {}      # (cycles, shape) -> propagator
         self._rounded = {}     # unrounded phase or (duration, omega1, omegap, dt) -> key part
         self._steps = {}       # (omega1, dt) -> (y, Chebyshev step coefficients)
-        self._shapes = {}      # shape -> _Shape
+        self._shapes = {}      # shape -> _Series of its phases
+        self._families = {}    # shape[1:], (omega1, omegap, dt) -> _Series of its blocks
         self._demand = {}      # shape -> distinct phases a walk requests and this lacks
+        self._steps_wanted = {}  # family -> Trotter steps of its shapes' demands
 
     def free(self, duration: float) -> np.ndarray:
-        key = round(duration, _KEY_DIGITS)
+        key = self._free_keys.get(duration)
+        if key is None:
+            key = self._free_keys[duration] = round(duration, _KEY_DIGITS)
         u = self._free.get(key)
         if u is None:
             u = eig_propagator(self._evals, self._evecs, duration)
@@ -240,10 +286,14 @@ class PropagatorCache:
         return cycles, shape
 
     def expect(self, keys) -> None:
-        """Take the demand of a walk that will request the pulse keys ``keys``."""
-        self._demand = {}
+        """Take the demand of a walk that will request the pulse keys ``keys``,
+        per shape and, in Trotter steps, per family."""
+        self._demand, self._steps_wanted = {}, {}
         for _, shape in set(keys).difference(self._pulses):
             self._demand[shape] = self._demand.get(shape, 0) + 1
+        for shape, count in self._demand.items():
+            steps = count * round(shape[0] / shape[3])
+            self._steps_wanted[shape[1:]] = self._steps_wanted.get(shape[1:], 0) + steps
 
     def pulse(self, pulse: DrivePulse, t_start: float, dt: float) -> np.ndarray:
         key = self.pulse_key(pulse, t_start, dt)
@@ -260,25 +310,53 @@ class PropagatorCache:
             self._steps[(pulse.omega1, dt)] = steps
         state = self._shapes.get(shape)
         if state is None:
-            state = _Shape(_phase_count(round(pulse.duration / dt) * steps[0]))
+            state = _Series(_phase_count(round(pulse.duration / dt) * steps[0]))
             self._shapes[shape] = state
-        m = state.samples
         if state.series is None:
-            if state.built + self._demand.get(shape, 1) <= 2 * m:
+            blocks = self._blocks(pulse, shape[1:], dt, steps)
+
+            def build(c):
+                return self._build(pulse, c, dt, steps[1], blocks)
+
+            if state.built + self._demand.get(shape, 1) <= 2 * state.samples:
                 # every phase the walk still wants fits: the rest count as unplanned
                 self._demand.pop(shape, None)
                 state.built += 1
-                return self._build(pulse, cycles, dt, steps[1])
-            samples = [self._build(pulse, j / m, dt, steps[1]) for j in range(m)]
-            state.series = np.fft.fft(np.array(samples).reshape(m, -1), axis=0) / m
+                return build(cycles)
+            state.sample(build)
         d = self.system.h0.shape[0]
-        harmonics = np.exp(2j * np.pi * np.fft.fftfreq(m, 1.0 / m) * cycles)
-        return (harmonics @ state.series).reshape(d, d)
+        return state.at(cycles).reshape(d, d)
 
-    def _build(self, pulse: DrivePulse, cycles: float, dt: float, coefficients) -> np.ndarray:
-        keyed = replace(pulse, phase=2.0 * np.pi * cycles)
-        return pulse_propagator(self.system.h0, keyed, self.system.drive_op, 0.0, dt,
-                                coefficients).mat
+    def _blocks(self, pulse: DrivePulse, family: tuple, dt: float, steps) -> _Series | None:
+        """The block series of ``family``, sampled now if the walk's demand
+        blocks it; None while the family builds exactly."""
+        state = self._families.get(family)
+        if state is None:
+            state = self._families[family] = _Series(_phase_count(_BLOCK * steps[0]))
+        if state.series is None:
+            if self._steps_wanted.get(family, 0) <= _BLOCK * state.samples:
+                return None
+            block = replace(pulse, duration=_BLOCK * dt)
+            state.sample(lambda c: self._build(block, c, dt, steps[1], None))
+        return state
+
+    def _build(self, pulse: DrivePulse, cycles: float, dt: float, coefficients,
+               blocks: _Series | None) -> np.ndarray:
+        nsteps = round(pulse.duration / dt)
+        if blocks is None or nsteps < _BLOCK:
+            keyed = replace(pulse, phase=2.0 * np.pi * cycles)
+            return pulse_propagator(self.system.h0, keyed, self.system.drive_op, 0.0, dt,
+                                    coefficients).mat
+        q, r = divmod(nsteps, _BLOCK)
+        d = self.system.h0.shape[0]
+        starts = (cycles + np.arange(q) * (pulse.omegap * _BLOCK * dt)) % 1.0
+        us = blocks.at(starts[:, None]).reshape(q, d, d)
+        if r:
+            tail = replace(pulse, phase=2.0 * np.pi * cycles, duration=r * dt)
+            tail_u = pulse_propagator(self.system.h0, tail, self.system.drive_op,
+                                      q * _BLOCK * dt, dt, coefficients).mat
+            us = np.concatenate((us, tail_u[None]))
+        return _reduce(us)
 
 
 def _start(el, t: float, cfg: SimConfig) -> tuple:
@@ -335,14 +413,17 @@ def _open_cell(family, n_values, firsts, pulse, cfg, wrapper_phase, closing_rule
         raise ValueError("n values must be positive integers")
     rule = family_rule(family, closing_rule)
     args = (tau, pulse, wrapper_phase, rule, length_factor, freq_factor)
+    trains = {}
     for i, n in enumerate(firsts.values()):
         sequence_timing(family, n, tau, pulse, rule)
         if length_factor != 1.0 or freq_factor != 1.0:
             check_error_factors(length_factor, freq_factor)
             sequence_timing(family, n, tau, pulse, rule, length_factor, freq_factor)
         if i == 0:
-            cfg.validate_for(compile_train(family, n, *args))
-    train = compile_train(family, int(n_values.max()), *args)
+            trains[n] = compile_train(family, n, *args)
+            cfg.validate_for(trains[n])
+    top = int(n_values.max())  # a tau sweep's only N: its train is compiled once
+    train = trains[top] if top in trains else compile_train(family, top, *args)
     return train.elements, {c: closing_tail(train, n) for c, n in firsts.items()}
 
 

@@ -614,19 +614,47 @@ def test_a_tau_sweep_builds_only_the_samples_of_each_shape(monkeypatch):
     cfg, system, pulse, sim = preset_inputs("nv-xyn-spectrum")
     taus = cfg.sweep_values().tolist()
     builds = counting_builds(monkeypatch)
-    sweep = sweep_tau(system, "xyn", 8, taus, pulse, sim)
-    # 1096 pi phases > 2 x 51 and 142 pi/2 phases > 2 x 39: no exact build
-    assert len(builds) == 90
-    phases = {}
-    for args in builds:
-        phases.setdefault(args[1].duration, []).append(args[1].phase)
-    assert sorted(phases) == [pulse.duration / 2.0, pulse.duration]
-    for duration, m in ((pulse.duration, 51), (pulse.duration / 2.0, 39)):
-        assert phases[duration] == pytest.approx([2.0 * np.pi * j / m for j in range(m)],
-                                                 abs=1e-15)
+    cache = PropagatorCache(system)
+    sweep = sweep_tau(system, "xyn", 8, taus, pulse, sim, cache=cache)
+    # 1096 pi phases > 2 x 51 and 142 pi/2 phases > 2 x 39: each shape takes its
+    # samples, and their 597504 Trotter steps > 21 x 32 block the family, so the
+    # shapes' samples are block products and the only builds are the 21 blocks
+    assert len(builds) == 21
+    assert all(args[1].duration == 32 * sim.dt and args[3] == 0.0 for args in builds)
+    assert [args[1].phase for args in builds] == pytest.approx(
+        [2.0 * np.pi * j / 21 for j in range(21)], abs=1e-15)
+    shapes = sorted((key[0], state.samples, state.built, state.series is not None)
+                    for key, state in cache._shapes.items())
+    assert shapes == [(round(pulse.duration / 2.0, 12), 39, 0, True),
+                      (round(pulse.duration, 12), 51, 0, True)]
     _, states = per_tau_sweep(system, "xyn", 8, taus, pulse, sim, 1.0, 1.0,
                               PropagatorCache(system))
     assert np.max(np.abs(sweep.states - states)) <= 1e-13
+
+
+def reduced(us):
+    """Pairwise product of ``us`` in time order; an odd last factor waits a level."""
+    while len(us) > 1:
+        paired = us[1::2] @ us[0:len(us) - 1:2]
+        us = np.concatenate((paired, us[-1:])) if len(us) % 2 else paired
+    return us[0]
+
+
+def block_product(system, cache, drive, t_start, dt):
+    """A blocked pulse's entry from the cache's own block series: its 32-step
+    blocks read off the series at their start phases and its trailing steps
+    built exactly, multiplied pairwise."""
+    cycles, shape = cache.pulse_key(drive, t_start, dt)
+    blocks = cache._families[shape[1:]]
+    q, r = divmod(round(drive.duration / dt), 32)
+    d = system.h0.shape[0]
+    starts = (cycles + np.arange(q) * (drive.omegap * 32 * dt)) % 1.0
+    us = (np.exp(blocks.harmonics * starts[:, None]) @ blocks.series).reshape(q, d, d)
+    if r:
+        tail = replace(drive, phase=2.0 * math.pi * cycles, duration=r * dt)
+        tail_u = pulse_propagator(system.h0, tail, system.drive_op, q * 32 * dt, dt).mat
+        us = np.concatenate((us, tail_u[None]))
+    return reduced(us)
 
 
 @pytest.mark.parametrize("name", ["nv-ddgate", "pulse-error-map"])
@@ -643,10 +671,25 @@ def test_a_walk_within_2m_phases_builds_each_phase_exactly(monkeypatch, name):
                                       pulse, sim, cells, cache=cache)
     assert not any(isinstance(result, ValueError) for result in results)
     phases = {cache.pulse_key(*request): request for request in requests}
-    assert len(builds) == len(phases)  # one build per requested phase, no samples
+    assert all(state.series is None for state in cache._shapes.values())
+    assert sum(state.built for state in cache._shapes.values()) == len(phases)
+    if name == "pulse-error-map":
+        # below M_B x 32 planned steps per family: one exact build per requested phase
+        assert len(builds) == len(phases)
+        for drive, t_start, dt in phases.values():
+            assert np.array_equal(cache.pulse(drive, t_start, dt),
+                                  keyed_build(system, drive, t_start, dt))
+        return
+    # one blocked family: its 21 block samples are the only builds, and each
+    # requested phase is a product of blocks (NV pulses are whole blocks)
+    assert len(builds) == 21
+    assert [args[1].phase for args in builds] == pytest.approx(
+        [2.0 * np.pi * j / 21 for j in range(21)], abs=1e-15)
+    assert all(args[1].duration == 32 * sim.dt for args in builds)
     for drive, t_start, dt in phases.values():
-        assert np.array_equal(cache.pulse(drive, t_start, dt),
-                              keyed_build(system, drive, t_start, dt))
+        u = cache.pulse(drive, t_start, dt)
+        assert np.array_equal(u, block_product(system, cache, drive, t_start, dt))
+        assert np.max(np.abs(u - keyed_build(system, drive, t_start, dt))) <= 1e-13
 
 
 def test_a_second_walk_counts_only_the_phases_the_cache_lacks(monkeypatch):
@@ -654,6 +697,7 @@ def test_a_second_walk_counts_only_the_phases_the_cache_lacks(monkeypatch):
     cache = PropagatorCache(GENERIC)
     # per tau 4 pi phases and one closing pi/2 phase; all taus share the opening one
     taus = [0.4937 + 0.00131 * k for k in range(30)]
+    dt = CFG.dt
 
     def walk(k):
         held = len(builds)
@@ -661,14 +705,18 @@ def test_a_second_walk_counts_only_the_phases_the_cache_lacks(monkeypatch):
         sweep_tau(GENERIC, "cpmg", 4, taus[:k], PI_PULSE, CFG, cache=cache)
         return sorted(args[1].duration for args in builds[held:])
 
-    assert walk(10) == [0.05] * 11 + [0.1] * 40
+    # 40 x 100 + 11 x 50 planned steps > 29 x 32 block the family: its 29 block
+    # samples, then per phase one exact build of the trailing steps, 4 of a pi
+    # pulse (3 blocks) and 18 of a pi/2 pulse (1 block)
+    assert walk(10) == [4 * dt] * 40 + [18 * dt] * 11 + [32 * dt] * 29
     # 40 pi phases held plus 40 new stay within 2 x 43, though 40 + 80 would not
-    assert walk(20) == [0.05] * 10 + [0.1] * 40
-    for drive, t_start, dt in list(requests):
-        assert np.array_equal(cache.pulse(drive, t_start, dt),
-                              keyed_build(GENERIC, drive, t_start, dt))
-    # 80 held plus 40 new do not: the pi shape builds its 43 samples instead
-    assert walk(30) == [0.05] * 10 + [0.1] * 43
+    assert walk(20) == [4 * dt] * 40 + [18 * dt] * 10
+    for drive, t_start, step in list(requests):
+        u = cache.pulse(drive, t_start, step)
+        assert np.array_equal(u, block_product(GENERIC, cache, drive, t_start, step))
+        assert np.max(np.abs(u - keyed_build(GENERIC, drive, t_start, step))) <= 1e-13
+    # 80 held plus 40 new do not: the pi shape takes its 43 samples instead
+    assert walk(30) == [4 * dt] * 43 + [18 * dt] * 10
 
 
 def test_a_failing_sample_build_fails_only_the_cells_of_its_shape(monkeypatch):
@@ -676,16 +724,84 @@ def test_a_failing_sample_build_fails_only_the_cells_of_its_shape(monkeypatch):
     original = evolution.pulse_propagator
 
     def failing(h0, drive, *args):
-        if drive.omegap == 50.0 * 1.02 and drive.duration == 0.1:
-            failed.append(drive.phase)
-            raise ValueError("no build of the detuned pi pulse")
+        if drive.omegap == 50.0 * 1.02:
+            failed.append((drive.phase, drive.duration))
+            raise ValueError("no build on the detuned carrier")
         return original(h0, drive, *args)
 
     monkeypatch.setattr(evolution, "pulse_propagator", failing)
-    # N = 90 at an incommensurate tau: each pi shape has more than 2 x 43 phases
+    # N = 90 at an incommensurate tau: each pi shape has more than 2 x 43 phases,
+    # and each family more planned steps than its 29 x 32 block samples
     cells = [(1.0, 1.0), (1.0, 1.02), (1.1, 1.0), (1.0, 1.02)]
     assert_walk_matches_each_cell("xyn", [90, 3, 47], 0.4937, cells, {1, 3})
-    assert failed[:2] == [0.0, 0.0]  # the walk's two cells each tried the first sample
+    # the walk's two cells of the detuned family each tried its first block sample
+    assert failed[:2] == [(0.0, 32 * CFG.dt)] * 2
+    cache = PropagatorCache(GENERIC)
+    evolution.sweep_n_cells(GENERIC, "xyn", [90, 3, 47], 0.4937, PI_PULSE, CFG, cells,
+                            cache=cache)
+    detuned = cache.pulse_key(replace(PI_PULSE, omegap=50.0 * 1.02), 0.0, CFG.dt)[1][1:]
+    assert cache._families[detuned].series is None  # no half-built series is kept
+
+
+# ---------------------------------------------------------------- block route
+
+NV_3HALF = replace(NV_PI, duration=0.01285 * 1.5)
+
+
+def test_block_phase_counts_of_the_nv_and_generic_families():
+    # M_B = _phase_count(32 y), y = pi dt omega1 |drive_op|_2
+    assert evolution._BLOCK == 32
+    assert evolution._phase_count(32 * np.pi * NV_DT * 27.5683 * 2.0) == 21
+    assert evolution._phase_count(32 * np.pi * 0.001 * 5.0) == 29
+
+
+@pytest.mark.parametrize("system, pulse, dt, nsteps", [
+    (NV, NV_HALF, NV_DT, 256),
+    (NV, NV_PI, NV_DT, 512),
+    (NV, NV_3HALF, NV_DT, 768),
+    (GENERIC, DrivePulse(5.0, 50.0, 0.0, 0.13), 0.001, 130),   # 4 blocks and 2 steps
+], ids=["nv-half-pi", "nv-pi", "nv-three-half-pi", "generic-1.3"])
+def test_block_entries_match_the_exact_build(monkeypatch, system, pulse, dt, nsteps):
+    builds = counting_builds(monkeypatch)
+    cache = PropagatorCache(system)
+    starts = np.random.default_rng(7).random(40) / pulse.omegap
+    cache.expect(cache.pulse_key(pulse, t, dt) for t in starts)
+    got = [cache.pulse(pulse, t, dt) for t in starts]
+    m_b = 21 if system is NV else 29
+    assert round(pulse.duration / dt) == nsteps
+    assert [args[1].duration for args in builds[:m_b]] == [32 * dt] * m_b
+    # after the block samples, one build per phase of the trailing steps, if any
+    assert [args[1].duration for args in builds[m_b:]] == [nsteps % 32 * dt] * (
+        40 if nsteps % 32 else 0)
+    worst = max(np.max(np.abs(u - keyed_build(system, pulse, t, dt))) for u, t in zip(got, starts))
+    assert worst <= 1e-13
+    assert all(np.array_equal(u, block_product(system, cache, pulse, t, dt))
+               for u, t in zip(got, starts))
+
+
+def test_a_family_is_blocked_only_above_its_block_samples(monkeypatch):
+    builds = counting_builds(monkeypatch)
+    cache = PropagatorCache(GENERIC)
+    detuned = replace(PI_PULSE, omegap=51.0)
+    # 9 x 100 planned steps <= 29 x 32 < 10 x 100
+    below = [(PI_PULSE, (k + 0.1) / 9 / 50.0) for k in range(9)]
+    above = [(detuned, (k + 0.1) / 10 / 51.0) for k in range(10)]
+    cache.expect(cache.pulse_key(p, t, 0.001) for p, t in below + above)
+    got = [cache.pulse(p, t, 0.001) for p, t in below + above]
+    assert [(args[1].omegap, args[1].duration) for args in builds] == (
+        [(50.0, 0.1)] * 9 + [(51.0, 0.032)] * 29 + [(51.0, 0.004)] * 10)
+    for u, (p, t) in zip(got[:9], below):
+        assert np.array_equal(u, keyed_build(GENERIC, p, t, 0.001))
+    for u, (p, t) in zip(got[9:], above):
+        assert np.array_equal(u, block_product(GENERIC, cache, p, t, 0.001))
+        assert np.max(np.abs(u - keyed_build(GENERIC, p, t, 0.001))) <= 1e-13
+    # unplanned: the exact family stays exact, the blocked one keeps its series
+    cache.expect(())
+    del builds[:]
+    cache.pulse(PI_PULSE, 0.5 / 50.0, 0.001)
+    cache.pulse(detuned, 0.5 / 51.0, 0.001)
+    assert [(args[1].omegap, args[1].duration) for args in builds] == [
+        (50.0, 0.1), (51.0, 0.004)]
 
 
 # ---------------------------------------------------------------- batched fit
