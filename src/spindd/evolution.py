@@ -20,11 +20,12 @@ Every sweep is one walk over cells ``(tau, length_factor, freq_factor)``:
 the taus of a tau sweep, or the error cells of N sweeps at one tau.  Each
 cell walks the pi train of its largest N once and closes it at each
 wanted N with a tail built once per closing class.  Before anything is
-built, the walk times every cell's lookups and hands the cache their
-pulse keys; the cells then look up their propagators in the order that
-applying their sequences one after another would, and advance by one
-batched product of ``(cells, d, d)`` stacks per element, the identity
-standing for an empty delay or a failed cell.
+built, the walk times every cell's lookups and hands their pulse requests
+to one ``PropagatorCache.plan``, which builds every entry the cache lacks;
+the cells then look up their propagators in the order that applying their
+sequences one after another would, and advance by one batched product of
+``(cells, d, d)`` stacks per element, the identity standing for an empty
+delay or a failed cell.
 
 A tau sweep moves every carrier phase, so a pulse shape requested at
 many phases is served from a trigonometric interpolant in the phase.
@@ -33,16 +34,15 @@ bounded by ``exp(a (r - 1/r))`` on ``|z| = r``, ``a = nsteps y``; the
 Cauchy estimate at ``r = m / a`` bounds its m-th Fourier coefficient by
 ``(e a / m)^m``, so with ``q = e a / (h + 1)`` those beyond h sum to at
 most ``2 q^(h+1) / (1 - q)``, kept below 1e-15 by M = 2 h + 1 samples.
-A shape whose exact builds, held and still wanted, would pass 2 M phases
-takes its samples at once; the walk's keys tell the cache how many
-phases each shape still wants (see ``PropagatorCache``).
-
 The same bound serves a block of B = 32 steps, which makes an
-incommensurate N sweep cheap too.  Where a walk would build more Trotter
-steps of one carrier family ``(omega1, omegap, dt)`` than the
-``M_B = _phase_count(B y)`` block samples cost, each of its pulses is the
-pairwise product of blocks read off one series in the block's start
-phase, times its ``nsteps % B`` trailing steps built exactly.
+incommensurate N sweep cheap too: a pulse of a blocked carrier family
+``(omega1, omegap, dt)`` is the pairwise product of blocks read off one
+series in the block's start phase, times its ``nsteps % B`` trailing
+steps built exactly.  A plan picks each route once, from the keys it
+lacks (see ``PropagatorCache``): a shape takes its M samples when its
+exact phases, held and missing, would pass 2 M, and a family is blocked
+when it holds its ``M_B = _phase_count(B y)`` block samples or its
+missing keys' Trotter steps exceed their ``M_B B``.
 """
 
 from __future__ import annotations
@@ -222,29 +222,29 @@ class PropagatorCache:
     ``dt``; a free duration, the phase and the shape (the key without its
     phase) are each rounded once per unrounded value.
 
-    A shape's new phase is built while the phases it has built plus its
-    demand stay within 2 M, M from ``_phase_count(nsteps y)``.  The demand
-    is the number of distinct phases of the shape that a walk will request
-    and the cache lacks, given by ``expect`` before the walk builds
-    anything; an unplanned request's demand is 1.  Otherwise the shape
-    builds M samples at phases ``2 pi j / M`` and takes their FFT; that
-    phase and every later one is ``sum_m c_m exp(2 pi i m cycles)``, within
-    twice ``_PHASE_TOL`` of the exact build (measured: 1.3e-14, rounding).
-    A shape never takes more than 3 M builds, nor 1.5 times as many as
-    building each of its phases would.
+    ``plan`` builds every entry that a list of requests lacks, and a
+    lookup that misses is a plan of its own key.  A plan groups the
+    missing keys by shape and by carrier family ``(omega1, omegap, dt)``
+    and applies two rules once:
 
-    A build is one ``pulse_propagator`` call, except on a blocked family
-    ``(omega1, omegap, dt)``.  Such a pulse's first ``nsteps // B`` blocks
-    of B = ``_BLOCK`` steps are read off the family's series in the block's
-    start phase, ``cycles + j omegap B dt`` for block j; its trailing
-    ``nsteps % B`` steps are one ``pulse_propagator`` call, and the factors
-    are multiplied by the steps' pairwise reduction, whose subtrees the
-    blocks are.  The series has ``M_B = _phase_count(B y)`` samples, each
-    a ``pulse_propagator`` call of one block.  A family is blocked once its
-    series exists, or when the Trotter steps its shapes' demands would
-    build, demand times nsteps summed over its shapes, exceed the
-    ``M_B B`` steps of its series (measured: block-built entries within
-    2.3e-14 of the exact build).
+    - a shape builds each missing phase exactly while the phases it has
+      built exactly plus its missing ones stay within 2 M, M from
+      ``_phase_count(nsteps y)``; otherwise it builds M samples at phases
+      ``2 pi j / M`` and takes their FFT, and every phase is then
+      ``sum_m c_m exp(2 pi i m cycles)``, within twice ``_PHASE_TOL`` of the
+      exact build (measured: 1.3e-14, rounding).  A shape never takes more
+      than 3 M builds, nor 1.5 times as many as building each of its phases
+      would.
+    - a family is blocked once it holds its block series, or when the
+      Trotter steps of its missing keys, nsteps summed over them, exceed the
+      ``M_B B`` steps of that series, ``M_B = _phase_count(B y)`` samples of
+      one block of B = ``_BLOCK`` steps each.  A blocked build reads the
+      pulse's first ``nsteps // B`` blocks off the series at their start
+      phases, ``cycles + j omegap B dt`` for block j, builds its trailing
+      ``nsteps % B`` steps with one ``pulse_propagator`` call, and multiplies
+      the factors by the steps' pairwise reduction, whose subtrees the
+      blocks are (measured: block-built entries within 2.3e-14 of the exact
+      build).  Any other build is one ``pulse_propagator`` call.
     """
 
     def __init__(self, system):
@@ -258,8 +258,6 @@ class PropagatorCache:
         self._steps = {}       # (omega1, dt) -> (y, Chebyshev step coefficients)
         self._shapes = {}      # shape -> _Series of its phases
         self._families = {}    # shape[1:], (omega1, omegap, dt) -> _Series of its blocks
-        self._demand = {}      # shape -> distinct phases a walk requests and this lacks
-        self._steps_wanted = {}  # family -> Trotter steps of its shapes' demands
 
     def free(self, duration: float) -> np.ndarray:
         key = self._free_keys.get(duration)
@@ -267,8 +265,7 @@ class PropagatorCache:
             key = self._free_keys[duration] = round(duration, _KEY_DIGITS)
         u = self._free.get(key)
         if u is None:
-            u = eig_propagator(self._evals, self._evecs, duration)
-            self._free[key] = u
+            u = self._free[key] = eig_propagator(self._evals, self._evecs, duration)
         return u
 
     def pulse_key(self, pulse: DrivePulse, t_start: float, dt: float) -> tuple:
@@ -285,72 +282,74 @@ class PropagatorCache:
             shape = self._rounded[raw] = tuple(round(x, _KEY_DIGITS) for x in raw[:3]) + (dt,)
         return cycles, shape
 
-    def expect(self, keys) -> None:
-        """Take the demand of a walk that will request the pulse keys ``keys``,
-        per shape and, in Trotter steps, per family."""
-        self._demand, self._steps_wanted = {}, {}
-        for _, shape in set(keys).difference(self._pulses):
-            self._demand[shape] = self._demand.get(shape, 0) + 1
-        for shape, count in self._demand.items():
-            steps = count * round(shape[0] / shape[3])
-            self._steps_wanted[shape[1:]] = self._steps_wanted.get(shape[1:], 0) + steps
-
     def pulse(self, pulse: DrivePulse, t_start: float, dt: float) -> np.ndarray:
         key = self.pulse_key(pulse, t_start, dt)
         u = self._pulses.get(key)
-        if u is None:
-            u = self._pulses[key] = self._new_phase(pulse, key, dt)
+        if u is None:  # a plan of this one key
+            u = self._pulses[key] = self._entries(key[1], {key[0]: pulse}, {}, dt)[key]
         return u
 
-    def _new_phase(self, pulse: DrivePulse, key: tuple, dt: float) -> np.ndarray:
-        cycles, shape = key
+    def plan(self, requests, dt: float) -> dict:
+        """Build every entry that the pulse requests ``(pulse, t_start)`` lack,
+        shape after shape in request order, each from the pulse of its first
+        request; per key whose shape or family raised, that ``ValueError``.
+        A failing shape or family is tried once and keeps no half-built series."""
+        wanted, steps = {}, {}  # shape -> {cycles: first pulse}, family -> Trotter steps
+        for pulse, t_start in requests:
+            key = self.pulse_key(pulse, t_start, dt)
+            if key not in self._pulses:
+                wanted.setdefault(key[1], {}).setdefault(key[0], pulse)
+        for shape, phases in wanted.items():
+            steps[shape[1:]] = steps.get(shape[1:], 0) + len(phases) * round(shape[0] / dt)
+        failed, broken = {}, {}  # family -> the ValueError of its block samples
+        for shape, phases in wanted.items():
+            try:
+                self._pulses.update(self._entries(shape, phases, broken, dt, steps[shape[1:]]))
+            except ValueError as exc:
+                failed.update(dict.fromkeys([(c, shape) for c in phases], exc))
+        return failed
+
+    def _entries(self, shape: tuple, phases: dict, broken: dict, dt: float,
+                 family_steps: int | None = None) -> dict:
+        """The entries of one shape's missing ``phases``, cycles -> first pulse,
+        on a family whose missing keys hold ``family_steps`` Trotter steps
+        (None for a plan of one key: its own steps)."""
+        family, pulse = shape[1:], next(iter(phases.values()))
         steps = self._steps.get((pulse.omega1, dt))
         if steps is None:
-            steps = _step_coefficients(self.system.h0, self.system.drive_op, pulse.omega1, dt)
-            self._steps[(pulse.omega1, dt)] = steps
-        state = self._shapes.get(shape)
-        if state is None:
-            state = _Series(_phase_count(round(pulse.duration / dt) * steps[0]))
-            self._shapes[shape] = state
+            steps = self._steps[(pulse.omega1, dt)] = _step_coefficients(
+                self.system.h0, self.system.drive_op, pulse.omega1, dt)
+        nsteps = round(pulse.duration / dt)
+        state = self._shapes.setdefault(shape, _Series(_phase_count(nsteps * steps[0])))
         if state.series is None:
-            blocks = self._blocks(pulse, shape[1:], dt, steps)
-
-            def build(c):
-                return self._build(pulse, c, dt, steps[1], blocks)
-
-            if state.built + self._demand.get(shape, 1) <= 2 * state.samples:
-                # every phase the walk still wants fits: the rest count as unplanned
-                self._demand.pop(shape, None)
-                state.built += 1
-                return build(cycles)
-            state.sample(build)
-        d = self.system.h0.shape[0]
-        return state.at(cycles).reshape(d, d)
-
-    def _blocks(self, pulse: DrivePulse, family: tuple, dt: float, steps) -> _Series | None:
-        """The block series of ``family``, sampled now if the walk's demand
-        blocks it; None while the family builds exactly."""
-        state = self._families.get(family)
-        if state is None:
-            state = self._families[family] = _Series(_phase_count(_BLOCK * steps[0]))
-        if state.series is None:
-            if self._steps_wanted.get(family, 0) <= _BLOCK * state.samples:
-                return None
-            block = replace(pulse, duration=_BLOCK * dt)
-            state.sample(lambda c: self._build(block, c, dt, steps[1], None))
-        return state
+            blocks = self._families.setdefault(family, _Series(_phase_count(_BLOCK * steps[0])))
+            if family in broken:
+                raise broken[family]
+            if blocks.series is None and (family_steps or nsteps) > _BLOCK * blocks.samples:
+                block = replace(pulse, duration=_BLOCK * dt)
+                try:  # each sample is built exactly: the series is set once all are
+                    blocks.sample(lambda c: self._build(block, c, dt, steps[1], blocks))
+                except ValueError as exc:
+                    broken[family] = exc
+                    raise
+            if state.built + len(phases) <= 2 * state.samples:
+                entries = {(c, shape): self._build(drive, c, dt, steps[1], blocks)
+                           for c, drive in phases.items()}
+                state.built += len(entries)
+                return entries
+            state.sample(lambda c: self._build(pulse, c, dt, steps[1], blocks))
+        return {(c, shape): state.at(c).reshape(self.system.h0.shape) for c in phases}
 
     def _build(self, pulse: DrivePulse, cycles: float, dt: float, coefficients,
-               blocks: _Series | None) -> np.ndarray:
+               blocks: _Series) -> np.ndarray:
         nsteps = round(pulse.duration / dt)
-        if blocks is None or nsteps < _BLOCK:
+        if blocks.series is None or nsteps < _BLOCK:
             keyed = replace(pulse, phase=2.0 * np.pi * cycles)
             return pulse_propagator(self.system.h0, keyed, self.system.drive_op, 0.0, dt,
                                     coefficients).mat
         q, r = divmod(nsteps, _BLOCK)
-        d = self.system.h0.shape[0]
         starts = (cycles + np.arange(q) * (pulse.omegap * _BLOCK * dt)) % 1.0
-        us = blocks.at(starts[:, None]).reshape(q, d, d)
+        us = blocks.at(starts[:, None]).reshape(q, *self.system.h0.shape)
         if r:
             tail = replace(pulse, phase=2.0 * np.pi * cycles, duration=r * dt)
             tail_u = pulse_propagator(self.system.h0, tail, self.system.drive_op,
@@ -371,10 +370,13 @@ def _start(el, t: float, cfg: SimConfig) -> tuple:
     raise TypeError(f"unknown sequence element {el!r}")
 
 
-def _lookup(cache: PropagatorCache, el, start, dt: float):
-    """Propagator of element ``el`` looked up at ``start``, None for an empty delay."""
+def _lookup(cache: PropagatorCache, el, start, dt: float, failed=None):
+    """Propagator of element ``el`` looked up at ``start``, None for an empty
+    delay; a pulse whose key a plan ``failed`` raises that plan's error."""
     if start is None:
         return cache.free(el.duration) if el.duration > 0 else None
+    if failed and (key := cache.pulse_key(el.pulse, start, dt)) in failed:
+        raise failed[key]
     return cache.pulse(el.pulse, start, dt)
 
 
@@ -387,8 +389,7 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
     elif cache.system is not system:
         raise ValueError("cache was built for a different system")
 
-    dim = system.h0.shape[0]
-    u_total = np.eye(dim, dtype=complex)
+    u_total = np.eye(system.h0.shape[0], dtype=complex)
     t = 0.0
     for el in seq.elements:
         start, t = _start(el, t, cfg)
@@ -451,8 +452,7 @@ def _walk(system, family, n_values, pulse, cfg, cells, wrapper_phase, closing_ru
     cache's system or a build raised; a failed cell's states are undefined."""
     if wrapper_phase is None:
         wrapper_phase = system.wrapper_phase
-    if cache is None:
-        cache = PropagatorCache(system)
+    cache = cache or PropagatorCache(system)
     firsts = {}  # closing class -> its first N
     for n in n_values.tolist():
         firsts.setdefault(closing_class(n), n)
@@ -467,17 +467,17 @@ def _walk(system, family, n_values, pulse, cfg, cells, wrapper_phase, closing_ru
             looked[j] = _lookups(cfg, train, tails, wanted)
         except ValueError as exc:
             errors[j] = exc
-    # every pulse key before the first build, then the lookups cell after cell
-    cache.expect(cache.pulse_key(el.pulse, start, cfg.dt) for plan in looked if plan
-                 for _, el, start in plan if start is not None)
-    for j, plan in enumerate(looked):
-        if plan is None:
+    # every pulse built before the first lookup, then the lookups cell after cell
+    failed = cache.plan([(el.pulse, start) for timed in looked if timed
+                         for _, el, start in timed if start is not None], cfg.dt)
+    for j, timed in enumerate(looked):
+        if timed is None:
             continue
         try:
-            looked[j] = {slot: _lookup(cache, el, start, cfg.dt) for slot, el, start in plan}
+            looked[j] = {slot: _lookup(cache, el, start, cfg.dt, failed)
+                         for slot, el, start in timed}
         except ValueError as exc:
             errors[j], looked[j] = exc, None
-    cache.expect(())
 
     d = system.h0.shape[0]
     states = np.empty((len(cells), len(wanted), d, d), dtype=complex)

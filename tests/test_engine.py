@@ -734,13 +734,71 @@ def test_a_failing_sample_build_fails_only_the_cells_of_its_shape(monkeypatch):
     # and each family more planned steps than its 29 x 32 block samples
     cells = [(1.0, 1.0), (1.0, 1.02), (1.1, 1.0), (1.0, 1.02)]
     assert_walk_matches_each_cell("xyn", [90, 3, 47], 0.4937, cells, {1, 3})
-    # the walk's two cells of the detuned family each tried its first block sample
+    # the walk's plan, then cell 1's own walk, each tried the first block sample
     assert failed[:2] == [(0.0, 32 * CFG.dt)] * 2
     cache = PropagatorCache(GENERIC)
+    del failed[:]
     evolution.sweep_n_cells(GENERIC, "xyn", [90, 3, 47], 0.4937, PI_PULSE, CFG, cells,
                             cache=cache)
+    # one plan tries the failing family once: its first block sample fails every
+    # shape of both detuned cells, and neither cell retries it
+    assert failed == [(0.0, 32 * CFG.dt)]
     detuned = cache.pulse_key(replace(PI_PULSE, omegap=50.0 * 1.02), 0.0, CFG.dt)[1][1:]
     assert cache._families[detuned].series is None  # no half-built series is kept
+
+
+def test_a_walk_interrupted_mid_build_leaves_no_route_behind(monkeypatch):
+    original = evolution.pulse_propagator
+    calls = []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 1:  # stands in for a KeyboardInterrupt or MemoryError
+            raise RuntimeError("interrupted")
+        return original(*args)
+
+    monkeypatch.setattr(evolution, "pulse_propagator", interrupted)
+    cache = PropagatorCache(GENERIC)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        sweep_n(GENERIC, "xyn", range(1, 91), 0.4937, PI_PULSE, SimConfig(dt=0.001),
+                cache=cache)
+    monkeypatch.setattr(evolution, "pulse_propagator", original)
+    builds = counting_builds(monkeypatch)
+    # a later lookup is a plan of its own key: one exact build, as on a fresh cache
+    u = cache.pulse(PI_PULSE, 0.3 / 50, 0.001)
+    assert [round(args[1].duration / args[4]) for args in builds] == [100]
+    assert np.array_equal(u, PropagatorCache(GENERIC).pulse(PI_PULSE, 0.3 / 50, 0.001))
+
+
+def walk_preset(name):
+    """One walk of preset ``name``: its sweep, or the first row of its error map."""
+    cfg, system, pulse, sim = preset_inputs(name)
+    seq, grid = cfg.data["sequence"], cfg.data.get("errmap")
+    if grid is not None:
+        cells = [(grid["length_factors"][0] * seq["length_factor"], ff * seq["freq_factor"])
+                 for ff in grid["freq_factors"]]
+        evolution.sweep_n_cells(system, seq["family"], cfg.sweep_values(), seq["tau"], pulse,
+                                sim, cells)
+    elif cfg.sweep_axis == "n":
+        sweep_n(system, seq["family"], cfg.sweep_values(), seq["tau"], pulse, sim)
+    else:
+        sweep_tau(system, seq["family"], seq["n"], cfg.sweep_values(), pulse, sim)
+    return system, sim.dt
+
+
+@pytest.mark.parametrize("name, count", [
+    ("nv-ddgate", 81), ("pulse-error-map", 567), ("nv-xyn-spectrum", 1410),
+    ("cpmg-spectrum", 2112),
+])
+def test_a_plan_does_not_depend_on_request_order(monkeypatch, name, count):
+    requests = logged_requests(monkeypatch)
+    system, dt = walk_preset(name)
+    assert len(requests) == count
+    planned = [(drive, t_start) for drive, t_start, _ in requests]
+    forward, backward = PropagatorCache(system), PropagatorCache(system)
+    assert forward.plan(planned, dt) == {} == backward.plan(planned[::-1], dt)
+    assert forward._pulses.keys() == backward._pulses.keys()
+    assert all(np.array_equal(u, backward._pulses[key]) for key, u in forward._pulses.items())
 
 
 # ---------------------------------------------------------------- block route
@@ -765,7 +823,7 @@ def test_block_entries_match_the_exact_build(monkeypatch, system, pulse, dt, nst
     builds = counting_builds(monkeypatch)
     cache = PropagatorCache(system)
     starts = np.random.default_rng(7).random(40) / pulse.omegap
-    cache.expect(cache.pulse_key(pulse, t, dt) for t in starts)
+    cache.plan([(pulse, t) for t in starts], dt)
     got = [cache.pulse(pulse, t, dt) for t in starts]
     m_b = 21 if system is NV else 29
     assert round(pulse.duration / dt) == nsteps
@@ -786,7 +844,7 @@ def test_a_family_is_blocked_only_above_its_block_samples(monkeypatch):
     # 9 x 100 planned steps <= 29 x 32 < 10 x 100
     below = [(PI_PULSE, (k + 0.1) / 9 / 50.0) for k in range(9)]
     above = [(detuned, (k + 0.1) / 10 / 51.0) for k in range(10)]
-    cache.expect(cache.pulse_key(p, t, 0.001) for p, t in below + above)
+    cache.plan(below + above, 0.001)
     got = [cache.pulse(p, t, 0.001) for p, t in below + above]
     assert [(args[1].omegap, args[1].duration) for args in builds] == (
         [(50.0, 0.1)] * 9 + [(51.0, 0.032)] * 29 + [(51.0, 0.004)] * 10)
@@ -796,7 +854,6 @@ def test_a_family_is_blocked_only_above_its_block_samples(monkeypatch):
         assert np.array_equal(u, block_product(GENERIC, cache, p, t, 0.001))
         assert np.max(np.abs(u - keyed_build(GENERIC, p, t, 0.001))) <= 1e-13
     # unplanned: the exact family stays exact, the blocked one keeps its series
-    cache.expect(())
     del builds[:]
     cache.pulse(PI_PULSE, 0.5 / 50.0, 0.001)
     cache.pulse(detuned, 0.5 / 51.0, 0.001)
