@@ -42,15 +42,18 @@ steps built exactly.  A plan picks each route once, from the keys it
 lacks (see ``PropagatorCache``): a shape takes its M samples when its
 exact phases, held and missing, would pass 2 M, and a family is blocked
 when it holds its ``M_B = _phase_count(B y)`` block samples or its
-missing keys' Trotter steps exceed their ``M_B B``.
+missing keys' Trotter steps exceed their ``M_B B``.  Either series is
+read once per shape: every block of every phase a blocked shape builds
+in one batched product and one stacked pairwise reduction, every phase
+of a sampled shape in one batched product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
 
 from .algebra import DensityMatrix, Operator, check_states, eig_hermitian, eig_propagator
 from .analysis import SweepResult, expvals
@@ -117,6 +120,19 @@ class EvolutionResult:
     unitary: Operator
 
 
+def _chebyshev(x: np.ndarray, k: int) -> np.ndarray:
+    """``(k, len(x))`` rows ``T_m(x)``, m < k, by the three-term recurrence
+    ``T_m = 2 x T_(m-1) - T_(m-2)``."""
+    v = np.empty((k, len(x)))
+    v[0] = 1.0
+    if k > 1:
+        v[1] = x
+        x2 = 2.0 * x
+        for m in range(2, k):
+            v[m] = v[m - 1] * x2 - v[m - 2]
+    return v
+
+
 def _step_coefficients(h0: Operator, drive_op: Operator, omega1: float, dt: float) -> tuple:
     """``y`` and the ``(K, d^2)`` Chebyshev coefficient matrices of one
     Trotter step in the carrier amplitude (see ``pulse_propagator``)."""
@@ -127,7 +143,7 @@ def _step_coefficients(h0: Operator, drive_op: Operator, omega1: float, dt: floa
     w, v = np.linalg.eigh(nodes)
     u_nodes = eig_propagator(w, v, dt).reshape(k, -1)
     # c_m = (2 / K) sum_j U(x_j) T_m(x_j), halved for m = 0
-    transform = (2.0 / k) * chebvander(np.cos(theta), k - 1).T
+    transform = (2.0 / k) * _chebyshev(np.cos(theta), k)
     transform[0] *= 0.5
     return y, transform @ u_nodes
 
@@ -170,18 +186,20 @@ def pulse_propagator(h0: Operator, pulse: DrivePulse, drive_op: Operator,
     t_mid = t_start + (np.arange(nsteps) + 0.5) * dt
     x = pulse.carrier(t_mid) / pulse.omega1
     d = h0.shape[0]
-    us = (chebvander(x, len(coefficients) - 1) @ coefficients).reshape(nsteps, d, d)
+    us = (_chebyshev(x, len(coefficients)).T @ coefficients).reshape(nsteps, d, d)
 
     return Operator(_reduce(us), h0.dims)
 
 
 def _reduce(us: np.ndarray) -> np.ndarray:
-    """Product of the ``(n, d, d)`` factors ``us``, later ones on the left, by
-    pairwise reduction in time order; an odd last factor waits a level."""
-    while len(us) > 1:
-        paired = us[1::2] @ us[0:len(us) - 1:2]
-        us = np.concatenate((paired, us[-1:])) if len(us) % 2 else paired
-    return us[0]
+    """Product of the ``(..., n, d, d)`` factors ``us`` along their n axis,
+    later ones on the left, by pairwise reduction in time order; an odd last
+    factor waits a level."""
+    while us.shape[-3] > 1:
+        n = us.shape[-3]
+        paired = us[..., 1::2, :, :] @ us[..., 0:n - 1:2, :, :]
+        us = np.concatenate((paired, us[..., -1:, :, :]), axis=-3) if n % 2 else paired
+    return us[..., 0, :, :]
 
 
 @dataclass
@@ -195,15 +213,19 @@ class _Series:
     series: np.ndarray | None = None
     harmonics: np.ndarray | None = None
 
-    def sample(self, build) -> None:
-        """Take the FFT of ``build(j / M)``, j < M; nothing is kept if a build raises."""
+    def phases(self) -> list:
+        """The sample phases ``j / M`` in cycles, j < M."""
+        return [j / self.samples for j in range(self.samples)]
+
+    def sample(self, samples) -> None:
+        """Take the FFT of the entries at ``phases()``."""
         m = self.samples
-        samples = [build(j / m) for j in range(m)]
         self.harmonics = 2j * np.pi * np.fft.fftfreq(m, 1.0 / m)
         self.series = np.fft.fft(np.array(samples).reshape(m, -1), axis=0) / m
 
-    def at(self, cycles) -> np.ndarray:
-        """The flattened series at phase ``cycles``, one row per phase of a column."""
+    def at(self, cycles: np.ndarray) -> np.ndarray:
+        """The flattened series at phases ``cycles`` of shape ``(..., 1)``: one
+        ``exp(harmonics cycles) @ series`` product per stacked row vector."""
         return np.exp(self.harmonics * cycles) @ self.series
 
 
@@ -238,13 +260,21 @@ class PropagatorCache:
     - a family is blocked once it holds its block series, or when the
       Trotter steps of its missing keys, nsteps summed over them, exceed the
       ``M_B B`` steps of that series, ``M_B = _phase_count(B y)`` samples of
-      one block of B = ``_BLOCK`` steps each.  A blocked build reads the
-      pulse's first ``nsteps // B`` blocks off the series at their start
-      phases, ``cycles + j omegap B dt`` for block j, builds its trailing
+      one block of B = ``_BLOCK`` steps each.  A blocked shape builds all
+      its phases at once, its missing ones or its M samples: it reads each
+      phase's first ``nsteps // B`` blocks off the series at their start
+      phases, ``cycles + j omegap B dt`` for block j, in one batched
+      ``(S, q, M_B) @ (M_B, d^2)`` product, builds each phase's trailing
       ``nsteps % B`` steps with one ``pulse_propagator`` call, and multiplies
-      the factors by the steps' pairwise reduction, whose subtrees the
-      blocks are (measured: block-built entries within 2.3e-14 of the exact
-      build).  Any other build is one ``pulse_propagator`` call.
+      the ``(S, q[+1], d, d)`` stack by the steps' pairwise reduction, whose
+      subtrees the blocks are (measured: block-built entries within 2.3e-14
+      of the exact build).  Any other build is one ``pulse_propagator`` call.
+
+    A sampled shape reads all its missing phases off its series in one
+    ``(S, 1, M) @ (M, d^2)`` product.  Both products are batched so that
+    each phase is its own product, and an entry is the same bits whatever
+    else its stack holds; in a flat 2-D stack numpy would multiply a single
+    row (one block or one phase) on another path, about 5e-15 apart.
     """
 
     def __init__(self, system):
@@ -320,41 +350,55 @@ class PropagatorCache:
             steps = self._steps[(pulse.omega1, dt)] = _step_coefficients(
                 self.system.h0, self.system.drive_op, pulse.omega1, dt)
         nsteps = round(pulse.duration / dt)
-        state = self._shapes.setdefault(shape, _Series(_phase_count(nsteps * steps[0])))
+        state = self._shapes.get(shape)
+        if state is None:
+            state = self._shapes[shape] = _Series(_phase_count(nsteps * steps[0]))
         if state.series is None:
-            blocks = self._families.setdefault(family, _Series(_phase_count(_BLOCK * steps[0])))
+            blocks = self._families.get(family)
+            if blocks is None:
+                blocks = self._families[family] = _Series(_phase_count(_BLOCK * steps[0]))
             if family in broken:
                 raise broken[family]
             if blocks.series is None and (family_steps or nsteps) > _BLOCK * blocks.samples:
                 block = replace(pulse, duration=_BLOCK * dt)
                 try:  # each sample is built exactly: the series is set once all are
-                    blocks.sample(lambda c: self._build(block, c, dt, steps[1], blocks))
+                    blocks.sample(self._build(dict.fromkeys(blocks.phases(), block), dt, steps[1]))
                 except ValueError as exc:
                     broken[family] = exc
                     raise
+            build = self._build
+            if blocks.series is not None and nsteps >= _BLOCK:
+                build = partial(self._blocked, blocks)
             if state.built + len(phases) <= 2 * state.samples:
-                entries = {(c, shape): self._build(drive, c, dt, steps[1], blocks)
-                           for c, drive in phases.items()}
+                entries = dict(zip([(c, shape) for c in phases], build(phases, dt, steps[1])))
                 state.built += len(entries)
                 return entries
-            state.sample(lambda c: self._build(pulse, c, dt, steps[1], blocks))
-        return {(c, shape): state.at(c).reshape(self.system.h0.shape) for c in phases}
+            state.sample(build(dict.fromkeys(state.phases(), pulse), dt, steps[1]))
+        us = state.at(np.array(list(phases))[:, None, None])
+        return dict(zip([(c, shape) for c in phases], us.reshape(-1, *self.system.h0.shape)))
 
-    def _build(self, pulse: DrivePulse, cycles: float, dt: float, coefficients,
-               blocks: _Series) -> np.ndarray:
-        nsteps = round(pulse.duration / dt)
-        if blocks.series is None or nsteps < _BLOCK:
-            keyed = replace(pulse, phase=2.0 * np.pi * cycles)
-            return pulse_propagator(self.system.h0, keyed, self.system.drive_op, 0.0, dt,
-                                    coefficients).mat
-        q, r = divmod(nsteps, _BLOCK)
-        starts = (cycles + np.arange(q) * (pulse.omegap * _BLOCK * dt)) % 1.0
-        us = blocks.at(starts[:, None]).reshape(q, *self.system.h0.shape)
+    def _build(self, phases: dict, dt: float, coefficients) -> list:
+        """One exact build per phase of ``phases``, cycles -> pulse."""
+        return [pulse_propagator(self.system.h0, replace(drive, phase=2.0 * np.pi * c),
+                                 self.system.drive_op, 0.0, dt, coefficients).mat
+                for c, drive in phases.items()]
+
+    def _blocked(self, blocks: _Series, phases: dict, dt: float, coefficients) -> np.ndarray:
+        """The ``(S, d, d)`` block products of one shape at ``phases``,
+        cycles -> pulse, on a family whose block series is ``blocks``."""
+        h0, drive_op = self.system.h0, self.system.drive_op
+        q, r = divmod(round(next(iter(phases.values())).duration / dt), _BLOCK)
+        # every block of every phase in one batched product, (S, q, M) @ (M, d^2):
+        # each phase's rows are a product of their own, as a single phase's would be
+        cycles = np.array(list(phases))[:, None]
+        rates = np.array([drive.omegap * _BLOCK * dt for drive in phases.values()])[:, None]
+        starts = (cycles + np.arange(q) * rates) % 1.0
+        us = blocks.at(starts[..., None]).reshape(len(phases), q, *h0.shape)
         if r:
-            tail = replace(pulse, phase=2.0 * np.pi * cycles, duration=r * dt)
-            tail_u = pulse_propagator(self.system.h0, tail, self.system.drive_op,
-                                      q * _BLOCK * dt, dt, coefficients).mat
-            us = np.concatenate((us, tail_u[None]))
+            tails = [pulse_propagator(h0, replace(drive, phase=2.0 * np.pi * c, duration=r * dt),
+                                      drive_op, q * _BLOCK * dt, dt, coefficients).mat
+                     for c, drive in phases.items()]
+            us = np.concatenate((us, np.array(tails)[:, None]), axis=1)
         return _reduce(us)
 
 

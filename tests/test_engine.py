@@ -861,6 +861,43 @@ def test_a_family_is_blocked_only_above_its_block_samples(monkeypatch):
         (50.0, 0.1), (51.0, 0.004)]
 
 
+@pytest.mark.parametrize("interpolated", [False, True], ids=["blocked", "interpolated"])
+@pytest.mark.parametrize("system, pulse, other, dt, m", [
+    # one block and 18 trailing steps; 10 pi pulses' 10 x 100 > 29 x 32 steps block the family
+    (GENERIC, DrivePulse(5.0, 50.0, 0.0, 0.05), PI_PULSE, 0.001, 35),
+    # sixteen blocks; 10 pi/2 pulses' 10 x 256 > 21 x 32 steps block the family
+    (NV, NV_PI, NV_HALF, NV_DT, 51),
+], ids=["generic-0.5", "nv-pi"])
+def test_an_entry_does_not_depend_on_its_stack(system, pulse, other, dt, m, interpolated):
+    # the target phase planned alone and among 40 others, forward and reversed, after
+    # warm-up plans that block the family and, if interpolated, sample the shape
+    rng = np.random.default_rng(13)
+    target, others = rng.random(), rng.random(40)
+    warm = rng.random(2 * m + 1) if interpolated else rng.random(10)
+    warm_pulse = pulse if interpolated else other
+
+    def planned(cycles):
+        cache = PropagatorCache(system)
+        assert cache.plan([(warm_pulse, c / warm_pulse.omegap) for c in warm], dt) == {}
+        assert cache.plan([(pulse, c / pulse.omegap) for c in cycles], dt) == {}
+        cycles, shape = cache.pulse_key(pulse, target / pulse.omegap, dt)
+        assert cache._families[shape[1:]].series is not None
+        state = cache._shapes[shape]
+        assert (state.series is not None) == interpolated
+        if interpolated:
+            d = system.h0.shape[0]
+            expected = (np.exp(state.harmonics * cycles) @ state.series).reshape(d, d)
+        else:
+            expected = block_product(system, cache, pulse, target / pulse.omegap, dt)
+        return cache._pulses[(cycles, shape)], expected
+
+    among = [*others[:20], target, *others[20:]]
+    alone, forward, backward = planned([target]), planned(among), planned(among[::-1])
+    for u, expected in (alone, forward, backward):
+        assert np.array_equal(u, expected)
+        assert np.array_equal(u, alone[0])
+
+
 # ---------------------------------------------------------------- batched fit
 
 def scalar_fit(n, y, value_range):
