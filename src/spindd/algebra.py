@@ -10,6 +10,7 @@ resulting propagators exactly unitary instead of merely close to it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,12 +176,14 @@ class SpinOperators:
     sz: Operator
 
 
+@functools.cache
 def spin_ops(d: int) -> SpinOperators:
     """Spin operators for a ``d``-level spin, ``d`` in {2, 3}.
 
     Spin-1/2 operators are the Pauli matrices over two; spin-1 operators
     are the standard spin-1 matrices.  ``sz`` is diagonal with descending
-    spin projections, so basis index 0 is the highest projection.
+    spin projections, so basis index 0 is the highest projection.  The
+    operators are immutable, so every call for one ``d`` returns the same set.
     """
     if d == 2:
         sx = np.array([[0.0, 0.5], [0.5, 0.0]])

@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -143,15 +143,9 @@ SCHEMA = {
     },
 }
 
-_NV_DEFAULTS = {
-    "theta0_deg": 0.0,
-    "d_zfs": 2870.0,
-    "gamma_e": -28.025,
-    "gamma_n": -4.316e-3,
-    "axx": 3.65,
-    "ayy": 3.65,
-    "azz": 3.03,
-}
+# the defaults of NvParams after b0, with the field tilt theta0 in degrees
+_NV_DEFAULTS = {"theta0_deg": math.degrees(NvParams.theta0),
+                **{f.name: f.default for f in fields(NvParams)[2:]}}
 
 
 class ConfigError(ValueError):
@@ -250,7 +244,7 @@ def _semantic_problems(raw: dict) -> list:
         for key in ("omega00", "targets"):
             if key not in system:
                 problems.append(f"system.{key}: required for the generic model")
-        for key in ("b0", "theta0_deg", "d_zfs", "gamma_e", "gamma_n", "axx", "ayy", "azz"):
+        for key in ("b0", *_NV_DEFAULTS):
             if key in system:
                 problems.append(f"system.{key}: not a generic-model field")
         for i, tgt in enumerate(system.get("targets", [])):
@@ -311,6 +305,8 @@ def _semantic_problems(raw: dict) -> list:
             problems.append("coupling_scan: only defined for a generic single-target system")
         elif isinstance(targets[0], dict) and "coupling" in targets[0]:
             problems.append("coupling_scan: incompatible with a full coupling tensor")
+        if any(name != "pseudo-fidelity" for name in metrics):
+            problems.append("outputs.metrics: a coupling_scan computes only pseudo-fidelity")
     return problems
 
 
@@ -419,16 +415,8 @@ class ExperimentConfig:
                     coupling = np.asarray(coupling, dtype=float)
                 targets.append(TargetParams(float(tgt["omega0"]), coupling))
             return GenericSystemParams(float(system["omega00"]), tuple(targets))
-        return NvParams(
-            b0=float(system["b0"]),
-            theta0=math.radians(float(system["theta0_deg"])),
-            d_zfs=float(system["d_zfs"]),
-            gamma_e=float(system["gamma_e"]),
-            gamma_n=float(system["gamma_n"]),
-            axx=float(system["axx"]),
-            ayy=float(system["ayy"]),
-            azz=float(system["azz"]),
-        )
+        return NvParams(float(system["b0"]), math.radians(float(system["theta0_deg"])),
+                         **{key: float(system[key]) for key in list(_NV_DEFAULTS)[1:]})
 
     def build_system(self, azx_override: float | None = None):
         params = self.system_params(azx_override)

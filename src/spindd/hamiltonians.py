@@ -21,20 +21,18 @@ which ``calibrate_rabi`` picks up automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
     DensityMatrix,
     Operator,
-    basis_dm,
     basis_ket,
     eig_hermitian,
     embed,
-    identity,
+    partial_trace,
     spin_ops,
-    tensor,
 )
 from .sequences import DrivePulse
 
@@ -42,7 +40,7 @@ __all__ = [
     "TargetParams", "GenericSystemParams", "NvParams", "Observable",
     "SpinSystem", "DrivePulse", "generic_h0", "drive_h1", "nv_h0",
     "nv_rotated_tensor", "transition_frequency", "calibrate_rabi",
-    "generic_system", "nv_system",
+    "generic_system", "nv_system", "polarization_target",
 ]
 
 
@@ -103,12 +101,17 @@ class NvParams:
 
 @dataclass(frozen=True)
 class Observable:
-    """Labeled Hermitian observable with its full value range."""
+    """Labeled Hermitian observable with its full value range.
+
+    ``site`` is the register site of the target spin it measures, or
+    ``None`` for an observable of the central spin.
+    """
 
     label: str
     op: Operator
     lo: float
     hi: float
+    site: int | None = None
 
 
 @dataclass(frozen=True)
@@ -135,28 +138,31 @@ class SpinSystem:
         return self.h0.dims
 
 
+def _add_coupling(h: np.ndarray, amat: np.ndarray, site: int, dims) -> np.ndarray:
+    """``h`` plus ``sum_ab amat[a, b] S_a I_b`` between the central spin
+    and the target at ``site``, the terms added in (a, b) order."""
+    s, i = spin_ops(dims[0]), spin_ops(dims[site])
+    s_comps, i_comps = [s.sx, s.sy, s.sz], [i.sx, i.sy, i.sz]
+    for a in range(3):
+        for b in range(3):
+            if amat[a, b] != 0.0:
+                term = embed(s_comps[a], 0, dims) @ embed(i_comps[b], site, dims)
+                h = h + amat[a, b] * term.mat
+    return h
+
+
 def generic_h0(params: GenericSystemParams) -> Operator:
     """Static Hamiltonian of the generic model.
 
     ``omega00 Sz + sum_j (omega0j Iz_j + coupling_j)`` over a register
     of qubits with the central spin at site 0.
     """
-    m = len(params.targets)
-    dims = (2,) * (1 + m)
-    central = spin_ops(2)
-    s_comps = [central.sx, central.sy, central.sz]
-    h = params.omega00 * embed(central.sz, 0, dims).mat
+    dims = (2,) * (1 + len(params.targets))
+    sz = spin_ops(2).sz
+    h = params.omega00 * embed(sz, 0, dims).mat
     for j, tgt in enumerate(params.targets, start=1):
-        tops = spin_ops(2)
-        h = h + tgt.omega0 * embed(tops.sz, j, dims).mat
-        amat = tgt.coupling_matrix()
-        i_comps = [tops.sx, tops.sy, tops.sz]
-        for a in range(3):
-            for b in range(3):
-                if amat[a, b] == 0.0:
-                    continue
-                term = embed(s_comps[a], 0, dims) @ embed(i_comps[b], j, dims)
-                h = h + amat[a, b] * term.mat
+        h = h + tgt.omega0 * embed(sz, j, dims).mat
+        h = _add_coupling(h, tgt.coupling_matrix(), j, dims)
     return Operator(h, dims, herm=True)
 
 
@@ -220,16 +226,7 @@ def nv_h0(params: NvParams, frame: str = "nv") -> Operator:
         amat = nv_rotated_tensor(params)
     else:
         raise ValueError(f"unknown frame {frame!r}; expected 'nv' or 'field'")
-
-    e_comps = [e.sx, e.sy, e.sz]
-    n_comps = [n.sx, n.sy, n.sz]
-    for a in range(3):
-        for b in range(3):
-            if amat[a, b] == 0.0:
-                continue
-            term = embed(e_comps[a], 0, dims) @ embed(n_comps[b], 1, dims)
-            h = h + amat[a, b] * term.mat
-    return Operator(h, dims, herm=True)
+    return Operator(_add_coupling(h, amat, 1, dims), dims, herm=True)
 
 
 def _label_eigenstates(h0: Operator):
@@ -264,15 +261,42 @@ def transition_frequency(h0: Operator, from_levels, to_levels) -> float:
     return float(abs(w[idx_to] - w[idx_from]))
 
 
-def _central_level_projector(system: SpinSystem) -> Operator:
-    """Projector on the central level initially populated in rho0."""
-    from .algebra import partial_trace
-
+def _central_level(system: SpinSystem) -> int:
+    """The central level initially populated in rho0."""
     central = partial_trace(system.rho0.op, {0})
-    level = int(np.argmax(np.real(np.diag(central.mat))))
-    proj = np.zeros((system.dims[0], system.dims[0]), dtype=complex)
+    return int(np.argmax(np.real(np.diag(central.mat))))
+
+
+def _central_projector(dims, level: int) -> Operator:
+    """Projector on one level of the central spin, embedded in the register."""
+    proj = np.zeros((dims[0], dims[0]), dtype=complex)
     proj[level, level] = 1.0
-    return embed(Operator(proj, (system.dims[0],), herm=True), 0, system.dims)
+    return embed(Operator(proj, (dims[0],), herm=True), 0, dims)
+
+
+def _product_dm(dims, central_levels, polarized_sites, label: str = "") -> DensityMatrix:
+    """Product state: the central spin evenly mixed over ``central_levels``,
+    each target at ``polarized_sites`` in its level 0 (spin up) and every
+    other target maximally mixed."""
+    mat = np.zeros((dims[0], dims[0]), dtype=complex)
+    mat[central_levels, central_levels] = 1.0 / len(central_levels)
+    for j, d in enumerate(dims[1:], start=1):
+        mat = np.kron(mat, np.diag(np.eye(d)[0]) if j in polarized_sites else np.eye(d) / d)
+    return DensityMatrix(Operator(mat, tuple(dims)), label=label)
+
+
+def polarization_target(system: SpinSystem, site: int) -> DensityMatrix:
+    """The state that polarizes the target at ``site`` and nothing else.
+
+    The target is in its level 0 (spin up), the other targets are
+    maximally mixed and the central spin is evenly mixed over its driven
+    pair of levels: the initially populated one and the one with ``m``
+    lower by one (the whole generic qubit, ``m_S`` in {0, -1} of the NV).
+    """
+    if not 1 <= site < len(system.dims):
+        raise ValueError(f"site {site} is not a target of a {len(system.dims)}-site register")
+    level = _central_level(system)
+    return _product_dm(system.dims, [level, level + 1], (site,))
 
 
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1 / golden ratio squared
@@ -315,7 +339,7 @@ def calibrate_rabi(system: SpinSystem, target_tpi: float, carrier: float,
         raise ValueError(f"target pi duration must be positive, got {target_tpi}")
     if dt is None:
         dt = target_tpi / 512.0
-    proj0 = _central_level_projector(system)
+    proj0 = _central_projector(system.dims, _central_level(system))
     rho0 = system.rho0.mat
 
     def transfer(omega1: float) -> float:
@@ -334,23 +358,22 @@ def calibrate_rabi(system: SpinSystem, target_tpi: float, carrier: float,
     return best
 
 
-def _generic_observables(dims) -> tuple:
-    ops = spin_ops(2)
-    obs = [Observable("Sz", embed(ops.sz, 0, dims), -0.5, 0.5)]
-    n_targets = len(dims) - 1
-    for j in range(1, len(dims)):
-        label = "Iz" if n_targets == 1 else f"Iz{j}"
-        obs.append(Observable(label, embed(ops.sz, j, dims), -0.5, 0.5))
-    return tuple(obs)
-
-
-def _mixed_targets_dm(dims, label: str) -> DensityMatrix:
-    central = np.zeros((dims[0], dims[0]), dtype=complex)
-    central[0, 0] = 1.0
-    mat = central
-    for d in dims[1:]:
-        mat = np.kron(mat, np.eye(d) / d)
-    return DensityMatrix(Operator(mat, tuple(dims)), label=label)
+def _system(h0: Operator, level: int, central_obs: Observable, initial: str,
+            **kwargs) -> SpinSystem:
+    """The ready-to-evolve system around ``h0``: the 2 Sx drive on the
+    central spin, ``central_obs`` and one ``Iz`` per target (``Iz1``,
+    ``Iz2``, ... when there are several), and the ``initial`` state with
+    the central spin in ``level``."""
+    dims = h0.dims
+    drive = Operator((2.0 * embed(spin_ops(dims[0]).sx, 0, dims)).mat, dims, herm=True)
+    sz = spin_ops(2).sz
+    targets = [Observable("Iz" if len(dims) == 2 else f"Iz{j}", embed(sz, j, dims),
+                          -0.5, 0.5, site=j) for j in range(1, len(dims))]
+    if initial not in ("polarized", "mixed-target"):
+        raise ValueError(f"unknown initial state {initial!r}")
+    polarized = range(1, len(dims)) if initial == "polarized" else ()
+    rho0 = _product_dm(dims, [level], polarized, initial)
+    return SpinSystem(h0, drive, rho0, (central_obs, *targets), **kwargs)
 
 
 def generic_system(params: GenericSystemParams,
@@ -361,16 +384,8 @@ def generic_system(params: GenericSystemParams,
     ``"mixed-target"`` (central spin up, targets maximally mixed).
     """
     h0 = generic_h0(params)
-    dims = h0.dims
-    drive = 2.0 * embed(spin_ops(2).sx, 0, dims)
-    drive = Operator(drive.mat, dims, herm=True)
-    if initial == "polarized":
-        rho0 = basis_dm(dims, (0,) * len(dims), label="polarized")
-    elif initial == "mixed-target":
-        rho0 = _mixed_targets_dm(dims, "mixed-target")
-    else:
-        raise ValueError(f"unknown initial state {initial!r}")
-    return SpinSystem(h0, drive, rho0, _generic_observables(dims), time_unit="arb")
+    sz = Observable("Sz", embed(spin_ops(2).sz, 0, h0.dims), -0.5, 0.5)
+    return _system(h0, 0, sz, initial, time_unit="arb")
 
 
 def nv_system(params: NvParams, initial: str = "polarized",
@@ -389,27 +404,7 @@ def nv_system(params: NvParams, initial: str = "polarized",
     which realizes y-axis wrappers there (see ``sequences``).
     """
     h0 = nv_h0(params, frame=frame)
-    dims = h0.dims
-    drive = 2.0 * embed(spin_ops(3).sx, 0, dims)
-    drive = Operator(drive.mat, dims, herm=True)
-
-    proj_ms0 = np.zeros((3, 3), dtype=complex)
-    proj_ms0[1, 1] = 1.0  # basis order is m_S = +1, 0, -1
-    fluor = embed(Operator(proj_ms0, (3,), herm=True), 0, dims)
-    iz = embed(spin_ops(2).sz, 1, dims)
-    observables = (
-        Observable("Sz", fluor, 0.0, 1.0),
-        Observable("Iz", iz, -0.5, 0.5),
-    )
-
-    if initial == "polarized":
-        rho0 = basis_dm(dims, (1, 0), label="polarized")
-    elif initial == "mixed-target":
-        central = np.zeros((3, 3), dtype=complex)
-        central[1, 1] = 1.0
-        mat = np.kron(central, np.eye(2) / 2.0)
-        rho0 = DensityMatrix(Operator(mat, dims), label="mixed-target")
-    else:
-        raise ValueError(f"unknown initial state {initial!r}")
-    return SpinSystem(h0, drive, rho0, observables, time_unit="us",
-                      wrapper_phase=3.0 * math.pi / 2.0)
+    # basis order is m_S = +1, 0, -1: the monitored m_S = 0 level is 1
+    fluor = Observable("Sz", _central_projector(h0.dims, 1), 0.0, 1.0)
+    return _system(h0, 1, fluor, initial, time_unit="us",
+                   wrapper_phase=3.0 * math.pi / 2.0)

@@ -21,9 +21,11 @@ import numpy as np
 
 from . import __version__
 from .algebra import DensityMatrix, Operator, basis_dm, partial_trace
-from .analysis import GateMetrics, concurrence, find_resonance, pseudo_fidelity, state_fidelity
+from .analysis import (GateMetrics, concurrence, find_resonance, pseudo_fidelity, state_fidelity,
+                       tpi_scaling)
 from .config import ConfigError, ExperimentConfig
 from .evolution import sweep_n, sweep_n_cells, sweep_tau
+from .hamiltonians import polarization_target
 # unused here; benchmarks/spans.py patches these names on this module
 from .evolution import apply_sequence, inject_errors  # noqa: F401
 
@@ -79,49 +81,22 @@ def _run_sweep(cfg, system, pulse, sim_cfg):
     return sweep_tau(system, seq["family"], int(seq["n"]), values, pulse, sim_cfg, **kwargs)
 
 
-def _target_site(system, label: str) -> int:
-    if label == "Iz":
-        return 1
-    if label.startswith("Iz") and label[2:].isdigit():
-        return int(label[2:])
-    raise ConfigError([f"outputs.fit_observable: {label!r} is not a target observable"])
-
-
-def _polarization_target(system, site: int) -> DensityMatrix:
-    dims = system.dims
-    if dims[0] == 3:
-        central = np.diag([0.0, 0.5, 0.5]).astype(complex)  # qubit manifold m_S in {0, -1}
-    else:
-        central = np.eye(dims[0], dtype=complex) / dims[0]
-    mat = central
-    for j, d in enumerate(dims[1:], start=1):
-        part = np.zeros((d, d), dtype=complex)
-        if j == site:
-            part[0, 0] = 1.0
-        else:
-            part = np.eye(d, dtype=complex) / d
-        mat = np.kron(mat, part)
-    return DensityMatrix(Operator(mat, dims))
-
-
-def _metric_inputs(cfg, system) -> tuple:
-    """The fit observable and, for the metrics that read one, the target
-    site; raises the metrics' config errors before any sweep runs."""
-    obs, site = _fit_observable(cfg, system), None
+def _metric_inputs(cfg, system):
+    """The fit observable; raises the metrics' config errors before any
+    sweep runs."""
+    obs = _fit_observable(cfg, system)
     for name in cfg.data["outputs"]["metrics"]:
-        if name in ("inversion-fidelity", "polarization"):
-            site = _target_site(system, obs.label)
-        elif name == "concurrence" and system.dims != (2, 2):
+        if name in ("inversion-fidelity", "polarization") and obs.site is None:
+            raise ConfigError([f"outputs.fit_observable: {obs.label!r} is not a target observable"])
+        if name == "concurrence" and system.dims != (2, 2):
             raise ConfigError(["outputs.metrics: concurrence needs a two-qubit register"])
-    return obs, site
+    return obs
 
 
-def _compute_metrics(cfg, system, sweep, obs, site):
+def _compute_metrics(cfg, system, sweep, obs):
     metrics = GateMetrics()
     extras = {}
-    value_range = (obs.lo, obs.hi)
     tau = cfg.data["sequence"].get("tau")
-    n_pi = None
 
     def state(k: int) -> DensityMatrix:
         return DensityMatrix(Operator(sweep.states[k], system.dims))
@@ -131,28 +106,25 @@ def _compute_metrics(cfg, system, sweep, obs, site):
         k = int(np.argmin(np.abs(sweep.values - round(n))))
         return int(sweep.values[k]), state(k)
 
-    def fitted_n_pi():
-        nonlocal n_pi
-        if n_pi is None:
-            _, n_pi = pseudo_fidelity(sweep, obs.label, value_range)
-        return n_pi
+    names = cfg.data["outputs"]["metrics"]
+    if {"pseudo-fidelity", "inversion-fidelity", "concurrence"} & set(names):
+        f_tilde, n_pi = pseudo_fidelity(sweep, obs.label, (obs.lo, obs.hi))
 
-    for name in cfg.data["outputs"]["metrics"]:
+    for name in names:
         if name == "pseudo-fidelity":
-            f_tilde, n_pi = pseudo_fidelity(sweep, obs.label, value_range)
             metrics.f_tilde = f_tilde
             metrics.n_pi = n_pi
             metrics.t_pi = n_pi * float(tau)
         elif name == "resonance":
             extras["resonance_tau"] = find_resonance(sweep, obs.label)
         elif name == "inversion-fidelity":
-            n_star, rho = nearest(fitted_n_pi())
-            reduced = partial_trace(rho, {site})
+            n_star, rho = nearest(n_pi)
+            reduced = partial_trace(rho, {obs.site})
             target = basis_dm(reduced.dims, (1,))
             metrics.state_fidelity = state_fidelity(reduced, target)
             extras["inversion_n"] = n_star
         elif name == "concurrence":
-            n_half, rho = nearest(fitted_n_pi() / 2.0)
+            n_half, rho = nearest(n_pi / 2.0)
             metrics.concurrence = concurrence(rho)
             extras["concurrence_n"] = n_half
         elif name == "polarization":
@@ -163,7 +135,8 @@ def _compute_metrics(cfg, system, sweep, obs, site):
             extras["iz_max_n"] = n_star
             extras["efficiency"] = float(trace[idx] / obs.hi)
             extras["t_pol"] = n_star * float(tau)
-            metrics.state_fidelity = state_fidelity(state(idx), _polarization_target(system, site))
+            target = polarization_target(system, obs.site)
+            metrics.state_fidelity = state_fidelity(state(idx), target)
     return metrics, extras
 
 
@@ -210,11 +183,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None = N
     if scan is None:
         system = cfg.build_system()
         labels = _observable_labels(cfg, system)
-        obs, site = _metric_inputs(cfg, system)
+        obs = _metric_inputs(cfg, system)
         sweep = _run_sweep(cfg, system, pulse, sim_cfg)
         csv_path = out / f"{cfg.name}.csv"
         _write_csv(csv_path, [sweep.axis] + labels, _sweep_rows(sweep, labels))
-        metrics, extras = _compute_metrics(cfg, system, sweep, obs, site)
+        metrics, extras = _compute_metrics(cfg, system, sweep, obs)
         return _manifest(cfg, "run", out, [csv_path], metrics, extras, sim_cfg,
                          time.perf_counter() - start)
 
@@ -237,8 +210,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None = N
         _write_csv(csv_path, [sweep.axis] + labels, _sweep_rows(sweep, labels))
         files.append(csv_path)
         gate_times[f"{azx:g}"] = n_pi * float(cfg.data["sequence"]["tau"])
-
-    from .analysis import tpi_scaling
 
     c_fit, residuals = tpi_scaling([(float(a), gate_times[f"{a:g}"]) for a in azx_values])
     metrics = GateMetrics()

@@ -55,12 +55,14 @@ class DrivePulse:
     duration: float
 
     def __post_init__(self):
-        if self.omega1 <= 0:
-            raise ValueError(f"omega1 must be positive, got {self.omega1}")
-        if self.omegap <= 0:
-            raise ValueError(f"omegap must be positive, got {self.omegap}")
-        if self.duration <= 0:
-            raise ValueError(f"pulse duration must be positive, got {self.duration}")
+        if not 0 < self.omega1 < math.inf:
+            raise ValueError(f"omega1 must be positive and finite, got {self.omega1}")
+        if not 0 < self.omegap < math.inf:
+            raise ValueError(f"omegap must be positive and finite, got {self.omegap}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"pulse duration must be positive and finite, got {self.duration}")
+        if not -math.inf < self.phase < math.inf:
+            raise ValueError(f"phase must be finite, got {self.phase}")
 
     def carrier(self, t):
         """Drive amplitude ``omega1 cos(2 pi omegap t + phase)`` at lab time ``t``.
@@ -139,8 +141,8 @@ class SimConfig:
     carrier_reset: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     def validate_for(self, seq: PulseSequence):
         t_pi = seq.base_pulse.duration * seq.error_length_factor

@@ -148,8 +148,10 @@ def test_an_n_point_metric_on_a_tau_sweep_is_exit_2(metric, tmp_path, capsys):
      "'Sz' is not a target observable"),
     ("nv-polarize", {"fit_observable": "Sz"}, "'Sz' is not a target observable"),
     ("ddgate", {"fit_observable": "Jz"}, "outputs.fit_observable: unknown 'Jz'"),
+    ("coupling-scaling", {"metrics": ["polarization"], "fit_observable": "Sz"},
+     "outputs.metrics: a coupling_scan computes only pseudo-fidelity"),
 ], ids=["resonance-on-n", "concurrence-of-3-qubits", "inversion-of-Sz", "polarization-of-Sz",
-        "unknown-fit-observable"])
+        "unknown-fit-observable", "polarization-in-a-coupling-scan"])
 def test_a_metric_the_run_cannot_compute_is_exit_2_before_the_sweep(preset, change, message,
                                                                     tmp_path, capsys):
     raw = get_preset(preset)
@@ -159,6 +161,23 @@ def test_a_metric_the_run_cannot_compute_is_exit_2_before_the_sweep(preset, chan
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def test_the_gate_metrics_share_one_fit(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pseudo_fidelity(*args)
+
+    monkeypatch.setattr("spindd.runner.pseudo_fidelity", counted)
+    raw = get_preset("ddgate-tomo")
+    raw["outputs"]["metrics"] = ["inversion-fidelity", "concurrence", "pseudo-fidelity"]
+    manifest = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+    assert len(calls) == 1
+    # the order the metrics are listed in does not change what they report
+    preset = run_experiment(ExperimentConfig.from_dict(get_preset("ddgate-tomo")), tmp_path / "p")
+    assert (manifest["metrics"], manifest["extras"]) == (preset["metrics"], preset["extras"])
 
 
 def test_unknown_config_name_is_exit_2():

@@ -244,6 +244,28 @@ def test_presets_all_validate():
         assert cfg.name == name
 
 
+# canonical hashes of the presets; a normalization change that moves one
+# must edit this table on purpose
+PRESET_HASHES = {
+    "coupling-scaling": "405fb03d7e1706c644cc79e80385527c3fbbf5296cc3c4483dc4ec79f671627b",
+    "cpmg-spectrum": "a2b58c047de41b042eb3c49a8a34e99a6ab9a2253ac58b5938cf7c6263a2c307",
+    "ddgate": "88ad4a5bb1764b8b0044188fedc1e67a244911adbe82c0f3f496ce95ba9d1591",
+    "ddgate-tomo": "3bd28486fe1a5bf6dd3c91b0c020003cc739f7c5640f6a3509bd123ba34a9f37",
+    "gate-resonance": "c7ea1b103cf3c1f950c6932723292ff55bf85f2f6f4a11b0ab5e9021dc489c30",
+    "nv-ddgate": "2f3b198347608040130a16c2d813d322fcbe4e4bc13607f810004e9cd6de75e9",
+    "nv-polarize": "14ca4b59659ac54e506494145c21508587089da03f8245d19e813f003c93ad92",
+    "nv-xyn-spectrum": "46a48726c3a6026f6bb1ef93912669ccae9834542e0fd11e7de18b16f664cefb",
+    "pulse-error-map": "6a7fae657242bd6e25cf13be152fff9a27061faca61ffcb99d5e9b3939ac1fb5",
+    "three-qubit-q1": "2620d010090365a5fef40c1767c026afd08ff0d5dd568c7ee9a5a0f30ae4033e",
+    "three-qubit-q2": "2078a499d7890dce0610ef8c21c5e299ae6f1667083419ac6711cf81bf5b6b53",
+}
+
+
+def test_preset_hashes_are_pinned():
+    assert {name: ExperimentConfig.from_dict(get_preset(name)).config_hash()
+            for name in PRESETS} == PRESET_HASHES
+
+
 def test_preset_listing_sorted_with_descriptions():
     listing = list_presets()
     names = [name for name, _ in listing]

@@ -18,6 +18,7 @@ from spindd.hamiltonians import (
     nv_h0,
     nv_rotated_tensor,
     nv_system,
+    polarization_target,
     transition_frequency,
 )
 
@@ -105,6 +106,36 @@ def test_generic_system_observable_labels():
     )
     assert [o.label for o in three.observables] == ["Sz", "Iz1", "Iz2", "Iz3"]
     assert one.wrapper_phase == pytest.approx(math.pi / 2.0)
+
+
+def test_observable_sites():
+    one = generic_system(GENERIC)
+    assert [o.site for o in one.observables] == [None, 1]
+    three = generic_system(GenericSystemParams(50.0, (TargetParams(1.0, 0.1),) * 3))
+    assert [o.site for o in three.observables] == [None, 1, 2, 3]
+    nv = nv_system(NvParams(b0=32.0))
+    assert [(o.label, o.site) for o in nv.observables] == [("Sz", None), ("Iz", 1)]
+
+
+UP = np.diag([1.0, 0.0])
+MIXED = np.eye(2) / 2.0
+
+
+def test_polarization_target_generic_three_targets():
+    three = generic_system(GenericSystemParams(50.0, (TargetParams(1.0, 0.1),) * 3))
+    expected = np.kron(np.kron(np.kron(MIXED, MIXED), UP), MIXED)
+    target = polarization_target(three, 2)
+    assert target.dims == (2, 2, 2, 2)
+    np.testing.assert_array_equal(target.mat, expected)
+    for site in (0, 4):
+        with pytest.raises(ValueError, match="not a target"):
+            polarization_target(three, site)
+
+
+def test_polarization_target_nv_mixes_the_driven_manifold():
+    # basis order m_S = +1, 0, -1: the driven qubit is m_S in {0, -1}
+    target = polarization_target(nv_system(NvParams(b0=32.0)), 1)
+    np.testing.assert_array_equal(target.mat, np.kron(np.diag([0.0, 0.5, 0.5]), UP))
 
 
 NV = NvParams(b0=32.0, theta0=math.radians(2.9))

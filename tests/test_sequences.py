@@ -163,6 +163,19 @@ def test_inject_errors_detects_overlong_pulses():
         inject_errors(seq, 1.7, 1.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda x: DrivePulse(x, 50.0, 0.0, 0.1), "omega1 must be positive"),
+    (lambda x: DrivePulse(5.0, x, 0.0, 0.1), "omegap must be positive"),
+    (lambda x: DrivePulse(5.0, 50.0, 0.0, x), "pulse duration must be positive"),
+    (lambda x: DrivePulse(5.0, 50.0, x, 0.1), "phase must be finite"),
+    (lambda x: SimConfig(dt=x), "dt must be positive"),
+], ids=["omega1", "omegap", "duration", "phase", "dt"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_pulse_or_step_is_rejected(build, message, value):
+    with pytest.raises(ValueError, match=message):
+        build(value)
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError, match="dt must be positive"):
         SimConfig(dt=0.0)
