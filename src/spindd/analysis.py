@@ -188,13 +188,20 @@ def concurrence(rho: DensityMatrix) -> float:
 
 
 def _trig_tables(n: np.ndarray, periods: np.ndarray) -> tuple:
-    """The periods, their ``(P, n)`` cos and sin tables and the 3x3 normal
-    matrices of ``a + b cos + c sin``, formed from row sums of the tables."""
+    """The periods, their ``(P, n)`` cos and sin tables and the entries 00 01
+    02 11 12 22 of the inverse normal matrices of ``a + b cos + c sin``, as
+    ``(6, P)`` cofactors over the determinant.  A period aliasing on the N
+    grid (determinant not safely positive) gets nan, and so an infinite rms."""
     arg = 2.0 * np.pi * n[None, :] / periods[:, None]
     cos, sin = np.cos(arg), np.sin(arg)
-    c, s, cc, cs, ss = (t.sum(axis=1) for t in (cos, sin, cos * cos, cos * sin, sin * sin))
-    normal = np.stack([np.full_like(c, n.size), c, s, c, cc, cs, s, cs, ss], axis=-1)
-    return periods, cos, sin, normal.reshape(-1, 3, 3)
+    m, c, s = float(n.size), cos.sum(axis=1), sin.sum(axis=1)
+    cc, cs, ss = (np.einsum("ij,ij->i", u, v) for u, v in ((cos, cos), (cos, sin), (sin, sin)))
+    inv = np.stack([cc * ss - cs * cs, s * cs - c * ss, c * cs - cc * s,
+                    m * ss - s * s, c * s - m * cs, m * cc - c * c])
+    det = m * inv[0] + c * inv[1] + s * inv[2]
+    # m^3 bounds the determinant, and its rounding error is about 1e-15 m^3
+    inv /= np.where(det > 1e-12 * m ** 3, det, np.nan)
+    return periods, cos, sin, inv
 
 
 @functools.lru_cache(maxsize=1)
@@ -208,16 +215,22 @@ def _coarse_tables(key: bytes) -> tuple:
     return tables
 
 
-def _cosine_fits(y: np.ndarray, tables: tuple):
-    """Least-squares ``a + b cos + c sin`` at every trial period at once:
-    the coefficients ``(P, 3)`` and the rms residuals ``(P,)``.  The residual
-    is explicit, as the normal-equation identity for it cancels badly on
-    near-perfect fits."""
-    _, cos, sin, normal = tables
-    rhs = np.stack([np.full(len(cos), y.sum()), cos @ y, sin @ y], axis=-1)
-    coeff = np.linalg.solve(normal, rhs[..., None])[..., 0]
-    resid = y - coeff[:, :1] - coeff[:, 1:2] * cos - coeff[:, 2:] * sin
-    return coeff, np.sqrt(np.mean(resid ** 2, axis=1))
+def _best_fit(y: np.ndarray, tables: tuple) -> tuple:
+    """``(rms, period, hypot(b, c))`` of the least-squares ``a + b cos + c sin``
+    at the trial period of least rms.  The residual is explicit, as the
+    normal-equation identity for it cancels badly on near-perfect fits."""
+    periods, cos, sin, (i00, i01, i02, i11, i12, i22) = tables
+    ty, tc, ts = y.sum(), cos @ y, sin @ y
+    a = i00 * ty + i01 * tc + i02 * ts
+    b = i01 * ty + i11 * tc + i12 * ts
+    c = i02 * ty + i12 * tc + i22 * ts
+    resid = y - a[:, None]
+    resid -= b[:, None] * cos
+    resid -= c[:, None] * sin
+    rms = np.sqrt(np.einsum("ij,ij->i", resid, resid) / y.size)
+    rms[np.isnan(rms)] = np.inf
+    i = int(np.argmin(rms))
+    return float(rms[i]), float(periods[i]), float(np.hypot(b[i], c[i]))
 
 
 def pseudo_fidelity(sweep: SweepResult, label: str, value_range) -> tuple:
@@ -225,8 +238,7 @@ def pseudo_fidelity(sweep: SweepResult, label: str, value_range) -> tuple:
 
     Fits ``a + b cos(2 pi n / T + phi)`` by scanning the period over a
     dense grid (linear least squares at each trial period, then a local
-    refinement); the coarse grid's trig tables depend only on the N
-    values and are shared by the fits on the same N.  Returns
+    refinement); the coarse grid's tables depend only on N.  Returns
     ``(f_tilde, n_pi)`` where ``f_tilde = 2|b|`` normalized by the declared
     observable range and clipped to 1, and ``n_pi = T / 2`` is the
     inversion period in pulses.  Raises when the series is shorter than
@@ -234,8 +246,7 @@ def pseudo_fidelity(sweep: SweepResult, label: str, value_range) -> tuple:
     """
     n = np.asarray(sweep.values, dtype=float)
     y = np.asarray(sweep.trace(label), dtype=float)
-    lo, hi = value_range
-    rng = float(hi - lo)
+    rng = float(value_range[1] - value_range[0])
     if rng <= 0:
         raise ValueError(f"invalid observable range {value_range}")
     if n.size < 6:
@@ -244,32 +255,19 @@ def pseudo_fidelity(sweep: SweepResult, label: str, value_range) -> tuple:
         raise ValueError("trace has non-finite values")
 
     span = n.max() - n.min()
-    # the first minimum on the grid, then a refinement around it that
-    # wins only when strictly better
-    coarse = _coarse_tables(n.tobytes())
-    coeffs, rms = _cosine_fits(y, coarse)
-    i = int(np.argmin(rms))
-    best_t, best_rms, coeff = coarse[0][i], rms[i], coeffs[i]
+    # the coarse grid's first minimum, then a refinement that wins only when strictly better
+    rms, best_t, amp = _best_fit(y, _coarse_tables(n.tobytes()))
     fine = np.linspace(max(2.5, best_t * 0.9), min(1.6 * span, best_t * 1.1), 400)
-    coeffs, rms = _cosine_fits(y, _trig_tables(n, fine))
-    i = int(np.argmin(rms))
-    if rms[i] < best_rms:
-        best_t, best_rms, coeff = fine[i], rms[i], coeffs[i]
-    best_t, rms = float(best_t), float(best_rms)
-
-    amp = float(np.hypot(coeff[1], coeff[2]))
+    refined = _best_fit(y, _trig_tables(n, fine))
+    if refined[0] < rms:
+        rms, best_t, amp = refined
     if best_t > 1.26 * span:
-        raise ValueError(
-            f"series spans {span:.1f} pulses but the best-fit period is {best_t:.1f}; "
-            "sweep does not contain a full oscillation"
-        )
+        raise ValueError(f"series spans {span:.1f} pulses but the best-fit period is "
+                         f"{best_t:.1f}; sweep does not contain a full oscillation")
     if rms > 0.15 * rng:
-        raise ValueError(
-            f"cosine fit residual {rms:.3g} exceeds 0.15 of the observable range {rng:.3g} "
-            f"(period {best_t:.2f}, amplitude {amp:.3g})"
-        )
-    f_tilde = min(2.0 * amp / rng, 1.0)
-    return f_tilde, best_t / 2.0
+        raise ValueError(f"cosine fit residual {rms:.3g} exceeds 0.15 of the observable range "
+                         f"{rng:.3g} (period {best_t:.2f}, amplitude {amp:.3g})")
+    return min(2.0 * amp / rng, 1.0), best_t / 2.0
 
 
 def find_resonance(sweep: SweepResult, label: str) -> float:

@@ -292,6 +292,8 @@ def _semantic_problems(raw: dict) -> list:
     if "errmap" in raw and not has_n_range:
         problems.append("errmap: requires an n_range sweep to fit pseudo-fidelities")
     metrics = raw.get("outputs", {}).get("metrics", [])
+    if "errmap" in raw and any(name != "pseudo-fidelity" for name in metrics):
+        problems.append("outputs.metrics: an errmap computes only pseudo-fidelity")
     if has_tau_range and any(name in _N_METRICS for name in metrics):
         problems.append("outputs.metrics: pseudo-fidelity, inversion-fidelity, concurrence"
                         " and polarization need an n_range sweep")

@@ -289,6 +289,29 @@ def test_errmap_failed_cell_marked_nan(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("metrics", [["inversion-fidelity", "concurrence"], ["polarization"]])
+def test_an_errmap_computing_another_metric_is_exit_2(metrics, tmp_path, capsys):
+    raw = get_preset("pulse-error-map")
+    raw["outputs"].update(metrics=["pseudo-fidelity"], fit_observable="Sz")
+    raw["errmap"] = {"length_factors": [1.0], "freq_factors": [1.0]}
+    ExperimentConfig.from_dict(raw)  # pseudo-fidelity is what an errmap computes
+    raw["outputs"]["metrics"] = metrics
+    out = tmp_path / "out"
+    assert main(["errmap", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+    assert "outputs.metrics: an errmap computes only pseudo-fidelity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_grid_on_which_a_trial_period_aliases_still_fits(tmp_path):
+    # T = 3 divides every N of 3, 6, ..., 60, so the fit skips that trial period
+    raw = get_preset("ddgate")
+    raw["sequence"]["n_range"] = [3, 60, 3]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 0
+    manifest = json.loads((out / "ddgate-manifest.json").read_text())
+    assert manifest["metrics"]["n_pi"] == pytest.approx(19.9, abs=0.1)
+
+
 def test_dt_override_is_recorded_in_the_manifest(tmp_path):
     path = write_config(tmp_path, SMALL)
     out = tmp_path / "out"

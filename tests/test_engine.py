@@ -923,24 +923,58 @@ def scalar_fit(n, y, value_range):
     return min(2.0 * float(np.hypot(coeff[1], coeff[2])) / rng, 1.0), best_t / 2.0
 
 
-@pytest.mark.parametrize("period, noise, amp", [
-    (24.0, 0.0, 0.45),    # clean
-    (19.3, 0.03, 0.4),    # noisy
-    (47.0, 0.01, 0.3),    # longer than the sweep
-    (7.7, 0.05, 0.5),     # fast, near full contrast
-])
-def test_batched_fit_equals_scalar_lstsq_scan(period, noise, amp):
+def cosine_sweep(n, period, noise, amp):
     rng = np.random.default_rng(11)
-    n = np.arange(1, 41, dtype=float)
     y = 0.02 + amp * np.cos(2.0 * np.pi * n / period + 0.4) + noise * rng.normal(size=n.size)
-    sweep = SweepResult(axis="n", values=n, traces={"Iz": y})
+    return SweepResult(axis="n", values=n, traces={"Iz": y})
+
+
+ONE_TO_40 = np.arange(1, 41, dtype=float)
+
+
+@pytest.mark.parametrize("period, noise, amp, n", [
+    pytest.param(24.0, 0.0, 0.45, ONE_TO_40, id="24.0-0.0-0.45"),    # clean
+    pytest.param(19.3, 0.03, 0.4, ONE_TO_40, id="19.3-0.03-0.4"),    # noisy
+    pytest.param(47.0, 0.01, 0.3, ONE_TO_40, id="47.0-0.01-0.3"),    # longer than the sweep
+    pytest.param(7.7, 0.05, 0.5, ONE_TO_40, id="7.7-0.05-0.5"),      # fast, near full contrast
+    pytest.param(4.5, 0.01, 0.4, np.arange(1, 7, dtype=float), id="shortest-series"),
+    pytest.param(19.3, 0.03, 0.4, np.arange(1, 80, 2, dtype=float), id="stepped-grid"),
+    pytest.param(45.0, 0.0, 0.4, ONE_TO_40, id="clean-longer-than-the-span"),
+])
+def test_batched_fit_equals_scalar_lstsq_scan(period, noise, amp, n):
+    sweep = cosine_sweep(n, period, noise, amp)
     got = pseudo_fidelity(sweep, "Iz", (-0.5, 0.5))
-    expected = scalar_fit(n, y, (-0.5, 0.5))
+    expected = scalar_fit(n, sweep.traces["Iz"], (-0.5, 0.5))
     assert got == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("period, noise", [(19.3, 0.02), (24.0, 0.0), (8.0, 0.02)])
+def test_a_trial_period_that_aliases_on_the_grid_is_skipped(period, noise):
+    # T = 3 divides every N of the grid, so cos is 1 there and the normal matrix singular
+    n = np.arange(3, 61, 3, dtype=float)
+    sweep = cosine_sweep(n, period, noise, 0.45)
+    got = pseudo_fidelity(sweep, "Iz", (-0.5, 0.5))
+    periods, *_, inv = analysis._coarse_tables(n.tobytes())
+    assert periods[0] == 3.0 and np.isnan(inv[:, 0]).all()
+    assert np.isfinite(inv[:, 1:]).all()
+    assert np.isfinite(got).all()
+    assert got == pytest.approx(scalar_fit(n, sweep.traces["Iz"], (-0.5, 0.5)), abs=1e-9)
+
+
+def test_a_warm_fit_calls_nothing_in_linalg(monkeypatch):
+    sweep = cosine_sweep(ONE_TO_40, 19.3, 0.03, 0.4)
+    warm = pseudo_fidelity(sweep, "Iz", (-0.5, 0.5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit called np.linalg")
+
+    for name in ("solve", "lstsq", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert pseudo_fidelity(sweep, "Iz", (-0.5, 0.5)) == warm
+
+
 def test_coarse_fit_tables_are_shared_and_read_only():
-    n = np.arange(1, 41, dtype=float)
+    n = ONE_TO_40
     noise = 0.01 * np.random.default_rng(3).normal(size=n.size)
     first = SweepResult("n", n, {"Iz": 0.4 * np.cos(2.0 * np.pi * n / 31.0) + noise})
     second = SweepResult("n", n, {"Iz": 0.45 * np.cos(2.0 * np.pi * n / 17.0 + 0.3)})
@@ -951,7 +985,10 @@ def test_coarse_fit_tables_are_shared_and_read_only():
     assert pseudo_fidelity(second, "Iz", (-0.5, 0.5)) == fresh  # bit for bit
     info = analysis._coarse_tables.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    for table in analysis._coarse_tables(n.tobytes()):
+    tables = analysis._coarse_tables(n.tobytes())
+    # the periods, the cos and sin tables, and six inverse normal-matrix entries per period
+    assert [t.shape for t in tables] == [(600,), (600, 40), (600, 40), (6, 600)]
+    for table in tables:
         assert not table.flags.writeable
     # another n replaces the one entry
     pseudo_fidelity(SweepResult("n", n + 1.0, second.traces), "Iz", (-0.5, 0.5))
