@@ -19,9 +19,12 @@ only through that carrier phase, so the cache keys pulses by phase.
 Every sweep is one walk over cells ``(tau, length_factor, freq_factor)``:
 the taus of a tau sweep, or the error cells of N sweeps at one tau.  Each
 cell walks the pi train of its largest N once and closes it at each
-wanted N with a tail built once per closing class.  Before anything is
-built, the walk times every cell's lookups and hands their pulse requests
-to one ``PropagatorCache.plan``, which builds every entry the cache lacks;
+wanted N with the closing tail of its class.  A cell's checks are the
+reference path's: it compiles each closing class's first N, injects the
+cell's errors and validates the step, so it fails as compiling and
+applying each N's sequence alone would.  Before anything is built, the
+walk times every cell's lookups and hands their pulse requests to one
+``PropagatorCache.plan``, which builds every entry the cache lacks;
 the cells then look up their propagators in the order that applying their
 sequences one after another would, and advance by one batched product of
 ``(cells, d, d)`` stacks per element, the identity standing for an empty
@@ -63,15 +66,12 @@ from .sequences import (
     Pulse,
     PulseSequence,
     SimConfig,
-    check_error_factors,
     closing_class,
-    closing_tail,
-    compile_train,
-    family_rule,
-    sequence_timing,
+    compile_sequence,
+    inject_errors,
 )
 # unused here; benchmarks/spans.py patches these names on this module
-from .sequences import compile_cpmg, compile_xyn, inject_errors  # noqa: F401
+from .sequences import compile_cpmg, compile_xyn  # noqa: F401
 
 _KEY_DIGITS = 12
 
@@ -449,27 +449,26 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
 
 
 def _open_cell(family, n_values, firsts, pulse, cfg, wrapper_phase, closing_rule, cell) -> tuple:
-    """One cell's pi train of max N and closing tail per closing class, after
-    the checks of compiling, injecting errors into and applying each N's
-    sequence.  Those read N only through N >= 1 and its closing class, so
-    running them at ``firsts``, each class's first N, raises the same error."""
+    """One cell's pi train of max N and closing tail per closing class.  Its
+    checks are the reference path's own: each class's first N, ``firsts``, is
+    compiled, given the cell's errors by ``inject_errors`` and, the first one,
+    validated for ``cfg``, as applying each N's sequence would.  Those read N
+    only through N >= 1 and its closing class, so they raise what every N would."""
     tau, length_factor, freq_factor = cell
     if n_values.size == 0 or n_values.min() < 1:
         raise ValueError("n values must be positive integers")
-    rule = family_rule(family, closing_rule)
-    args = (tau, pulse, wrapper_phase, rule, length_factor, freq_factor)
-    trains = {}
-    for i, n in enumerate(firsts.values()):
-        sequence_timing(family, n, tau, pulse, rule)
+    seqs = {}
+    for n in firsts.values():
+        seq = compile_sequence(family, n, tau, pulse, wrapper_phase, closing_rule)
         if length_factor != 1.0 or freq_factor != 1.0:
-            check_error_factors(length_factor, freq_factor)
-            sequence_timing(family, n, tau, pulse, rule, length_factor, freq_factor)
-        if i == 0:
-            trains[n] = compile_train(family, n, *args)
-            cfg.validate_for(trains[n])
-    top = int(n_values.max())  # a tau sweep's only N: its train is compiled once
-    train = trains[top] if top in trains else compile_train(family, top, *args)
-    return train.elements, {c: closing_tail(train, n) for c, n in firsts.items()}
+            seq = inject_errors(seq, length_factor, freq_factor)
+        if not seqs:
+            cfg.validate_for(seq)
+        seqs[n] = seq
+    top = int(n_values.max())  # a tau sweep's only N: its sequence is compiled once
+    train = seqs[top] if top in seqs else compile_sequence(
+        family, top, tau, pulse, wrapper_phase, closing_rule, length_factor, freq_factor)
+    return train.elements[:2 * top + 1], {c: seqs[n].elements[-2:] for c, n in firsts.items()}
 
 
 def _lookups(cfg, train, tails, wanted) -> list:

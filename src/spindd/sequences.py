@@ -22,14 +22,16 @@ observable consistent across an N sweep of XY sequences.
 ``family_rule`` holds each family's default: plain for CPMG,
 xy8-parity for XY.
 
-``compile_train`` and ``closing_tail`` split a sequence after its last
-pi pulse, so an N sweep can share one pi train across all N.
+``compile_sequence`` builds every sequence.  The first ``2 k + 1``
+elements of a sequence, its opening wrapper and first ``k`` pi pulses, do
+not depend on ``n >= k``, and its last two depend on ``n`` only through
+``closing_class(n)``; an N sweep shares one pi train across all N.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,33 +189,25 @@ def _axis_phases(family: str, n: int, wrapper_phase: float):
     raise ValueError(f"unknown sequence family {family!r}")
 
 
-@dataclass(frozen=True)
-class SequenceTiming:
-    """Durations and gaps of one sequence; see the module docstring."""
+def compile_sequence(family, n, tau, pi_pulse, wrapper_phase, closing_rule=None,
+                     length_factor=1.0, freq_factor=1.0) -> PulseSequence:
+    """The ``n``-pulse ``family`` sequence with pulse durations scaled by
+    ``length_factor`` and carrier frequencies by ``freq_factor``; raises
+    where the pulses do not fit.
 
-    t_pi: float
-    omegap: float
-    t_half: float
-    closing: float
-    t_close: float
-    open_gap: float
-    close_gap: float
-    inner_gap: float
-
-
-def sequence_timing(family, n, tau, pi_pulse, closing_rule,
-                    length_factor=1.0, freq_factor=1.0) -> SequenceTiming:
-    """Timing of the ``n``-pulse sequence; raises where the pulses do not fit."""
+    Element ``2 k`` is the ``k``-th pi pulse; the last two elements are the
+    closing gap and wrapper.
+    """
+    closing_rule = family_rule(family, closing_rule)
     if n < 1:
         raise ValueError(f"need at least one pi pulse, got n={n}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
 
     t_pi = pi_pulse.duration * length_factor
     t_half = t_pi / 2.0
     closing = _closing_angle(n, closing_rule)
     t_close = t_half * (3.0 if closing > math.pi else 1.0)
-
     open_gap = tau / 2.0 - t_pi / 2.0 - t_half / 2.0
     close_gap = tau / 2.0 - t_pi / 2.0 - t_close / 2.0
     inner_gap = tau - t_pi
@@ -222,65 +216,29 @@ def sequence_timing(family, n, tau, pi_pulse, closing_rule,
             raise ValueError(
                 f"{name} gap is negative ({gap:.4g}): tau={tau} too short for pulse length {t_pi}"
             )
-    return SequenceTiming(t_pi, pi_pulse.omegap * freq_factor, t_half, closing, t_close,
-                          open_gap, close_gap, inner_gap)
 
+    def driven(duration, angle, axis):
+        drive = DrivePulse(pi_pulse.omega1, pi_pulse.omegap * freq_factor, axis, duration)
+        return Pulse(drive, nominal_angle=angle)
 
-def _driven(pi_pulse, timing, duration, angle, axis) -> Pulse:
-    return Pulse(DrivePulse(pi_pulse.omega1, timing.omegap, axis, duration),
-                 nominal_angle=angle)
-
-
-def compile_train(family, n, tau, pi_pulse, wrapper_phase, closing_rule,
-                  length_factor=1.0, freq_factor=1.0) -> PulseSequence:
-    """Opening wrapper and ``n`` pi pulses: the start every longer sequence shares.
-
-    Element ``2 k`` is the ``k``-th pi pulse; ``closing_tail(train, k)``
-    completes the first ``2 k + 1`` elements to the ``k``-pulse
-    sequence.  Errors are applied directly, as ``inject_errors`` would.
-    """
-    timing = sequence_timing(family, n, tau, pi_pulse, closing_rule, length_factor, freq_factor)
-    elements = [_driven(pi_pulse, timing, timing.t_half, HALF_PI, wrapper_phase),
-                Delay(max(timing.open_gap, 0.0))]
-    for k, axis in enumerate(_axis_phases(family, n, wrapper_phase)):
-        if k:
-            elements.append(Delay(timing.inner_gap))
-        elements.append(_driven(pi_pulse, timing, timing.t_pi, math.pi, axis))
-
-    return PulseSequence(
-        elements=tuple(elements),
-        family=family,
-        n_pulses=n,
-        tau=tau,
-        base_pulse=pi_pulse,
-        wrapper_phase=wrapper_phase,
-        closing_rule=closing_rule,
-        error_length_factor=length_factor,
-        error_freq_factor=freq_factor,
-    )
-
-
-def closing_tail(train: PulseSequence, n: int) -> tuple:
-    """Closing gap and closing wrapper that end ``train`` after ``n`` pi pulses."""
-    timing = sequence_timing(train.family, n, train.tau, train.base_pulse, train.closing_rule,
-                             train.error_length_factor, train.error_freq_factor)
-    return (Delay(max(timing.close_gap, 0.0)),
-            _driven(train.base_pulse, timing, timing.t_close, timing.closing,
-                    train.wrapper_phase))
-
-
-def _compile(family, n, tau, pi_pulse, wrapper_phase, closing_rule,
-             length_factor=1.0, freq_factor=1.0) -> PulseSequence:
-    train = compile_train(family, n, tau, pi_pulse, wrapper_phase, closing_rule,
-                          length_factor, freq_factor)
-    return replace(train, elements=train.elements + closing_tail(train, n))
+    elements = [driven(t_half, HALF_PI, wrapper_phase), Delay(max(open_gap, 0.0))]
+    axes = _axis_phases(family, n, wrapper_phase)
+    # elements are frozen: the pi pulses of one axis, and the inter-pulse
+    # gaps, are each one shared element
+    pis = {axis: driven(t_pi, math.pi, axis) for axis in dict.fromkeys(axes)}
+    gap = Delay(inner_gap)
+    for k, axis in enumerate(axes):
+        elements += [gap, pis[axis]] if k else [pis[axis]]
+    elements += [Delay(max(close_gap, 0.0)), driven(t_close, closing, wrapper_phase)]
+    return PulseSequence(tuple(elements), family, n, tau, pi_pulse, wrapper_phase,
+                         closing_rule, length_factor, freq_factor)
 
 
 def compile_cpmg(n: int, tau: float, pi_pulse: DrivePulse,
                  wrapper_phase: float = HALF_PI,
                  closing_rule: str | None = None) -> PulseSequence:
     """CPMG-n: all pi pulses along x, wrappers along ``wrapper_phase``."""
-    return _compile("cpmg", n, tau, pi_pulse, wrapper_phase, family_rule("cpmg", closing_rule))
+    return compile_sequence("cpmg", n, tau, pi_pulse, wrapper_phase, closing_rule)
 
 
 def compile_xyn(n: int, tau: float, pi_pulse: DrivePulse,
@@ -292,13 +250,7 @@ def compile_xyn(n: int, tau: float, pi_pulse: DrivePulse,
     odd ``n`` truncates the alternation.  The default closing rule keeps
     the central-observable sign consistent across N sweeps.
     """
-    return _compile("xyn", n, tau, pi_pulse, wrapper_phase, family_rule("xyn", closing_rule))
-
-
-def check_error_factors(length_factor: float, freq_factor: float):
-    """Raise unless both miscalibration factors are positive."""
-    if length_factor <= 0 or freq_factor <= 0:
-        raise ValueError("error factors must be positive")
+    return compile_sequence("xyn", n, tau, pi_pulse, wrapper_phase, closing_rule)
 
 
 def inject_errors(seq: PulseSequence, length_factor: float = 1.0,
@@ -310,10 +262,9 @@ def inject_errors(seq: PulseSequence, length_factor: float = 1.0,
     centers remain ``tau`` apart.  Raises when the stretched pulses no
     longer fit into the timing grid.
     """
-    check_error_factors(length_factor, freq_factor)
-    return _compile(
-        seq.family, seq.n_pulses, seq.tau, seq.base_pulse,
-        seq.wrapper_phase, seq.closing_rule,
-        length_factor=length_factor * seq.error_length_factor,
-        freq_factor=freq_factor * seq.error_freq_factor,
-    )
+    if length_factor <= 0 or freq_factor <= 0:
+        raise ValueError("error factors must be positive")
+    return compile_sequence(seq.family, seq.n_pulses, seq.tau, seq.base_pulse,
+                            seq.wrapper_phase, seq.closing_rule,
+                            length_factor * seq.error_length_factor,
+                            freq_factor * seq.error_freq_factor)

@@ -202,6 +202,7 @@ def error_of(fn):
     ("cpmg", [2, 3], 0.1, (0.5, 1.0), 0.001),          # the nominal pulses already overlap
     ("cpmg", [2, 3], 0.5, (0.0, 1.0), 0.001),          # non-positive error factor
     ("cpmg", [3], 0.5, (0.3, 1.0), 0.002),             # dt too coarse for the shortened pulse
+    ("cpmg", [2, 3], 0.5, (1.0, 1e308), 0.001),        # the carrier overflows to inf
 ])
 def test_sweep_n_raises_what_compiling_each_n_raised(family, n_values, tau, factors, dt):
     cfg = SimConfig(dt=dt)
@@ -360,7 +361,7 @@ def test_walks_look_up_in_the_order_of_one_sequence_after_another(monkeypatch):
     ("cpmg", 2, [0.5, 0.15, 0.3, 0.1], (1.3, 1.0), 0.001),     # stretched pulses overlap
     ("cpmg", 2, [0.5, 0.6], (0.3, 1.0), 0.002),                # dt too coarse for short pulses
     ("cpmg", 2, [0.5, 0.6], (0.0, 1.0), 0.001),                # non-positive error factor
-    ("cpmg", 2, [0.5, math.nan, 0.08], (1.0, 1.0), 0.001),     # a bad state before a failing tau
+    ("cpmg", 2, [0.5, math.nan, 0.08], (1.0, 1.0), 0.001),     # a non-finite tau fails first
 ])
 def test_sweep_tau_raises_what_the_first_failing_tau_raises(family, n, taus, factors, dt):
     cfg = SimConfig(dt=dt)
@@ -385,6 +386,21 @@ def test_a_failing_build_fails_its_tau_before_a_later_failing_tau(monkeypatch):
     expected = error_of(lambda: per_tau_sweep(GENERIC, "cpmg", 2, taus, PI_PULSE, CFG, 1.0, 1.0,
                                               PropagatorCache(GENERIC)))
     assert expected.startswith("no pulse at 1.4")  # tau 0.7's closing wrapper
+    assert error_of(lambda: sweep_tau(GENERIC, "cpmg", 2, taus, PI_PULSE, CFG)) == expected
+
+
+def test_a_bad_state_at_an_earlier_tau_is_raised_before_a_failing_tau(monkeypatch):
+    original = PropagatorCache.free
+
+    def free(self, duration):  # tau 0.6's only inner gap
+        u = original(self, duration)
+        return 1.1 * u if round(duration, 12) == 0.5 else u
+
+    monkeypatch.setattr(PropagatorCache, "free", free)
+    taus = [0.5, 0.6, 0.08]
+    expected = error_of(lambda: per_tau_sweep(GENERIC, "cpmg", 2, taus, PI_PULSE, CFG, 1.0, 1.0,
+                                              PropagatorCache(GENERIC)))
+    assert expected.startswith("density matrix trace (1.21")
     assert error_of(lambda: sweep_tau(GENERIC, "cpmg", 2, taus, PI_PULSE, CFG)) == expected
 
 

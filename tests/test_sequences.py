@@ -10,7 +10,9 @@ from spindd.sequences import (
     Pulse,
     PulseSequence,
     SimConfig,
+    closing_class,
     compile_cpmg,
+    compile_sequence,
     compile_xyn,
     family_rule,
     inject_errors,
@@ -113,10 +115,28 @@ def test_compile_validation():
         compile_cpmg(0, 0.5, PI_PULSE)
     with pytest.raises(ValueError, match="tau must be positive"):
         compile_cpmg(2, 0.0, PI_PULSE)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        compile_cpmg(2, math.nan, PI_PULSE)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        compile_cpmg(2, math.inf, PI_PULSE)
     with pytest.raises(ValueError, match="gap is negative"):
         compile_cpmg(2, 0.09, PI_PULSE)  # tau shorter than the pi pulse
     with pytest.raises(ValueError, match="unknown closing rule"):
         compile_cpmg(2, 0.5, PI_PULSE, closing_rule="mystery")
+
+
+@pytest.mark.parametrize("family", ["cpmg", "xyn"])
+@pytest.mark.parametrize("factors", [(1.0, 1.0), (1.1, 0.99)])
+def test_a_sequence_is_a_shared_train_and_its_closing_class_tail(family, factors):
+    # an N sweep walks the train of its largest N and closes it with the
+    # last two elements of its class's first N
+    def compiled(n):
+        return compile_sequence(family, n, 0.5, PI_PULSE, PI / 2.0, None, *factors).elements
+
+    train = compiled(12)
+    for n in range(1, 13):
+        first = next(m for m in range(1, 13) if closing_class(m) == closing_class(n))
+        assert compiled(n) == train[:2 * n + 1] + compiled(first)[-2:]
 
 
 def test_drive_pulse_validation():
