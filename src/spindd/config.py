@@ -5,9 +5,9 @@ experiment: which system to build, which sequence family to sweep, how
 to integrate it and what to report.  Loading validates against a JSON
 schema (a small walker over the keywords ``SCHEMA`` uses, with JSON
 Schema's semantics except that nan and infinities are not numbers), then
-fills in every default so that two configs with the same
-meaning normalize to the same dictionary; the canonical SHA-256 hash is
-taken over that normalized form.
+fills in every default and spells each number as its schema type, so that
+two configs with the same meaning normalize to the same dictionary; the
+canonical SHA-256 hash is taken over that normalized form.
 
 Exactly one of ``sequence.n_range`` (pulse-number sweep at fixed
 ``tau``) and ``sequence.tau_range`` (spacing sweep at fixed ``n``) must
@@ -312,8 +312,23 @@ def _semantic_problems(raw: dict) -> list:
     return problems
 
 
+def _spell(value, schema: dict):
+    """A copy of ``value`` with each number spelled as ``schema`` types it:
+    an integer as an int, a number as a float."""
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        return {key: _spell(item, properties.get(key, {})) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_spell(item, schema.get("items", {})) for item in value]
+    kinds = schema.get("type", ())  # a type name or a list of them
+    if _is_number(value) and ("integer" in kinds or "number" in kinds):
+        return int(value) if "integer" in kinds else float(value)
+    return value
+
+
 def _normalize(raw: dict) -> dict:
-    cfg = copy.deepcopy(raw)
+    """``raw`` with every default filled in and every number spelled as typed."""
+    cfg = _spell(raw, SCHEMA)
     cfg.setdefault("name", "run")
     cfg.setdefault("description", "")
     cfg.setdefault("initial_state", "polarized")
@@ -337,6 +352,8 @@ def _normalize(raw: dict) -> dict:
     seq.setdefault("closing_rule", None)
     if "n_range" in seq and len(seq["n_range"]) == 2:
         seq["n_range"] = [seq["n_range"][0], seq["n_range"][1], 1]
+    if "tau_range" in seq:  # [lo, hi, points]; the schema leaves its items untyped
+        seq["tau_range"][:2] = [float(x) for x in seq["tau_range"][:2]]
 
     cfg["sim"].setdefault("carrier_reset", False)
 

@@ -19,16 +19,16 @@ only through that carrier phase, so the cache keys pulses by phase.
 Every sweep is one walk over cells ``(tau, length_factor, freq_factor)``:
 the taus of a tau sweep, or the error cells of N sweeps at one tau.  Each
 cell walks the pi train of its largest N once and closes it at each
-wanted N with the closing tail of its class.  A cell's checks are the
-reference path's: it compiles each closing class's first N, injects the
-cell's errors and validates the step, so it fails as compiling and
-applying each N's sequence alone would.  Before anything is built, the
-walk times every cell's lookups and hands their pulse requests to one
-``PropagatorCache.plan``, which builds every entry the cache lacks;
-the cells then look up their propagators in the order that applying their
-sequences one after another would, and advance by one batched product of
-``(cells, d, d)`` stacks per element, the identity standing for an empty
-delay or a failed cell.
+wanted N with the closing tail of its class.  One function compiles a
+cell, with the reference path's checks (each closing class's first N
+compiled, given the cell's errors and validated), and times its lookups,
+in an order that is the same for every cell.  Before anything is built,
+the walk hands every cell's pulse requests to one ``PropagatorCache.plan``,
+which builds every entry the cache lacks; the cells then look up their
+propagators in the order that applying their sequences one after another
+would, and advance by one batched product per element of a ``(cells, d,
+d)`` stack of each cell's propagator at that position, the identity
+standing for an empty delay or a failed cell.
 
 A tau sweep moves every carrier phase, so a pulse shape requested at
 many phases is served from a trigonometric interpolant in the phase.
@@ -448,14 +448,16 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
     )
 
 
-def _open_cell(family, n_values, firsts, pulse, cfg, wrapper_phase, closing_rule, cell) -> tuple:
-    """One cell's pi train of max N and closing tail per closing class.  Its
-    checks are the reference path's own: each class's first N, ``firsts``, is
-    compiled, given the cell's errors by ``inject_errors`` and, the first one,
-    validated for ``cfg``, as applying each N's sequence would.  Those read N
-    only through N >= 1 and its closing class, so they raise what every N would."""
+def _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell) -> list:
+    """One cell's lookups in time order, each ``(element, start)`` (see
+    ``_start``): the pi train of max N, with the closing tail of its class
+    after each wanted N's N-th pi pulse.  Its checks are the reference path's
+    own: each class's first N, ``firsts``, is compiled, given the cell's
+    errors by ``inject_errors`` and, the first one, validated for ``cfg``, as
+    applying each N's sequence would.  Those read N only through N >= 1 and
+    its closing class, so they raise what every N would."""
     tau, length_factor, freq_factor = cell
-    if n_values.size == 0 or n_values.min() < 1:
+    if not wanted or min(wanted) < 1:
         raise ValueError("n values must be positive integers")
     seqs = {}
     for n in firsts.values():
@@ -465,25 +467,18 @@ def _open_cell(family, n_values, firsts, pulse, cfg, wrapper_phase, closing_rule
         if not seqs:
             cfg.validate_for(seq)
         seqs[n] = seq
-    top = int(n_values.max())  # a tau sweep's only N: its sequence is compiled once
+    top = max(wanted)  # a tau sweep's only N: its sequence is compiled once
     train = seqs[top] if top in seqs else compile_sequence(
         family, top, tau, pulse, wrapper_phase, closing_rule, length_factor, freq_factor)
-    return train.elements[:2 * top + 1], {c: seqs[n].elements[-2:] for c, n in firsts.items()}
-
-
-def _lookups(cfg, train, tails, wanted) -> list:
-    """One cell's lookups in time order, each ``(slot, element, start)`` (see
-    ``_start``): train element i at slot i, and the k-th of the closing tail
-    after the n-th pi pulse (element 2 n) at (n, k)."""
     t, out = 0.0, []
-    for i, el in enumerate(train):
+    for i, el in enumerate(train.elements[:2 * top + 1]):
         start, t = _start(el, t, cfg)
-        out.append((i, el, start))
+        out.append((el, start))
         if i % 2 == 0 and i // 2 in wanted:
             end = t
-            for k, closer in enumerate(tails[closing_class(i // 2)]):
+            for closer in seqs[firsts[closing_class(i // 2)]].elements[-2:]:
                 start, end = _start(closer, end, cfg)
-                out.append(((i // 2, k), closer, start))
+                out.append((closer, start))
     return out
 
 
@@ -500,51 +495,48 @@ def _walk(system, family, n_values, pulse, cfg, cells, wrapper_phase, closing_ru
     for n in n_values.tolist():
         firsts.setdefault(closing_class(n), n)
     wanted = {n: k for k, n in enumerate(sorted(set(n_values.tolist())))}
-    errors, looked = [None] * len(cells), [None] * len(cells)
+    errors, timed = [None] * len(cells), [None] * len(cells)
     for j, cell in enumerate(cells):
         try:
-            train, tails = _open_cell(family, n_values, firsts, pulse, cfg, wrapper_phase,
-                                      closing_rule, cell)
+            timed[j] = _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell)
             if cache.system is not system:
                 raise ValueError("cache was built for a different system")
-            looked[j] = _lookups(cfg, train, tails, wanted)
         except ValueError as exc:
-            errors[j] = exc
+            errors[j], timed[j] = exc, None
     # every pulse built before the first lookup, then the lookups cell after cell
-    failed = cache.plan([(el.pulse, start) for timed in looked if timed
-                         for _, el, start in timed if start is not None], cfg.dt)
-    for j, timed in enumerate(looked):
-        if timed is None:
+    failed = cache.plan([(el.pulse, start) for lookups in timed if lookups
+                         for el, start in lookups if start is not None], cfg.dt)
+    found = {}  # live cell -> its propagators in lookup order
+    for j, lookups in enumerate(timed):
+        if lookups is None:
             continue
         try:
-            looked[j] = {slot: _lookup(cache, el, start, cfg.dt, failed)
-                         for slot, el, start in timed}
+            found[j] = [_lookup(cache, el, start, cfg.dt, failed) for el, start in lookups]
         except ValueError as exc:
-            errors[j], looked[j] = exc, None
+            errors[j] = exc
 
     d = system.h0.shape[0]
     states = np.empty((len(cells), len(wanted), d, d), dtype=complex)
     rows = [wanted[n] for n in n_values.tolist()]
-    if None not in errors:
+    if not found:
         return states[:, rows], errors
     eye = np.eye(d, dtype=complex)
     u = np.array([eye] * len(cells))  # running products
     spare, factors = np.empty_like(u), u.copy()  # a failed cell's factors stay the identity
-    live = [(j, found) for j, found in enumerate(looked) if found is not None]
+    columns = zip(*found.values())  # the k-th propagator of every live cell
 
-    def stack(key):  # the identity for an empty delay
-        for j, found in live:
-            u_el = found[key]
+    def stack():  # the next factor of every live cell, the identity for an empty delay
+        for j, u_el in zip(found, next(columns)):
             factors[j] = eye if u_el is None else u_el
         return factors
 
     for i in range(2 * max(wanted) + 1):
-        u, spare = np.matmul(stack(i), u, out=spare), u
+        u, spare = np.matmul(stack(), u, out=spare), u
         n = i // 2
         if i % 2 or n not in wanted:
             continue
-        closed = stack((n, 0)) @ u  # closing gap, then closing wrapper
-        closed = stack((n, 1)) @ closed
+        closed = stack() @ u  # closing gap, then closing wrapper
+        closed = stack() @ closed
         states[:, wanted[n]] = closed @ system.rho0.mat @ closed.conj().transpose(0, 2, 1)
     return states[:, rows], errors
 

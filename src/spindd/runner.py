@@ -4,7 +4,8 @@ CSV values are written with 12 significant digits and newline-terminated
 rows, so identical configs produce byte-identical files.  The manifest
 records the canonical config hash, the settings actually used
 (``effective``), the package version, wall-clock time, a checksum for
-every emitted file and the computed metric summary.
+every emitted file and the computed metric summary.  Every verb resolves
+a config's ``outputs`` in one function, ``_outputs``, before any sweep.
 """
 
 from __future__ import annotations
@@ -33,10 +34,7 @@ from .evolution import apply_sequence, inject_errors  # noqa: F401
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    return format(value, ".12g")
+    return format(float(value), ".12g")
 
 
 def _sha256(path: Path) -> str:
@@ -50,25 +48,26 @@ def _write_csv(path: Path, header, rows):
         writer.writerows(rows)
 
 
-def _observable_labels(cfg: ExperimentConfig, system) -> list:
+def _outputs(cfg: ExperimentConfig, system) -> tuple:
+    """The CSV's observable labels and the fit observable; raises every
+    ``outputs`` config error before any sweep runs."""
+    outputs = cfg.data["outputs"]
     available = [obs.label for obs in system.observables]
-    wanted = cfg.data["outputs"]["observables"]
-    if wanted is None:
-        return available
-    missing = [w for w in wanted if w not in available]
+    labels = available if outputs["observables"] is None else list(outputs["observables"])
+    missing = [label for label in labels if label not in available]
     if missing:
         raise ConfigError([f"outputs.observables: unknown {missing}; have {available}"])
-    return list(wanted)
-
-
-def _fit_observable(cfg: ExperimentConfig, system):
-    label = cfg.data["outputs"]["fit_observable"]
-    if label is None:
-        label = system.observables[-1].label
-    for obs in system.observables:
-        if obs.label == label:
-            return obs
-    raise ConfigError([f"outputs.fit_observable: unknown {label!r}"])
+    label = outputs["fit_observable"]
+    obs = system.observables[-1] if label is None else next(
+        (o for o in system.observables if o.label == label), None)
+    if obs is None:
+        raise ConfigError([f"outputs.fit_observable: unknown {label!r}"])
+    for name in outputs["metrics"]:
+        if name in ("inversion-fidelity", "polarization") and obs.site is None:
+            raise ConfigError([f"outputs.fit_observable: {obs.label!r} is not a target observable"])
+        if name == "concurrence" and system.dims != (2, 2):
+            raise ConfigError(["outputs.metrics: concurrence needs a two-qubit register"])
+    return labels, obs
 
 
 def _run_sweep(cfg, system, pulse, sim_cfg):
@@ -79,18 +78,6 @@ def _run_sweep(cfg, system, pulse, sim_cfg):
     if cfg.sweep_axis == "n":
         return sweep_n(system, seq["family"], values, float(seq["tau"]), pulse, sim_cfg, **kwargs)
     return sweep_tau(system, seq["family"], int(seq["n"]), values, pulse, sim_cfg, **kwargs)
-
-
-def _metric_inputs(cfg, system):
-    """The fit observable; raises the metrics' config errors before any
-    sweep runs."""
-    obs = _fit_observable(cfg, system)
-    for name in cfg.data["outputs"]["metrics"]:
-        if name in ("inversion-fidelity", "polarization") and obs.site is None:
-            raise ConfigError([f"outputs.fit_observable: {obs.label!r} is not a target observable"])
-        if name == "concurrence" and system.dims != (2, 2):
-            raise ConfigError(["outputs.metrics: concurrence needs a two-qubit register"])
-    return obs
 
 
 def _compute_metrics(cfg, system, sweep, obs):
@@ -172,7 +159,9 @@ def _manifest(cfg, verb, out_dir, files, metrics, extras, sim_cfg, wall_clock):
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None = None) -> dict:
-    """Execute one sweep config; returns the manifest dictionary."""
+    """Execute one sweep config, or one sweep per coupling of its
+    ``coupling_scan`` and then the inverse-coupling gate-time fit; returns
+    the manifest dictionary."""
     start = time.perf_counter()
     sim_cfg = cfg.sim_config(dt_override)
     out = Path(out_dir)
@@ -180,44 +169,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None = N
     pulse = cfg.build_pulse()
     scan = cfg.data.get("coupling_scan")
 
-    if scan is None:
-        system = cfg.build_system()
-        labels = _observable_labels(cfg, system)
-        obs = _metric_inputs(cfg, system)
-        sweep = _run_sweep(cfg, system, pulse, sim_cfg)
-        csv_path = out / f"{cfg.name}.csv"
-        _write_csv(csv_path, [sweep.axis] + labels, _sweep_rows(sweep, labels))
-        metrics, extras = _compute_metrics(cfg, system, sweep, obs)
-        return _manifest(cfg, "run", out, [csv_path], metrics, extras, sim_cfg,
-                         time.perf_counter() - start)
-
-    # one sweep per coupling value, then the inverse-coupling gate-time fit
-    def run_one(azx: float):
+    runs, gate_times = [], {}
+    for azx in [None] if scan is None else [float(a) for a in scan]:
         system = cfg.build_system(azx_override=azx)
-        labels = _observable_labels(cfg, system)
-        obs = _fit_observable(cfg, system)
+        labels, obs = _outputs(cfg, system)
         sweep = _run_sweep(cfg, system, pulse, sim_cfg)
-        _, n_pi = pseudo_fidelity(sweep, obs.label, (obs.lo, obs.hi))
-        return sweep, labels, n_pi
-
-    azx_values = [float(a) for a in scan]
-    results = [run_one(a) for a in azx_values]
+        if azx is not None:  # every fit passes before any CSV is written
+            _, n_pi = pseudo_fidelity(sweep, obs.label, (obs.lo, obs.hi))
+            gate_times[f"{azx:g}"] = n_pi * float(cfg.data["sequence"]["tau"])
+        runs.append((azx, labels, sweep))
 
     files = []
-    gate_times = {}
-    for azx, (sweep, labels, n_pi) in zip(azx_values, results):
-        csv_path = out / f"{cfg.name}-azx{azx:g}.csv"
-        _write_csv(csv_path, [sweep.axis] + labels, _sweep_rows(sweep, labels))
-        files.append(csv_path)
-        gate_times[f"{azx:g}"] = n_pi * float(cfg.data["sequence"]["tau"])
-
-    c_fit, residuals = tpi_scaling([(float(a), gate_times[f"{a:g}"]) for a in azx_values])
-    metrics = GateMetrics()
-    extras = {
-        "c_fit": c_fit,
-        "worst_residual": float(np.abs(residuals).max()),
-        "gate_time_by_azx": gate_times,
-    }
+    for azx, labels, sweep in runs:
+        files.append(out / (f"{cfg.name}.csv" if azx is None else f"{cfg.name}-azx{azx:g}.csv"))
+        _write_csv(files[-1], [sweep.axis] + labels, _sweep_rows(sweep, labels))
+    if scan is None:
+        metrics, extras = _compute_metrics(cfg, system, sweep, obs)
+    else:
+        c_fit, residuals = tpi_scaling([(azx, gate_times[f"{azx:g}"]) for azx, _, _ in runs])
+        metrics = GateMetrics()
+        extras = {
+            "c_fit": c_fit,
+            "worst_residual": float(np.abs(residuals).max()),
+            "gate_time_by_azx": gate_times,
+        }
     return _manifest(cfg, "run", out, files, metrics, extras, sim_cfg,
                      time.perf_counter() - start)
 
@@ -238,7 +213,7 @@ def errmap_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None 
 
     system = cfg.build_system()
     pulse = cfg.build_pulse()
-    obs = _fit_observable(cfg, system)
+    _, obs = _outputs(cfg, system)
     seq = cfg.data["sequence"]
     length_factors = [float(x) for x in grid["length_factors"]]
     freq_factors = [float(x) for x in grid["freq_factors"]]

@@ -125,9 +125,6 @@ class PulseSequence:
     def duration(self) -> float:
         return float(sum(e.duration for e in self.elements))
 
-    def pulses(self):
-        return [e for e in self.elements if isinstance(e, Pulse)]
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -180,13 +177,12 @@ def _closing_angle(n: int, closing_rule: str) -> float:
 
 
 def _axis_phases(family: str, n: int, wrapper_phase: float):
-    # the alternating axis is the wrapper axis, so a conjugated frame
-    # (wrapper at -pi/2) negates every phase in the sequence at once
+    # cpmg or xyn, as ``family_rule`` rejects any other; the alternating axis
+    # is the wrapper axis, so a conjugated frame (wrapper at -pi/2) negates
+    # every phase in the sequence at once
     if family == "cpmg":
         return [0.0] * n
-    if family == "xyn":
-        return [0.0 if k % 2 == 0 else wrapper_phase for k in range(n)]
-    raise ValueError(f"unknown sequence family {family!r}")
+    return [0.0 if k % 2 == 0 else wrapper_phase for k in range(n)]
 
 
 def compile_sequence(family, n, tau, pi_pulse, wrapper_phase, closing_rule=None,

@@ -163,6 +163,52 @@ def test_a_metric_the_run_cannot_compute_is_exit_2_before_the_sweep(preset, chan
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("verb", ["run", "errmap"])
+def test_an_unknown_observable_is_exit_2_before_the_sweep(verb, tmp_path, capsys):
+    raw = copy.deepcopy(SMALL)
+    raw["outputs"]["observables"] = ["Jz"]
+    raw["errmap"] = {"length_factors": [1.0], "freq_factors": [1.0]}
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+    assert "outputs.observables: unknown ['Jz']" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_the_listed_observables_are_the_csv_columns(tmp_path):
+    raw = copy.deepcopy(SMALL)
+    raw["outputs"]["observables"] = ["Iz"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 0
+    assert (out / "tiny.csv").read_text().splitlines()[0] == "n,Iz"
+
+
+def test_the_fit_observable_defaults_to_the_last_observable(tmp_path):
+    raw = get_preset("ddgate")
+    assert raw["outputs"]["fit_observable"] == "Iz"
+    named = run_experiment(ExperimentConfig.from_dict(raw), tmp_path / "named")
+    del raw["outputs"]["fit_observable"]
+    default = run_experiment(ExperimentConfig.from_dict(raw), tmp_path / "default")
+    assert default["metrics"] == named["metrics"]
+    assert default["metrics"]["n_pi"] == pytest.approx(19.9068, abs=1e-4)
+
+
+def test_errmap_without_a_grid_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["errmap", "--config", "ddgate", "--out", str(out)]) == 2
+    assert "errmap: config has no errmap section" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_coupling_tensor_runs_as_its_azx(tmp_path):
+    raw = get_preset("ddgate")
+    scalar = run_experiment(ExperimentConfig.from_dict(raw), tmp_path / "azx")
+    raw["system"]["targets"] = [{"omega0": 1.0, "coupling": [[0, 0, 0], [0, 0, 0], [0.2, 0, 0]]}]
+    tensor = run_experiment(ExperimentConfig.from_dict(raw), tmp_path / "tensor")
+    written = [(tmp_path / run / "ddgate.csv").read_bytes() for run in ("azx", "tensor")]
+    assert written[0] == written[1]
+    assert (tensor["metrics"], tensor["extras"]) == (scalar["metrics"], scalar["extras"])
+
+
 def test_the_gate_metrics_share_one_fit(monkeypatch, tmp_path):
     calls = []
 

@@ -71,6 +71,19 @@ def test_hash_ignores_default_spelling():
     b = ExperimentConfig.from_dict(explicit)
     assert a.config_hash() == b.config_hash()
 
+    # an integer spelled as a float, a number spelled as an int
+    respelled = minimal()
+    respelled["system"]["omega00"] = 50
+    respelled["system"]["targets"][0]["omega0"] = 1
+    respelled["sequence"]["n_range"] = [1.0, 20.0]
+    assert ExperimentConfig.from_dict(respelled).config_hash() == a.config_hash()
+    tau_sweep, respelled = nv_minimal(), nv_minimal()
+    tau_sweep["sequence"]["tau_range"] = [1.0, 2.0, 11]
+    respelled["system"]["b0"] = 32
+    respelled["sequence"].update(n=8.0, tau_range=[1, 2, 11])
+    assert (ExperimentConfig.from_dict(respelled).config_hash()
+            == ExperimentConfig.from_dict(tau_sweep).config_hash())
+
 
 def test_hash_changes_with_meaning():
     a = ExperimentConfig.from_dict(minimal())
@@ -167,6 +180,15 @@ def test_coupling_scan_restrictions():
     raw["system"]["targets"].append({"omega0": 0.5, "azx": 0.1})
     raw["coupling_scan"] = [0.1, 0.2]
     with pytest.raises(ConfigError, match="single-target"):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_coupling_scan_rejects_a_coupling_tensor():
+    raw = minimal()
+    raw["system"]["targets"] = [{"omega0": 1.0, "coupling": [[0, 0, 0], [0, 0, 0], [0.2, 0, 0]]}]
+    ExperimentConfig.from_dict(raw)
+    raw["coupling_scan"] = [0.1, 0.2]
+    with pytest.raises(ConfigError, match="coupling_scan: incompatible with a full coupling tensor"):
         ExperimentConfig.from_dict(raw)
 
 

@@ -404,6 +404,25 @@ def test_a_bad_state_at_an_earlier_tau_is_raised_before_a_failing_tau(monkeypatc
     assert error_of(lambda: sweep_tau(GENERIC, "cpmg", 2, taus, PI_PULSE, CFG)) == expected
 
 
+def test_a_bad_state_fails_only_its_own_error_cell(monkeypatch):
+    original = PropagatorCache.free
+
+    def free(self, duration):  # the inner gap of the length-1.1 cell only
+        u = original(self, duration)
+        return 1.1 * u if round(duration, 12) == 0.39 else u
+
+    monkeypatch.setattr(PropagatorCache, "free", free)
+    n_values = list(range(1, 9))
+    good, bad = evolution.sweep_n_cells(GENERIC, "cpmg", n_values, 0.5, PI_PULSE, CFG,
+                                        [(1.0, 1.0), (1.1, 1.0)])
+    expected = error_of(lambda: sweep_n(GENERIC, "cpmg", n_values, 0.5, PI_PULSE, CFG,
+                                        length_factor=1.1))
+    assert expected.startswith("density matrix trace (1.21")
+    assert isinstance(bad, ValueError) and str(bad) == expected
+    alone = sweep_n(GENERIC, "cpmg", n_values, 0.5, PI_PULSE, CFG)
+    assert np.array_equal(good.states, alone.states)
+
+
 # ---------------------------------------------------------------- phase-keyed cache
 
 def counting_builds(monkeypatch):

@@ -1,10 +1,12 @@
-"""Every import of a package module is used by that module.
+"""Every import of a package module is used by that module, and so is
+every private name that a module defines at its top level.
 
 A stdlib ``ast`` pass stands in for a linter's unused-import check.  It
 skips ``__init__.py``, whose imports are the package's exports,
 ``__future__`` imports, names listed in a module's ``__all__`` and
 imports on a line marked ``# noqa: F401``: names kept for
-``benchmarks/spans.py`` to patch.
+``benchmarks/spans.py`` to patch.  A second pass finds each top-level
+function, class or assignment named ``_x`` that its module never reads.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spindd"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def exported(tree) -> set:
@@ -48,3 +51,27 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+def unused_private_names(path: Path) -> list:
+    tree = ast.parse(path.read_text())
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in defined.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_private_name_is_used(path):
+    assert unused_private_names(path) == []
