@@ -151,20 +151,38 @@ def check_states(mats) -> None:
     stack.  The first state failing the first failing check raises
     ``ValueError``.
     """
-    mats = np.asarray(mats)
-    tr = np.trace(mats, axis1=1, axis2=2)
-    bad = np.flatnonzero(np.abs(tr - 1.0) > DM_TRACE_TOL)
-    if bad.size:
-        raise ValueError(f"density matrix trace {complex(tr[bad[0]])} deviates from 1")
+    error = state_errors(np.asarray(mats)[None])[0]
+    if error is not None:
+        raise error
+
+
+def state_errors(stacks) -> list:
+    """Per stack of a ``(g, n, d, d)`` array, None or the ``ValueError`` that
+    ``check_states`` raises on that stack alone; every stack is checked in
+    one pass over all ``g n`` matrices."""
+    stacks = np.asarray(stacks)
+    g, n, d = stacks.shape[:3]
+    mats = stacks.reshape(g * n, d, d)
+    tr = np.trace(mats, axis1=1, axis2=2).reshape(g, n)
     adj = np.swapaxes(mats, 1, 2).conj()
     scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1.0)
     # "not within" so that a nan entry fails here, before eigvalsh
-    if not np.all(np.abs(mats - adj).max(axis=(1, 2)) <= DM_HERM_TOL * scale):
-        raise ValueError("density matrix is not Hermitian")
-    lowest = np.linalg.eigvalsh(0.5 * (mats + adj))[:, 0]
-    bad = np.flatnonzero(lowest < DM_EIG_FLOOR)
-    if bad.size:
-        raise ValueError(f"density matrix has negative eigenvalue {lowest[bad[0]]:.3e}")
+    hermitian = (np.abs(mats - adj).max(axis=(1, 2)) <= DM_HERM_TOL * scale).reshape(g, n)
+    errors = []
+    for traces, ok in zip(tr, hermitian):
+        bad = np.flatnonzero(np.abs(traces - 1.0) > DM_TRACE_TOL)
+        if bad.size:
+            trace = complex(traces[bad[0]])
+            errors.append(ValueError(f"density matrix trace {trace} deviates from 1"))
+        else:
+            errors.append(None if ok.all() else ValueError("density matrix is not Hermitian"))
+    live = [j for j, error in enumerate(errors) if error is None]
+    lowest = np.linalg.eigvalsh(0.5 * (mats + adj).reshape(g, n, d, d)[live])[..., 0]
+    for j, values in zip(live, lowest):
+        bad = np.flatnonzero(values < DM_EIG_FLOOR)
+        if bad.size:
+            errors[j] = ValueError(f"density matrix has negative eigenvalue {values[bad[0]]:.3e}")
+    return errors
 
 
 @dataclass(frozen=True)

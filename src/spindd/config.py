@@ -275,7 +275,8 @@ def _semantic_problems(raw: dict) -> list:
 
     if has_n_range and len(seq.get("n_range", [])) >= 2:
         rng = seq["n_range"]
-        if all(isinstance(v, int) for v in rng) and rng[1] < rng[0]:
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in rng)
+        if numbers and rng[1] < rng[0]:
             problems.append("sequence.n_range: upper bound below lower bound")
     if has_tau_range:
         rng = seq.get("tau_range", [])

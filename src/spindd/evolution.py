@@ -3,73 +3,48 @@
 Free evolution is a single exact exponential of the static Hamiltonian.
 Driven intervals are Trotterized: the lab-frame Hamiltonian including
 the oscillating carrier is sampled at the midpoint of each step of
-length ``dt`` and the step exponentials are multiplied, later steps on
-the left, by a pairwise reduction.  A step Hamiltonian
-``h0 + omega1 x drive_op`` depends on the step only through the carrier
-amplitude ``x`` in [-1, 1], so each step exponential is read off a
-Chebyshev interpolant in ``x`` through a few exactly exponentiated
-nodes; the node count is chosen so that the interpolation error bound
-``2 y^K / K!`` stays below 1e-17, far under rounding (see
-``pulse_propagator``).  The lab clock runs continuously across the whole
-sequence, so the carrier phase of later pulses follows from their start
-time; ``SimConfig.carrier_reset`` restarts the carrier at every pulse
-instead, for comparison.  A pulse's propagator depends on its start time
-only through that carrier phase, so the cache keys pulses by phase.
+length ``dt``, and the step exponentials, read off a Chebyshev
+interpolant in the carrier amplitude (see ``pulse_propagator``), are
+multiplied, later steps on the left, by a pairwise reduction.  One
+kernel, ``_trotter``, does both for a stack of pulses that share their
+step count and coefficients; ``pulse_propagator`` is its one-row case.
+The lab clock runs continuously across the whole sequence, so a pulse's
+carrier phase follows from its start time (``SimConfig.carrier_reset``
+restarts the carrier at every pulse instead), and the cache keys pulses
+by that phase.
 
 Every sweep is one walk over cells ``(tau, length_factor, freq_factor)``:
 the taus of a tau sweep, or the error cells of N sweeps at one tau.  Each
 cell walks the pi train of its largest N once and closes it at each
-wanted N with the closing tail of its class.  One function compiles a
-cell, with the reference path's checks (each closing class's first N
-compiled, given the cell's errors and validated), and times its lookups,
-in an order that is the same for every cell.  Before anything is built,
-the walk hands every cell's pulse requests to one ``PropagatorCache.plan``,
-which builds every entry the cache lacks; the cells then look up their
-propagators in the order that applying their sequences one after another
-would, and advance by one batched product per element of a ``(cells, d,
-d)`` stack of each cell's propagator at that position, the identity
-standing for an empty delay or a failed cell.
+wanted N with the closing tail of its class.  The walk keys each lookup
+once, in an order that is the same for every cell, and one
+``PropagatorCache.plan`` builds every entry the cells lack.  The distinct
+entries form a ``(K, d, d)`` table, row 0 the identity, and the lookups a
+``(cells, L)`` index array; every cell advances by one batched product
+per position, its factors gathered a chunk of positions at a time.
 
-A tau sweep moves every carrier phase, so a pulse shape requested at
-many phases is served from a trigonometric interpolant in the phase.
-The Trotter product ``U(phi)`` is a Laurent series in ``z = exp(i phi)``
-bounded by ``exp(a (r - 1/r))`` on ``|z| = r``, ``a = nsteps y``; the
-Cauchy estimate at ``r = m / a`` bounds its m-th Fourier coefficient by
-``(e a / m)^m``, so with ``q = e a / (h + 1)`` those beyond h sum to at
-most ``2 q^(h+1) / (1 - q)``, kept below 1e-15 by M = 2 h + 1 samples.
-The same bound serves a block of B = 32 steps, which makes an
-incommensurate N sweep cheap too: a pulse of a blocked carrier family
-``(omega1, omegap, dt)`` is the pairwise product of blocks read off one
-series in the block's start phase, times its ``nsteps % B`` trailing
-steps built exactly.  A plan picks each route once, from the keys it
-lacks (see ``PropagatorCache``): a shape takes its M samples when its
-exact phases, held and missing, would pass 2 M, and a family is blocked
-when it holds its ``M_B = _phase_count(B y)`` block samples or its
-missing keys' Trotter steps exceed their ``M_B B``.  Either series is
-read once per shape: every block of every phase a blocked shape builds
-in one batched product and one stacked pairwise reduction, every phase
-of a sampled shape in one batched product.
+Many phases of one pulse shape are read off a trigonometric interpolant
+in the phase.  The Trotter product ``U(phi)`` is a Laurent series in
+``z = exp(i phi)`` bounded by ``exp(a (r - 1/r))`` on ``|z| = r``,
+``a = nsteps y``; the Cauchy estimate at ``r = m / a`` bounds its m-th
+Fourier coefficient by ``(e a / m)^m``, so with ``q = e a / (h + 1)``
+those beyond h sum to at most ``2 q^(h+1) / (1 - q)``, kept below 1e-15
+by M = 2 h + 1 samples.  The same bound serves the blocks of B = 32 steps
+that long pulses are multiplied from (see ``PropagatorCache``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
-from .algebra import DensityMatrix, Operator, check_states, eig_hermitian, eig_propagator
+from .algebra import (DensityMatrix, Operator, check_states, eig_hermitian, eig_propagator,
+                      state_errors)
 from .analysis import SweepResult, expvals
-from .sequences import (
-    Delay,
-    DrivePulse,
-    Pulse,
-    PulseSequence,
-    SimConfig,
-    closing_class,
-    compile_sequence,
-    inject_errors,
-)
+from .sequences import (Delay, DrivePulse, Pulse, PulseSequence, SimConfig, closing_class,
+                        compile_sequence, inject_errors)
 # unused here; benchmarks/spans.py patches these names on this module
 from .sequences import compile_cpmg, compile_xyn  # noqa: F401
 
@@ -83,13 +58,16 @@ _KEY_DIGITS = 12
 # (2 pi dt omega1 |drive_op|_2)^K = (2 y)^K, which gives 2 y^K / K!.
 _CHEB_TOL = 1e-17
 
-
 # bound on the Fourier coefficients beyond a phase interpolant's; see above
 _PHASE_TOL = 1e-15
 
 # Trotter steps per block of a blocked pulse family (see PropagatorCache);
 # a power of two, so that the blocks are subtrees of the steps' reduction
 _BLOCK = 32
+
+# complex entries per stack of exact builds and per gathered chunk of a
+# walk's factors (256 kB), so that neither grows with the stack it serves
+_CHUNK = 2 ** 14
 
 
 def _node_count(y: float) -> int:
@@ -121,9 +99,9 @@ class EvolutionResult:
 
 
 def _chebyshev(x: np.ndarray, k: int) -> np.ndarray:
-    """``(k, len(x))`` rows ``T_m(x)``, m < k, by the three-term recurrence
+    """``(k, *x.shape)`` values ``T_m(x)``, m < k, by the three-term recurrence
     ``T_m = 2 x T_(m-1) - T_(m-2)``."""
-    v = np.empty((k, len(x)))
+    v = np.empty((k,) + x.shape)
     v[0] = 1.0
     if k > 1:
         v[1] = x
@@ -148,6 +126,50 @@ def _step_coefficients(h0: Operator, drive_op: Operator, omega1: float, dt: floa
     return y, transform @ u_nodes
 
 
+def _step_count(h0: Operator, pulse: DrivePulse, drive_op: Operator, dt: float) -> int:
+    """Trotter steps of ``pulse``, once ``pulse_propagator``'s checks pass."""
+    if dt is None or dt <= 0:
+        raise ValueError("pulse_propagator requires a positive dt")
+    nsteps = int(round(pulse.duration / dt))
+    if nsteps < 1:
+        raise ValueError(f"pulse duration {pulse.duration} shorter than half a step dt={dt}")
+    drift = abs(pulse.duration - nsteps * dt)
+    if drift > 0.5 * dt * (1.0 + 1e-9):
+        raise ValueError(f"pulse duration {pulse.duration} drifts {drift} from the dt grid")
+    if h0.dims != drive_op.dims:
+        raise ValueError("h0 and drive operator live on different registers")
+    return nsteps
+
+
+def _amplitudes(rows, nsteps: int, dt: float) -> np.ndarray:
+    """``(S, nsteps)`` carrier amplitudes at the step midpoints of rows ``(pulse, t_start)``."""
+    t_mid = (np.arange(nsteps) + 0.5) * dt
+    return np.array([pulse.carrier(t_start + t_mid) / pulse.omega1 for pulse, t_start in rows])
+
+
+def _trotter(x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """The ``(S, d, d)`` Trotter products of pulses with ``(S, nsteps)`` carrier
+    amplitudes ``x`` and ``(K, d^2)`` step coefficients: one Chebyshev
+    evaluation, then one pairwise reduction of the ``(S, nsteps, d, d)``
+    stack.  Each row is a ``(nsteps, K) @ (K, d^2)`` product of its own, so
+    it is the same bits whatever else the stack holds."""
+    s, n = x.shape
+    d = math.isqrt(coefficients.shape[1])
+    us = _chebyshev(x, len(coefficients)).transpose(1, 2, 0) @ coefficients
+    return _reduce(us.reshape(s, n, d, d))
+
+
+def _exact(rows: list, nsteps: int, coefficients: np.ndarray, dt: float) -> np.ndarray:
+    """The ``(S, d, d)`` exact builds of checked rows ``(pulse, t_start)`` of
+    ``nsteps`` steps each, in stacks of at most ``_CHUNK`` complex step entries."""
+    d = math.isqrt(coefficients.shape[1])
+    out = np.empty((len(rows), d, d), dtype=complex)
+    size = max(1, _CHUNK // (nsteps * d * d))
+    for lo in range(0, len(rows), size):
+        out[lo:lo + size] = _trotter(_amplitudes(rows[lo:lo + size], nsteps, dt), coefficients)
+    return out
+
+
 def pulse_propagator(h0: Operator, pulse: DrivePulse, drive_op: Operator,
                      t_start: float = 0.0, dt: float = None,
                      coefficients: np.ndarray | None = None) -> Operator:
@@ -168,27 +190,13 @@ def pulse_propagator(h0: Operator, pulse: DrivePulse, drive_op: Operator,
     K is the smallest node count with ``2 y^K / K! <= 1e-17``.  Those
     coefficient matrices depend on neither the start nor the phase; a
     caller that holds them for this ``h0``, ``drive_op``, ``omega1`` and
-    ``dt`` passes them as ``coefficients``.
+    ``dt`` passes them as ``coefficients``.  This is ``_trotter`` on one row.
     """
-    if dt is None or dt <= 0:
-        raise ValueError("pulse_propagator requires a positive dt")
-    nsteps = int(round(pulse.duration / dt))
-    if nsteps < 1:
-        raise ValueError(f"pulse duration {pulse.duration} shorter than half a step dt={dt}")
-    drift = abs(pulse.duration - nsteps * dt)
-    if drift > 0.5 * dt * (1.0 + 1e-9):
-        raise ValueError(f"pulse duration {pulse.duration} drifts {drift} from the dt grid")
-    if h0.dims != drive_op.dims:
-        raise ValueError("h0 and drive operator live on different registers")
-
+    nsteps = _step_count(h0, pulse, drive_op, dt)
     if coefficients is None:
         coefficients = _step_coefficients(h0, drive_op, pulse.omega1, dt)[1]
-    t_mid = t_start + (np.arange(nsteps) + 0.5) * dt
-    x = pulse.carrier(t_mid) / pulse.omega1
-    d = h0.shape[0]
-    us = (_chebyshev(x, len(coefficients)).T @ coefficients).reshape(nsteps, d, d)
-
-    return Operator(_reduce(us), h0.dims)
+    x = _amplitudes([(pulse, t_start)], nsteps, dt)
+    return Operator(_trotter(x, coefficients)[0], h0.dims)
 
 
 def _reduce(us: np.ndarray) -> np.ndarray:
@@ -234,47 +242,39 @@ class PropagatorCache:
 
     Free propagators reuse a single eigendecomposition of the static
     Hamiltonian.  Pulse propagators are keyed by carrier phase in cycles,
-    ``(omegap t_start + phase / 2 pi) mod 1``, plus duration, amplitude,
-    carrier frequency and ``dt``: a step's Hamiltonian sees ``t_start``
-    only through that phase.  Pulses whose starts differ by whole carrier
-    periods therefore share one build, which is what makes a carrier
-    commensurate with ``tau`` cheap.  Each entry is built at ``t_start = 0``
-    with the keyed phase, so it does not depend on which request built it.
-    The Chebyshev step coefficients are computed once per amplitude and
-    ``dt``; a free duration, the phase and the shape (the key without its
-    phase) are each rounded once per unrounded value.
+    ``(omegap t_start + phase / 2 pi) mod 1``, plus their shape: duration,
+    amplitude, carrier frequency and ``dt``.  Pulses whose starts differ
+    by whole carrier periods share one build, which is what makes a
+    carrier commensurate with ``tau`` cheap.  Each entry is built at
+    ``t_start = 0`` with the keyed phase, so it does not depend on which
+    request built it.  Step coefficients are computed once per amplitude
+    and ``dt``, and each key part is rounded once per unrounded value.
 
-    ``plan`` builds every entry that a list of requests lacks, and a
+    ``plan`` builds every entry that a list of keyed requests lacks; a
     lookup that misses is a plan of its own key.  A plan groups the
     missing keys by shape and by carrier family ``(omega1, omegap, dt)``
     and applies two rules once:
 
-    - a shape builds each missing phase exactly while the phases it has
-      built exactly plus its missing ones stay within 2 M, M from
-      ``_phase_count(nsteps y)``; otherwise it builds M samples at phases
-      ``2 pi j / M`` and takes their FFT, and every phase is then
-      ``sum_m c_m exp(2 pi i m cycles)``, within twice ``_PHASE_TOL`` of the
-      exact build (measured: 1.3e-14, rounding).  A shape never takes more
-      than 3 M builds, nor 1.5 times as many as building each of its phases
-      would.
+    - a shape builds each missing phase while the phases it has built plus
+      its missing ones stay within 2 M, M = ``_phase_count(nsteps y)``;
+      otherwise it builds M samples at phases ``2 pi j / M``, and every
+      phase is then its FFT series ``sum_m c_m exp(2 pi i m cycles)``,
+      within twice ``_PHASE_TOL`` of the exact build (measured: 1.3e-14).
+      So a shape takes at most 3 M builds, or 1.5 times its phases.
     - a family is blocked once it holds its block series, or when the
-      Trotter steps of its missing keys, nsteps summed over them, exceed the
-      ``M_B B`` steps of that series, ``M_B = _phase_count(B y)`` samples of
-      one block of B = ``_BLOCK`` steps each.  A blocked shape builds all
-      its phases at once, its missing ones or its M samples: it reads each
-      phase's first ``nsteps // B`` blocks off the series at their start
-      phases, ``cycles + j omegap B dt`` for block j, in one batched
-      ``(S, q, M_B) @ (M_B, d^2)`` product, builds each phase's trailing
-      ``nsteps % B`` steps with one ``pulse_propagator`` call, and multiplies
-      the ``(S, q[+1], d, d)`` stack by the steps' pairwise reduction, whose
-      subtrees the blocks are (measured: block-built entries within 2.3e-14
-      of the exact build).  Any other build is one ``pulse_propagator`` call.
+      Trotter steps of its missing keys exceed the ``M_B B`` steps of that
+      series, ``M_B = _phase_count(B y)`` samples of a block of B =
+      ``_BLOCK`` steps.  A blocked shape reads each phase's ``nsteps // B``
+      blocks off the series at their start phases, ``cycles + j omegap B
+      dt``, in one batched ``(S, q, M_B) @ (M_B, d^2)`` product, and
+      reduces them with its trailing ``nsteps % B`` steps, built exactly,
+      as subtrees of the steps' pairwise product (measured: within 2.3e-14).
 
-    A sampled shape reads all its missing phases off its series in one
-    ``(S, 1, M) @ (M, d^2)`` product.  Both products are batched so that
-    each phase is its own product, and an entry is the same bits whatever
-    else its stack holds; in a flat 2-D stack numpy would multiply a single
-    row (one block or one phase) on another path, about 5e-15 apart.
+    Every exact build of a plan is a row of one stack per step count and
+    amplitude, built by ``_trotter`` in chunks of ``_CHUNK`` complex step
+    entries once its shape passed ``pulse_propagator``'s checks.  Every
+    product is batched so that each row is its own, and an entry is the
+    same bits whatever else its stack holds.
     """
 
     def __init__(self, system):
@@ -301,6 +301,8 @@ class PropagatorCache:
     def pulse_key(self, pulse: DrivePulse, t_start: float, dt: float) -> tuple:
         """``(cycles, shape)`` of a pulse started at ``t_start``; each part is
         rounded once per unrounded value and then looked up."""
+        if not -math.inf < t_start < math.inf:
+            raise ValueError(f"pulse start must be finite, got {t_start}")
         raw = (pulse.omegap * t_start + pulse.phase / (2.0 * np.pi)) % 1.0
         cycles = self._rounded.get(raw)
         if cycles is None:
@@ -314,92 +316,100 @@ class PropagatorCache:
 
     def pulse(self, pulse: DrivePulse, t_start: float, dt: float) -> np.ndarray:
         key = self.pulse_key(pulse, t_start, dt)
-        u = self._pulses.get(key)
-        if u is None:  # a plan of this one key
-            u = self._pulses[key] = self._entries(key[1], {key[0]: pulse}, {}, dt)[key]
-        return u
+        if key not in self._pulses and (failed := self.plan([(key, pulse)], dt)):
+            raise failed[key]
+        return self._pulses[key]
 
     def plan(self, requests, dt: float) -> dict:
-        """Build every entry that the pulse requests ``(pulse, t_start)`` lack,
-        shape after shape in request order, each from the pulse of its first
-        request; per key whose shape or family raised, that ``ValueError``.
-        A failing shape or family is tried once and keeps no half-built series."""
+        """Build every entry that the keyed requests ``(pulse_key(pulse,
+        t_start, dt), pulse)`` lack, shape after shape in request order, each
+        from the pulse of its first request; per key whose shape or family
+        raised, that ``ValueError``.  A failing shape or family is tried once
+        and keeps no half-built series; a plan whose stacks raise keeps nothing."""
         wanted, steps = {}, {}  # shape -> {cycles: first pulse}, family -> Trotter steps
-        for pulse, t_start in requests:
-            key = self.pulse_key(pulse, t_start, dt)
+        for key, pulse in requests:
             if key not in self._pulses:
                 wanted.setdefault(key[1], {}).setdefault(key[0], pulse)
         for shape, phases in wanted.items():
             steps[shape[1:]] = steps.get(shape[1:], 0) + len(phases) * round(shape[0] / dt)
-        failed, broken = {}, {}  # family -> the ValueError of its block samples
+        failed, stacks, sampled, reads = {}, {}, {}, []
         for shape, phases in wanted.items():
             try:
-                self._pulses.update(self._entries(shape, phases, broken, dt, steps[shape[1:]]))
+                reads.append(self._route(shape, phases, dt, steps[shape[1:]], stacks, sampled))
             except ValueError as exc:
                 failed.update(dict.fromkeys([(c, shape) for c in phases], exc))
+        built = {(n, omega1): _exact(rows, n, self._steps[(omega1, dt)][1], dt)
+                 for (n, omega1), rows in stacks.items()}
+        for family, span in sampled.items():
+            if not isinstance(span, ValueError):
+                self._families[family].sample(built[span[0]][span[1]])
+        for read in reads:
+            self._pulses.update(read(built))
         return failed
 
-    def _entries(self, shape: tuple, phases: dict, broken: dict, dt: float,
-                 family_steps: int | None = None) -> dict:
-        """The entries of one shape's missing ``phases``, cycles -> first pulse,
-        on a family whose missing keys hold ``family_steps`` Trotter steps
-        (None for a plan of one key: its own steps)."""
+    def _route(self, shape: tuple, phases: dict, dt: float, planned: int,
+               stacks: dict, sampled: dict):
+        """Route one shape's missing ``phases``, cycles -> first pulse, on a
+        family whose missing keys hold ``planned`` Trotter steps; queue its
+        exact builds on ``stacks``, (nsteps, omega1) -> rows, and the family's
+        block samples, if taken, on ``sampled``, family -> their rows or error.
+        Returns what reads the shape's entries off the built stacks."""
         family, pulse = shape[1:], next(iter(phases.values()))
         steps = self._steps.get((pulse.omega1, dt))
         if steps is None:
             steps = self._steps[(pulse.omega1, dt)] = _step_coefficients(
                 self.system.h0, self.system.drive_op, pulse.omega1, dt)
-        nsteps = round(pulse.duration / dt)
-        state = self._shapes.get(shape)
+        keys, state = [(c, shape) for c in phases], self._shapes.get(shape)
+        d, cycles = self.system.h0.shape[0], np.array(list(phases))[:, None, None]
+        if state is not None and state.series is not None:
+            return lambda built: dict(zip(keys, state.at(cycles).reshape(-1, d, d)))
+        blocks = self._families.get(family)
+        if blocks is None:
+            blocks = self._families[family] = _Series(_phase_count(_BLOCK * steps[0]))
+        if isinstance(sampled.get(family), ValueError):
+            raise sampled[family]
+        if blocks.series is None and family not in sampled and planned > _BLOCK * blocks.samples:
+            try:  # each sample is built exactly: the series is set once all are
+                sampled[family] = self._queue(stacks, dict.fromkeys(blocks.phases(), pulse), dt,
+                                              _BLOCK)
+            except ValueError as exc:
+                sampled[family] = exc
+                raise
+        nsteps = _step_count(self.system.h0, pulse, self.system.drive_op, dt)
         if state is None:
             state = self._shapes[shape] = _Series(_phase_count(nsteps * steps[0]))
-        if state.series is None:
-            blocks = self._families.get(family)
-            if blocks is None:
-                blocks = self._families[family] = _Series(_phase_count(_BLOCK * steps[0]))
-            if family in broken:
-                raise broken[family]
-            if blocks.series is None and (family_steps or nsteps) > _BLOCK * blocks.samples:
-                block = replace(pulse, duration=_BLOCK * dt)
-                try:  # each sample is built exactly: the series is set once all are
-                    blocks.sample(self._build(dict.fromkeys(blocks.phases(), block), dt, steps[1]))
-                except ValueError as exc:
-                    broken[family] = exc
-                    raise
-            build = self._build
-            if blocks.series is not None and nsteps >= _BLOCK:
-                build = partial(self._blocked, blocks)
-            if state.built + len(phases) <= 2 * state.samples:
-                entries = dict(zip([(c, shape) for c in phases], build(phases, dt, steps[1])))
-                state.built += len(entries)
-                return entries
-            state.sample(build(dict.fromkeys(state.phases(), pulse), dt, steps[1]))
-        us = state.at(np.array(list(phases))[:, None, None])
-        return dict(zip([(c, shape) for c in phases], us.reshape(-1, *self.system.h0.shape)))
+        sample = state.built + len(phases) > 2 * state.samples
+        drives = dict.fromkeys(state.phases(), pulse) if sample else phases
+        blocked = nsteps >= _BLOCK and (blocks.series is not None or family in sampled)
+        q, r = divmod(nsteps, _BLOCK) if blocked else (0, nsteps)  # blocks, exact steps
+        span = r and self._queue(stacks, drives, dt, r, q * _BLOCK * dt)
 
-    def _build(self, phases: dict, dt: float, coefficients) -> list:
-        """One exact build per phase of ``phases``, cycles -> pulse."""
-        return [pulse_propagator(self.system.h0, replace(drive, phase=2.0 * np.pi * c),
-                                 self.system.drive_op, 0.0, dt, coefficients).mat
-                for c, drive in phases.items()]
+        def read(built) -> dict:
+            us = built[span[0]][span[1]][:, None] if span else np.empty((len(drives), 0, d, d))
+            if blocked:  # every block of every phase in one (S, q, M_B) @ (M_B, d^2) product
+                rates = [drive.omegap * _BLOCK * dt for drive in drives.values()]
+                starts = (np.array(list(drives))[:, None] + np.outer(rates, np.arange(q))) % 1.0
+                us = np.concatenate((blocks.at(starts[..., None]).reshape(-1, q, d, d), us), 1)
+            us = _reduce(us)
+            if sample:
+                state.sample(us)
+                us = state.at(cycles).reshape(-1, d, d)
+            else:
+                state.built += len(us)
+            return dict(zip(keys, us))
+        return read
 
-    def _blocked(self, blocks: _Series, phases: dict, dt: float, coefficients) -> np.ndarray:
-        """The ``(S, d, d)`` block products of one shape at ``phases``,
-        cycles -> pulse, on a family whose block series is ``blocks``."""
-        h0, drive_op = self.system.h0, self.system.drive_op
-        q, r = divmod(round(next(iter(phases.values())).duration / dt), _BLOCK)
-        # every block of every phase in one batched product, (S, q, M) @ (M, d^2):
-        # each phase's rows are a product of their own, as a single phase's would be
-        cycles = np.array(list(phases))[:, None]
-        rates = np.array([drive.omegap * _BLOCK * dt for drive in phases.values()])[:, None]
-        starts = (cycles + np.arange(q) * rates) % 1.0
-        us = blocks.at(starts[..., None]).reshape(len(phases), q, *h0.shape)
-        if r:
-            tails = [pulse_propagator(h0, replace(drive, phase=2.0 * np.pi * c, duration=r * dt),
-                                      drive_op, q * _BLOCK * dt, dt, coefficients).mat
-                     for c, drive in phases.items()]
-            us = np.concatenate((us, np.array(tails)[:, None]), axis=1)
-        return _reduce(us)
+    def _queue(self, stacks: dict, drives: dict, dt: float, nsteps: int,
+               t_start: float = 0.0) -> tuple:
+        """Queue the ``nsteps``-step builds from ``t_start`` of ``drives``, cycles
+        -> pulse, on their stack once the first passes ``pulse_propagator``'s
+        checks (the rest share them); returns the stack's key and their rows."""
+        rows = [(replace(drive, phase=2.0 * np.pi * c, duration=nsteps * dt), t_start)
+                for c, drive in drives.items()]
+        _step_count(self.system.h0, rows[0][0], self.system.drive_op, dt)
+        stack = stacks.setdefault((nsteps, rows[0][0].omega1), [])
+        stack += rows
+        return (nsteps, rows[0][0].omega1), slice(len(stack) - len(rows), len(stack))
 
 
 def _start(el, t: float, cfg: SimConfig) -> tuple:
@@ -414,16 +424,6 @@ def _start(el, t: float, cfg: SimConfig) -> tuple:
     raise TypeError(f"unknown sequence element {el!r}")
 
 
-def _lookup(cache: PropagatorCache, el, start, dt: float, failed=None):
-    """Propagator of element ``el`` looked up at ``start``, None for an empty
-    delay; a pulse whose key a plan ``failed`` raises that plan's error."""
-    if start is None:
-        return cache.free(el.duration) if el.duration > 0 else None
-    if failed and (key := cache.pulse_key(el.pulse, start, dt)) in failed:
-        raise failed[key]
-    return cache.pulse(el.pulse, start, dt)
-
-
 def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
                    cache: PropagatorCache | None = None) -> EvolutionResult:
     """Evolve ``system.rho0`` through a compiled sequence."""
@@ -433,13 +433,13 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
     elif cache.system is not system:
         raise ValueError("cache was built for a different system")
 
-    u_total = np.eye(system.h0.shape[0], dtype=complex)
-    t = 0.0
+    u_total, t = np.eye(system.h0.shape[0], dtype=complex), 0.0
     for el in seq.elements:
         start, t = _start(el, t, cfg)
-        u_el = _lookup(cache, el, start, cfg.dt)
-        if u_el is not None:
-            u_total = u_el @ u_total
+        if start is not None:
+            u_total = cache.pulse(el.pulse, start, cfg.dt) @ u_total
+        elif el.duration > 0:
+            u_total = cache.free(el.duration) @ u_total
 
     rho_f = u_total @ system.rho0.mat @ u_total.conj().T
     return EvolutionResult(
@@ -449,13 +449,12 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
 
 
 def _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell) -> list:
-    """One cell's lookups in time order, each ``(element, start)`` (see
-    ``_start``): the pi train of max N, with the closing tail of its class
-    after each wanted N's N-th pi pulse.  Its checks are the reference path's
-    own: each class's first N, ``firsts``, is compiled, given the cell's
-    errors by ``inject_errors`` and, the first one, validated for ``cfg``, as
-    applying each N's sequence would.  Those read N only through N >= 1 and
-    its closing class, so they raise what every N would."""
+    """One cell's lookups ``(element, start)`` in time order: the pi train of
+    max N, with the closing tail of its class after each wanted N's N-th pi
+    pulse.  Each class's first N, ``firsts``, is compiled, given the cell's
+    errors and, the first one, validated for ``cfg``, as applying each N's
+    sequence would; those checks read N only through N >= 1 and its closing
+    class, so they raise what every N would."""
     tau, length_factor, freq_factor = cell
     if not wanted or min(wanted) < 1:
         raise ValueError("n values must be positive integers")
@@ -488,62 +487,61 @@ def _walk(system, family, n_values, pulse, cfg, cells, wrapper_phase, closing_ru
     freq_factor)``, walked together: a ``(cells, len(n_values), d, d)``
     stack, and per cell None or the ``ValueError`` that its checks, the
     cache's system or a build raised; a failed cell's states are undefined."""
-    if wrapper_phase is None:
-        wrapper_phase = system.wrapper_phase
+    wrapper_phase = system.wrapper_phase if wrapper_phase is None else wrapper_phase
     cache = cache or PropagatorCache(system)
     firsts = {}  # closing class -> its first N
     for n in n_values.tolist():
         firsts.setdefault(closing_class(n), n)
     wanted = {n: k for k, n in enumerate(sorted(set(n_values.tolist())))}
-    errors, timed = [None] * len(cells), [None] * len(cells)
+    errors, keyed = [None] * len(cells), [None] * len(cells)
     for j, cell in enumerate(cells):
         try:
-            timed[j] = _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell)
+            lookups = _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell)
             if cache.system is not system:
                 raise ValueError("cache was built for a different system")
-        except ValueError as exc:
-            errors[j], timed[j] = exc, None
-    # every pulse built before the first lookup, then the lookups cell after cell
-    failed = cache.plan([(el.pulse, start) for lookups in timed if lookups
-                         for el, start in lookups if start is not None], cfg.dt)
-    found = {}  # live cell -> its propagators in lookup order
-    for j, lookups in enumerate(timed):
-        if lookups is None:
-            continue
-        try:
-            found[j] = [_lookup(cache, el, start, cfg.dt, failed) for el, start in lookups]
+            # keyed once each: a pulse by its cache key, a delay by its duration
+            keyed[j] = [(None, el.duration if el.duration > 0 else None) if start is None
+                        else (el.pulse, cache.pulse_key(el.pulse, start, cfg.dt))
+                        for el, start in lookups]
         except ValueError as exc:
             errors[j] = exc
-
+    failed = cache.plan([(key, p) for lookups in keyed if lookups
+                         for p, key in lookups if p is not None], cfg.dt)
+    rows = {None: 0}  # key -> its table row; the identity for an empty delay or a failed cell
+    width = max((len(lookups) for lookups in keyed if lookups), default=0)
+    index = np.zeros((len(cells), width), dtype=np.intp)
+    for j, lookups in enumerate(keyed):
+        if lookups is not None:
+            errors[j] = next((failed[key] for _, key in lookups if key in failed),
+                             None) if failed else None
+            if errors[j] is None:
+                index[j] = [rows.setdefault(key, len(rows)) for _, key in lookups]
     d = system.h0.shape[0]
     states = np.empty((len(cells), len(wanted), d, d), dtype=complex)
-    rows = [wanted[n] for n in n_values.tolist()]
-    if not found:
-        return states[:, rows], errors
+    order = [wanted[n] for n in n_values.tolist()]
+    if all(error is not None for error in errors):
+        return states[:, order], errors
     eye = np.eye(d, dtype=complex)
-    u = np.array([eye] * len(cells))  # running products
-    spare, factors = np.empty_like(u), u.copy()  # a failed cell's factors stay the identity
-    columns = zip(*found.values())  # the k-th propagator of every live cell
-
-    def stack():  # the next factor of every live cell, the identity for an empty delay
-        for j, u_el in zip(found, next(columns)):
-            factors[j] = eye if u_el is None else u_el
-        return factors
-
+    table = np.array([eye] + [cache._pulses[key] if isinstance(key, tuple) else cache.free(key)
+                              for key in list(rows)[1:]])
+    del cache  # one this walk made is freed here, so its entries are not held twice
+    # the (cells, d, d) factors of one position after another, gathered a chunk at a time
+    size = max(1, _CHUNK // (len(cells) * d * d))
+    factors = (f for lo in range(0, width, size) for f in table[index[:, lo:lo + size].T])
+    u, spare = np.array([eye] * len(cells)), np.empty((len(cells), d, d), dtype=complex)
     for i in range(2 * max(wanted) + 1):
-        u, spare = np.matmul(stack(), u, out=spare), u
+        u, spare = np.matmul(next(factors), u, out=spare), u
         n = i // 2
         if i % 2 or n not in wanted:
             continue
-        closed = stack() @ u  # closing gap, then closing wrapper
-        closed = stack() @ closed
+        closed = next(factors) @ u  # closing gap, then closing wrapper
+        closed = next(factors) @ closed
         states[:, wanted[n]] = closed @ system.rho0.mat @ closed.conj().transpose(0, 2, 1)
-    return states[:, rows], errors
+    return states[:, order], errors
 
 
 def _sweep_result(system, axis: str, values, rhos) -> SweepResult:
-    """The traces of final states ``rhos`` along ``values``, once each is checked."""
-    check_states(rhos)
+    """The traces of checked final states ``rhos`` along ``values``."""
     traces = expvals(rhos, np.array([obs.op.mat for obs in system.observables]))
     labels = [obs.label for obs in system.observables]
     return SweepResult(axis, np.asarray(values, dtype=float), dict(zip(labels, traces.T)), rhos)
@@ -565,6 +563,7 @@ def sweep_tau(system, family: str, n: int, tau_grid, pulse: DrivePulse,
                            closing_rule, cache)
     k = next((j for j, exc in enumerate(errors) if exc is not None), len(cells))
     # a bad state at a tau before the first failure is raised first
+    check_states(states[:k, 0])
     sweep = _sweep_result(system, "tau", tau_grid[:k], states[:k, 0])
     if k < len(cells):
         raise errors[k]
@@ -577,16 +576,16 @@ def sweep_n_cells(system, family: str, n_values, tau: float, pulse: DrivePulse,
                   cache: PropagatorCache | None = None) -> list:
     """N sweeps of error cells ``(length_factor, freq_factor)`` that share
     everything else, in one walk: per cell its ``SweepResult``, or the
-    ``ValueError`` that ``sweep_n`` raises for it (see the module docstring)."""
+    ``ValueError`` that ``sweep_n`` raises for it; their states are checked in one pass."""
     n_values = np.asarray(n_values, dtype=int)
     states, results = _walk(system, family, n_values, pulse, cfg,
                             [(tau, lf, ff) for lf, ff in cells], wrapper_phase, closing_rule, cache)
-    for j, rhos in enumerate(states):
-        if results[j] is None:
-            try:
-                results[j] = _sweep_result(system, "n", n_values, rhos)
-            except ValueError as exc:
-                results[j] = exc
+    live = [j for j, error in enumerate(results) if error is None]
+    for j, error in zip(live, state_errors(states[live])):
+        try:
+            results[j] = error or _sweep_result(system, "n", n_values, states[j])
+        except ValueError as exc:
+            results[j] = exc
     return results
 
 

@@ -164,8 +164,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None = N
     the manifest dictionary."""
     start = time.perf_counter()
     sim_cfg = cfg.sim_config(dt_override)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     pulse = cfg.build_pulse()
     scan = cfg.data.get("coupling_scan")
 
@@ -179,6 +177,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None = N
             gate_times[f"{azx:g}"] = n_pi * float(cfg.data["sequence"]["tau"])
         runs.append((azx, labels, sweep))
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # only once every sweep and fit passed
     files = []
     for azx, labels, sweep in runs:
         files.append(out / (f"{cfg.name}.csv" if azx is None else f"{cfg.name}-azx{azx:g}.csv"))
@@ -208,9 +208,6 @@ def errmap_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None 
     if grid is None:
         raise ConfigError(["errmap: config has no errmap section"])
     sim_cfg = cfg.sim_config(dt_override)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     system = cfg.build_system()
     pulse = cfg.build_pulse()
     _, obs = _outputs(cfg, system)
@@ -236,6 +233,8 @@ def errmap_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None 
                                  "error": type(exc).__name__, "message": str(exc)})
                 values[i, j] = math.nan
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{cfg.name}-errmap.csv"
     header = ["length_factor"] + [_fmt(ff) for ff in freq_factors]
     rows = [[_fmt(lf)] + [_fmt(v) for v in row] for lf, row in zip(length_factors, values)]

@@ -105,6 +105,49 @@ def test_every_preset_runs_with_finite_metrics(name, tmp_path):
         assert np.isfinite([[float(v) for v in row.split(",")] for row in rows]).all()
 
 
+# sha256 of every CSV the presets write, recorded with numpy 2.4.6 on
+# OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, x86_64); another BLAS
+# build may round a product differently and move these
+PRESET_CSV_SHA256 = {
+    "coupling-scaling-azx0.05.csv":
+        "109c9be9fe17abf176b7a55ade0e35a96f66dc0f2be767f4da34b336f2418dcf",
+    "coupling-scaling-azx0.1.csv":
+        "a42a7d6b49b85a765b2c495389ce123783e6ffa708dffbb1f095aa29c27e7e7d",
+    "coupling-scaling-azx0.15.csv":
+        "ab923e5f27c0c175c7d963811a098fa3fe8a08c933497e8b89707d61b28db4d6",
+    "coupling-scaling-azx0.2.csv":
+        "52cf827743ad059e4375ffc674fa899e2037441e2c98be9feaac1bd51483a372",
+    "coupling-scaling-azx0.25.csv":
+        "0157d1b64ab11154d32068f7f72e4107e03aed022b36bee9503d571f5c75c0ed",
+    "coupling-scaling-azx0.35.csv":
+        "68aeb691a1e35d3ae16af49e33c33fd70e0f82455806334f77946e9d97adba12",
+    "cpmg-spectrum.csv": "6a1fb41c679c97b7d12ae62c54e379044fadbf37a510c355d83ad38b1d8eec38",
+    "ddgate-tomo.csv": "9b51a18b22ecc932136e408cda5f845592ebe8f4b45c5f62d16728eced978e6e",
+    "ddgate.csv": "9b51a18b22ecc932136e408cda5f845592ebe8f4b45c5f62d16728eced978e6e",
+    "gate-resonance.csv": "3f2839a3d0421933845782fbf3d7c57f9c62ff6cbe4c5df613ef9681c1cda98f",
+    "nv-ddgate.csv": "600d498a9ca8ed548c90be70df6ba0785c7f6df3221fcd6ded2363cc3785e2c6",
+    "nv-polarize.csv": "35af8948a34d1df85c5ad2608806758f7e1142d63983a13905ca7771a65a850f",
+    "nv-xyn-spectrum.csv": "aea7e732c629d13741906bd078c454b27737e11fe13e022335f051326dfd8748",
+    "pulse-error-map-errmap.csv":
+        "c56c519079f4c6036f27d30bf17f9a8e75f78ffffe9e3cdea14612c83154c276",
+    "three-qubit-q1.csv": "3a139c8a80c453e470e5437a087a6f3c60a3bcb394249fd373359c7c86d8b8b4",
+    "three-qubit-q2.csv": "92d249965a855301e4393e4030fffa77d2ad5ed40195ad4595912a1f019adeb3",
+}
+
+
+def test_every_preset_csv_is_byte_pinned(tmp_path):
+    """Every preset's CSVs, byte for byte: an engine change that reorders
+    floating-point work shows here before it reaches a golden tolerance."""
+    digests = {}
+    for name in sorted(PRESETS):
+        run = errmap_experiment if name == "pulse-error-map" else run_experiment
+        manifest = run(ExperimentConfig.from_dict(get_preset(name)), tmp_path / name)
+        for entry in manifest["outputs"]:
+            path = tmp_path / name / entry["path"]
+            digests[entry["path"]] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == PRESET_CSV_SHA256
+
+
 def test_validate_rejects_bad_file_with_exit_2(tmp_path):
     raw = dict(SMALL)
     raw["sequence"] = dict(SMALL["sequence"])
@@ -172,6 +215,17 @@ def test_an_unknown_observable_is_exit_2_before_the_sweep(verb, tmp_path, capsys
     assert main([verb, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
     assert "outputs.observables: unknown ['Jz']" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_range", [[40, 1], [40.0, 1.0]], ids=["ints", "floats"])
+def test_an_n_range_upper_bound_below_its_lower_is_exit_2(n_range, tmp_path, capsys):
+    raw = copy.deepcopy(SMALL)
+    raw["sequence"]["n_range"] = n_range
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+    assert "sequence.n_range: upper bound below lower bound" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_the_listed_observables_are_the_csv_columns(tmp_path):

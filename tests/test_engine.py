@@ -266,14 +266,16 @@ def test_walk_equals_each_cell_alone(family, n_values, tau, cells, failing):
 
 
 def test_a_failing_build_fails_only_its_cell(monkeypatch):
-    original = PropagatorCache.pulse
+    # a walk keys each lookup once, where applying a sequence looks it up:
+    # both fail at the same lookup of the same cell
+    original = PropagatorCache.pulse_key
 
-    def pulse(self, drive, t_start, dt):
+    def pulse_key(self, drive, t_start, dt):
         if drive.omegap == 50.0 * 1.02 and t_start > 1.0:
             raise ValueError("no pulse after the second")
         return original(self, drive, t_start, dt)
 
-    monkeypatch.setattr(PropagatorCache, "pulse", pulse)
+    monkeypatch.setattr(PropagatorCache, "pulse_key", pulse_key)
     cells = [(1.1, 0.99), (1.1, 1.02), (1.1, 1.0)]
     assert_walk_matches_each_cell("xyn", [7, 3, 12, 1], 0.5, cells, {1})
 
@@ -323,30 +325,34 @@ def test_sweep_tau_equals_per_tau_sequences_on_the_nv_center(carrier_reset):
 
 def test_walks_look_up_in_the_order_of_one_sequence_after_another(monkeypatch):
     # the order decides which phases of a shape are built exactly and which
-    # come from its interpolant, so it keeps the walk's states bit for bit
-    requests = []
+    # come from its interpolant, so it keeps the walk's states bit for bit.  A
+    # walk hands its plan every pulse lookup, keyed, and asks for each new free
+    # duration once; applying a sequence looks up each element
+    planned, looked_up, freed = logged_requests(monkeypatch), [], []
+    pulse, free = PropagatorCache.pulse, PropagatorCache.free
 
-    def logging(name):
-        original = getattr(PropagatorCache, name)
+    def logged_pulse(self, drive, t_start, dt):
+        looked_up.append((self.pulse_key(drive, t_start, dt), drive))
+        return pulse(self, drive, t_start, dt)
 
-        def logged(self, *args):
-            requests.append((name,) + args)
-            return original(self, *args)
-        return logged
+    def logged_free(self, duration):
+        freed.append(duration)
+        return free(self, duration)
 
-    for name in ("pulse", "free"):
-        monkeypatch.setattr(PropagatorCache, name, logging(name))
+    monkeypatch.setattr(PropagatorCache, "pulse", logged_pulse)
+    monkeypatch.setattr(PropagatorCache, "free", logged_free)
 
-    def requested(fn):
-        requests.clear()
+    def requested(fn, walks=True):
+        for log in (planned, looked_up, freed):
+            log.clear()
         fn()
-        return list(requests)
+        return list(planned if walks else looked_up), list(dict.fromkeys(freed))
 
     taus = [0.5, 0.4937, 0.62, 0.45]
     walked = requested(lambda: sweep_tau(GENERIC, "xyn", 6, taus, PI_PULSE, CFG,
                                          length_factor=1.1))
     assert walked == requested(lambda: per_tau_sweep(GENERIC, "xyn", 6, taus, PI_PULSE, CFG,
-                                                     1.1, 1.0, PropagatorCache(GENERIC)))
+                                                     1.1, 1.0, PropagatorCache(GENERIC)), False)
     cells, cache = [(1.1, 0.99), (1.1, 1.02)], PropagatorCache(GENERIC)
     walked = requested(lambda: evolution.sweep_n_cells(GENERIC, "xyn", [7, 3, 12], 0.5,
                                                        PI_PULSE, CFG, cells))
@@ -374,14 +380,14 @@ def test_sweep_tau_raises_what_the_first_failing_tau_raises(family, n, taus, fac
 
 
 def test_a_failing_build_fails_its_tau_before_a_later_failing_tau(monkeypatch):
-    original = PropagatorCache.pulse
+    original = PropagatorCache.pulse_key  # keyed once per lookup, by walks and sequences
 
-    def pulse(self, drive, t_start, dt):
+    def pulse_key(self, drive, t_start, dt):
         if t_start > 1.2:  # tau 0.7's closing wrapper and tau 0.9's last two pulses
             raise ValueError(f"no pulse at {t_start}")
         return original(self, drive, t_start, dt)
 
-    monkeypatch.setattr(PropagatorCache, "pulse", pulse)
+    monkeypatch.setattr(PropagatorCache, "pulse_key", pulse_key)
     taus = [0.5, 0.7, 0.9, 0.08]
     expected = error_of(lambda: per_tau_sweep(GENERIC, "cpmg", 2, taus, PI_PULSE, CFG, 1.0, 1.0,
                                               PropagatorCache(GENERIC)))
@@ -426,15 +432,22 @@ def test_a_bad_state_fails_only_its_own_error_cell(monkeypatch):
 # ---------------------------------------------------------------- phase-keyed cache
 
 def counting_builds(monkeypatch):
-    calls = []
-    original = evolution.pulse_propagator
+    """The rows ``(pulse, t_start)`` that caches hand the Trotter kernel, one
+    per built phase, in build order."""
+    rows = []
+    original = evolution._exact
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(stack, *args):
+        rows.extend(stack)
+        return original(stack, *args)
 
-    monkeypatch.setattr(evolution, "pulse_propagator", counted)
-    return calls
+    monkeypatch.setattr(evolution, "_exact", counted)
+    return rows
+
+
+def keyed(cache, pulse, starts, dt):
+    """The keyed requests ``(key, pulse)`` of ``pulse`` at ``starts``."""
+    return [(cache.pulse_key(pulse, t, dt), pulse) for t in starts]
 
 
 def test_pulse_cache_shares_builds_across_whole_carrier_periods(monkeypatch):
@@ -557,8 +570,13 @@ def keyed_cycles(pulse, t_start):
 
 
 def keyed_build(system, pulse, t_start, dt):
-    keyed = replace(pulse, phase=2.0 * math.pi * keyed_cycles(pulse, t_start))
-    return pulse_propagator(system.h0, keyed, system.drive_op, 0.0, dt).mat
+    return phase_build(system, pulse, keyed_cycles(pulse, t_start), dt)
+
+
+def phase_build(system, pulse, cycles, dt):
+    """The exact build of ``pulse`` at the carrier phase ``cycles``, from 0."""
+    at_phase = replace(pulse, phase=2.0 * math.pi * cycles)
+    return pulse_propagator(system.h0, at_phase, system.drive_op, 0.0, dt).mat
 
 
 def phase_bound(a, h):
@@ -614,7 +632,7 @@ def test_a_shape_switches_to_the_interpolant_after_2m_phases(monkeypatch):
     assert len(builds) == 2 * m
     # no samples: each build is one requested phase
     requested = [2.0 * np.pi * keyed_cycles(PI_PULSE, c / PI_PULSE.omegap) for c in cycles[:2 * m]]
-    assert [args[1].phase for args in builds] == requested
+    assert [drive.phase for drive, _ in builds] == requested
     # below the switch every entry is the keyed exact build, bit for bit
     for u, c in zip(got, cycles):
         assert np.array_equal(u, keyed_build(GENERIC, PI_PULSE, c / PI_PULSE.omegap, 0.001))
@@ -622,21 +640,23 @@ def test_a_shape_switches_to_the_interpolant_after_2m_phases(monkeypatch):
     assert len(builds) == 2 * m
     request_phases(cache, PI_PULSE, 0.001, cycles[2 * m:])
     assert len(builds) == 3 * m
-    samples = [args[1].phase for args in builds[2 * m:]]
+    samples = [drive.phase for drive, _ in builds[2 * m:]]
     assert samples == pytest.approx([2.0 * np.pi * j / m for j in range(m)], abs=1e-15)
 
 
 # ---------------------------------------------------------------- walk-planned phases
 
 def logged_requests(monkeypatch):
+    """The keyed requests ``(key, pulse)`` handed to ``PropagatorCache.plan``, in order."""
     requests = []
-    original = PropagatorCache.pulse
+    original = PropagatorCache.plan
 
-    def logged(self, drive, t_start, dt):
-        requests.append((drive, t_start, dt))
-        return original(self, drive, t_start, dt)
+    def logged(self, keyed_requests, dt):
+        keyed_requests = list(keyed_requests)
+        requests.extend(keyed_requests)
+        return original(self, keyed_requests, dt)
 
-    monkeypatch.setattr(PropagatorCache, "pulse", logged)
+    monkeypatch.setattr(PropagatorCache, "plan", logged)
     return requests
 
 
@@ -655,8 +675,8 @@ def test_a_tau_sweep_builds_only_the_samples_of_each_shape(monkeypatch):
     # samples, and their 597504 Trotter steps > 21 x 32 block the family, so the
     # shapes' samples are block products and the only builds are the 21 blocks
     assert len(builds) == 21
-    assert all(args[1].duration == 32 * sim.dt and args[3] == 0.0 for args in builds)
-    assert [args[1].phase for args in builds] == pytest.approx(
+    assert all(drive.duration == 32 * sim.dt and t_start == 0.0 for drive, t_start in builds)
+    assert [drive.phase for drive, _ in builds] == pytest.approx(
         [2.0 * np.pi * j / 21 for j in range(21)], abs=1e-15)
     shapes = sorted((key[0], state.samples, state.built, state.series is not None)
                     for key, state in cache._shapes.items())
@@ -675,11 +695,11 @@ def reduced(us):
     return us[0]
 
 
-def block_product(system, cache, drive, t_start, dt):
-    """A blocked pulse's entry from the cache's own block series: its 32-step
-    blocks read off the series at their start phases and its trailing steps
-    built exactly, multiplied pairwise."""
-    cycles, shape = cache.pulse_key(drive, t_start, dt)
+def block_product(system, cache, drive, key, dt):
+    """A blocked pulse's entry at ``key`` from the cache's own block series: its
+    32-step blocks read off the series at their start phases and its trailing
+    steps built exactly, multiplied pairwise."""
+    cycles, shape = key
     blocks = cache._families[shape[1:]]
     q, r = divmod(round(drive.duration / dt), 32)
     d = system.h0.shape[0]
@@ -705,26 +725,25 @@ def test_a_walk_within_2m_phases_builds_each_phase_exactly(monkeypatch, name):
     results = evolution.sweep_n_cells(system, seq["family"], cfg.sweep_values(), seq["tau"],
                                       pulse, sim, cells, cache=cache)
     assert not any(isinstance(result, ValueError) for result in results)
-    phases = {cache.pulse_key(*request): request for request in requests}
+    phases = dict(requests)
     assert all(state.series is None for state in cache._shapes.values())
     assert sum(state.built for state in cache._shapes.values()) == len(phases)
     if name == "pulse-error-map":
         # below M_B x 32 planned steps per family: one exact build per requested phase
         assert len(builds) == len(phases)
-        for drive, t_start, dt in phases.values():
-            assert np.array_equal(cache.pulse(drive, t_start, dt),
-                                  keyed_build(system, drive, t_start, dt))
+        for key, drive in phases.items():
+            assert np.array_equal(cache._pulses[key], phase_build(system, drive, key[0], sim.dt))
         return
     # one blocked family: its 21 block samples are the only builds, and each
     # requested phase is a product of blocks (NV pulses are whole blocks)
     assert len(builds) == 21
-    assert [args[1].phase for args in builds] == pytest.approx(
+    assert [drive.phase for drive, _ in builds] == pytest.approx(
         [2.0 * np.pi * j / 21 for j in range(21)], abs=1e-15)
-    assert all(args[1].duration == 32 * sim.dt for args in builds)
-    for drive, t_start, dt in phases.values():
-        u = cache.pulse(drive, t_start, dt)
-        assert np.array_equal(u, block_product(system, cache, drive, t_start, dt))
-        assert np.max(np.abs(u - keyed_build(system, drive, t_start, dt))) <= 1e-13
+    assert all(drive.duration == 32 * sim.dt for drive, _ in builds)
+    for key, drive in phases.items():
+        u = cache._pulses[key]
+        assert np.array_equal(u, block_product(system, cache, drive, key, sim.dt))
+        assert np.max(np.abs(u - phase_build(system, drive, key[0], sim.dt))) <= 1e-13
 
 
 def test_a_second_walk_counts_only_the_phases_the_cache_lacks(monkeypatch):
@@ -738,7 +757,7 @@ def test_a_second_walk_counts_only_the_phases_the_cache_lacks(monkeypatch):
         held = len(builds)
         requests.clear()
         sweep_tau(GENERIC, "cpmg", 4, taus[:k], PI_PULSE, CFG, cache=cache)
-        return sorted(args[1].duration for args in builds[held:])
+        return sorted(drive.duration for drive, _ in builds[held:])
 
     # 40 x 100 + 11 x 50 planned steps > 29 x 32 block the family: its 29 block
     # samples, then per phase one exact build of the trailing steps, 4 of a pi
@@ -746,17 +765,17 @@ def test_a_second_walk_counts_only_the_phases_the_cache_lacks(monkeypatch):
     assert walk(10) == [4 * dt] * 40 + [18 * dt] * 11 + [32 * dt] * 29
     # 40 pi phases held plus 40 new stay within 2 x 43, though 40 + 80 would not
     assert walk(20) == [4 * dt] * 40 + [18 * dt] * 10
-    for drive, t_start, step in list(requests):
-        u = cache.pulse(drive, t_start, step)
-        assert np.array_equal(u, block_product(GENERIC, cache, drive, t_start, step))
-        assert np.max(np.abs(u - keyed_build(GENERIC, drive, t_start, step))) <= 1e-13
+    for key, drive in list(requests):
+        u = cache._pulses[key]
+        assert np.array_equal(u, block_product(GENERIC, cache, drive, key, dt))
+        assert np.max(np.abs(u - phase_build(GENERIC, drive, key[0], dt))) <= 1e-13
     # 80 held plus 40 new do not: the pi shape takes its 43 samples instead
     assert walk(30) == [4 * dt] * 43 + [18 * dt] * 10
 
 
 def test_a_failing_sample_build_fails_only_the_cells_of_its_shape(monkeypatch):
     failed = []
-    original = evolution.pulse_propagator
+    original = evolution._step_count  # pulse_propagator's checks, run before any stack
 
     def failing(h0, drive, *args):
         if drive.omegap == 50.0 * 1.02:
@@ -764,7 +783,7 @@ def test_a_failing_sample_build_fails_only_the_cells_of_its_shape(monkeypatch):
             raise ValueError("no build on the detuned carrier")
         return original(h0, drive, *args)
 
-    monkeypatch.setattr(evolution, "pulse_propagator", failing)
+    monkeypatch.setattr(evolution, "_step_count", failing)
     # N = 90 at an incommensurate tau: each pi shape has more than 2 x 43 phases,
     # and each family more planned steps than its 29 x 32 block samples
     cells = [(1.0, 1.0), (1.0, 1.02), (1.1, 1.0), (1.0, 1.02)]
@@ -783,7 +802,7 @@ def test_a_failing_sample_build_fails_only_the_cells_of_its_shape(monkeypatch):
 
 
 def test_a_walk_interrupted_mid_build_leaves_no_route_behind(monkeypatch):
-    original = evolution.pulse_propagator
+    original = evolution._exact
     calls = []
 
     def interrupted(*args):
@@ -792,16 +811,16 @@ def test_a_walk_interrupted_mid_build_leaves_no_route_behind(monkeypatch):
             raise RuntimeError("interrupted")
         return original(*args)
 
-    monkeypatch.setattr(evolution, "pulse_propagator", interrupted)
+    monkeypatch.setattr(evolution, "_exact", interrupted)
     cache = PropagatorCache(GENERIC)
     with pytest.raises(RuntimeError, match="interrupted"):
         sweep_n(GENERIC, "xyn", range(1, 91), 0.4937, PI_PULSE, SimConfig(dt=0.001),
                 cache=cache)
-    monkeypatch.setattr(evolution, "pulse_propagator", original)
+    monkeypatch.setattr(evolution, "_exact", original)
     builds = counting_builds(monkeypatch)
     # a later lookup is a plan of its own key: one exact build, as on a fresh cache
     u = cache.pulse(PI_PULSE, 0.3 / 50, 0.001)
-    assert [round(args[1].duration / args[4]) for args in builds] == [100]
+    assert [round(drive.duration / 0.001) for drive, _ in builds] == [100]
     assert np.array_equal(u, PropagatorCache(GENERIC).pulse(PI_PULSE, 0.3 / 50, 0.001))
 
 
@@ -829,7 +848,7 @@ def test_a_plan_does_not_depend_on_request_order(monkeypatch, name, count):
     requests = logged_requests(monkeypatch)
     system, dt = walk_preset(name)
     assert len(requests) == count
-    planned = [(drive, t_start) for drive, t_start, _ in requests]
+    planned = list(requests)
     forward, backward = PropagatorCache(system), PropagatorCache(system)
     assert forward.plan(planned, dt) == {} == backward.plan(planned[::-1], dt)
     assert forward._pulses.keys() == backward._pulses.keys()
@@ -858,18 +877,18 @@ def test_block_entries_match_the_exact_build(monkeypatch, system, pulse, dt, nst
     builds = counting_builds(monkeypatch)
     cache = PropagatorCache(system)
     starts = np.random.default_rng(7).random(40) / pulse.omegap
-    cache.plan([(pulse, t) for t in starts], dt)
+    cache.plan(keyed(cache, pulse, starts, dt), dt)
     got = [cache.pulse(pulse, t, dt) for t in starts]
     m_b = 21 if system is NV else 29
     assert round(pulse.duration / dt) == nsteps
-    assert [args[1].duration for args in builds[:m_b]] == [32 * dt] * m_b
+    assert [drive.duration for drive, _ in builds[:m_b]] == [32 * dt] * m_b
     # after the block samples, one build per phase of the trailing steps, if any
-    assert [args[1].duration for args in builds[m_b:]] == [nsteps % 32 * dt] * (
+    assert [drive.duration for drive, _ in builds[m_b:]] == [nsteps % 32 * dt] * (
         40 if nsteps % 32 else 0)
     worst = max(np.max(np.abs(u - keyed_build(system, pulse, t, dt))) for u, t in zip(got, starts))
     assert worst <= 1e-13
-    assert all(np.array_equal(u, block_product(system, cache, pulse, t, dt))
-               for u, t in zip(got, starts))
+    assert all(np.array_equal(u, block_product(system, cache, pulse, key, dt))
+               for u, (key, _) in zip(got, keyed(cache, pulse, starts, dt)))
 
 
 def test_a_family_is_blocked_only_above_its_block_samples(monkeypatch):
@@ -879,20 +898,21 @@ def test_a_family_is_blocked_only_above_its_block_samples(monkeypatch):
     # 9 x 100 planned steps <= 29 x 32 < 10 x 100
     below = [(PI_PULSE, (k + 0.1) / 9 / 50.0) for k in range(9)]
     above = [(detuned, (k + 0.1) / 10 / 51.0) for k in range(10)]
-    cache.plan(below + above, 0.001)
+    cache.plan([(cache.pulse_key(p, t, 0.001), p) for p, t in below + above], 0.001)
     got = [cache.pulse(p, t, 0.001) for p, t in below + above]
-    assert [(args[1].omegap, args[1].duration) for args in builds] == (
+    assert [(drive.omegap, drive.duration) for drive, _ in builds] == (
         [(50.0, 0.1)] * 9 + [(51.0, 0.032)] * 29 + [(51.0, 0.004)] * 10)
     for u, (p, t) in zip(got[:9], below):
         assert np.array_equal(u, keyed_build(GENERIC, p, t, 0.001))
     for u, (p, t) in zip(got[9:], above):
-        assert np.array_equal(u, block_product(GENERIC, cache, p, t, 0.001))
+        assert np.array_equal(u, block_product(GENERIC, cache, p, cache.pulse_key(p, t, 0.001),
+                                               0.001))
         assert np.max(np.abs(u - keyed_build(GENERIC, p, t, 0.001))) <= 1e-13
     # unplanned: the exact family stays exact, the blocked one keeps its series
     del builds[:]
     cache.pulse(PI_PULSE, 0.5 / 50.0, 0.001)
     cache.pulse(detuned, 0.5 / 51.0, 0.001)
-    assert [(args[1].omegap, args[1].duration) for args in builds] == [
+    assert [(drive.omegap, drive.duration) for drive, _ in builds] == [
         (50.0, 0.1), (51.0, 0.004)]
 
 
@@ -913,8 +933,8 @@ def test_an_entry_does_not_depend_on_its_stack(system, pulse, other, dt, m, inte
 
     def planned(cycles):
         cache = PropagatorCache(system)
-        assert cache.plan([(warm_pulse, c / warm_pulse.omegap) for c in warm], dt) == {}
-        assert cache.plan([(pulse, c / pulse.omegap) for c in cycles], dt) == {}
+        assert cache.plan(keyed(cache, warm_pulse, warm / warm_pulse.omegap, dt), dt) == {}
+        assert cache.plan(keyed(cache, pulse, np.array(cycles) / pulse.omegap, dt), dt) == {}
         cycles, shape = cache.pulse_key(pulse, target / pulse.omegap, dt)
         assert cache._families[shape[1:]].series is not None
         state = cache._shapes[shape]
@@ -923,7 +943,7 @@ def test_an_entry_does_not_depend_on_its_stack(system, pulse, other, dt, m, inte
             d = system.h0.shape[0]
             expected = (np.exp(state.harmonics * cycles) @ state.series).reshape(d, d)
         else:
-            expected = block_product(system, cache, pulse, target / pulse.omegap, dt)
+            expected = block_product(system, cache, pulse, (cycles, shape), dt)
         return cache._pulses[(cycles, shape)], expected
 
     among = [*others[:20], target, *others[20:]]
@@ -931,6 +951,65 @@ def test_an_entry_does_not_depend_on_its_stack(system, pulse, other, dt, m, inte
     for u, expected in (alone, forward, backward):
         assert np.array_equal(u, expected)
         assert np.array_equal(u, alone[0])
+
+
+# ---------------------------------------------------------------- stacked builds
+
+@pytest.mark.parametrize("system, pulse, dt", [
+    (GENERIC, PI_PULSE, 0.001),                              # 100 steps, 10 rows per chunk
+    (NV, NV_PI, NV_DT),                                      # 512 steps, 1 row per chunk
+    (GENERIC, replace(PI_PULSE, duration=0.032), 0.001),     # one block, 32 rows per chunk
+    (GENERIC, replace(PI_PULSE, duration=0.001), 0.001),     # a one-step trailing build
+], ids=["generic-pi", "nv-pi", "generic-block", "one-step"])
+def test_a_stacked_row_is_the_single_build(monkeypatch, system, pulse, dt):
+    nsteps, d = round(pulse.duration / dt), system.h0.shape[0]
+    per_chunk = max(1, evolution._CHUNK // (nsteps * d * d))
+    # rows around a chunk boundary, each with its own carrier, phase and start
+    rng = np.random.default_rng(17)
+    rows = [(replace(pulse, omegap=pulse.omegap * rng.uniform(0.95, 1.05),
+                     phase=rng.uniform(0.0, 2.0 * np.pi)), rng.uniform(0.0, 0.5))
+            for _ in range(per_chunk + 2)]
+    chunks, kernel = [], evolution._trotter
+
+    def counted(x, coefficients):
+        chunks.append(len(x))
+        return kernel(x, coefficients)
+
+    monkeypatch.setattr(evolution, "_trotter", counted)
+    coefficients = evolution._step_coefficients(system.h0, system.drive_op, pulse.omega1, dt)[1]
+    stacked = evolution._exact(rows, nsteps, coefficients, dt)
+    assert chunks == ([per_chunk, 2] if per_chunk > 1 else [1, 1, 1])
+    monkeypatch.setattr(evolution, "_trotter", kernel)
+    for u, (drive, t_start) in zip(stacked, rows):
+        alone = pulse_propagator(system.h0, drive, system.drive_op, t_start, dt)
+        assert np.array_equal(u, alone.mat)
+
+
+def test_a_drifting_shape_fails_only_its_own_keys():
+    # 1e13 time units at dt = 0.001: the step count cannot resolve the duration
+    drifting = replace(PI_PULSE, omegap=51.0, duration=10000000000000.033)
+    message = error_of(lambda: pulse_propagator(GENERIC.h0, drifting, GENERIC.drive_op, 0.0,
+                                                0.001))
+    assert message.startswith("pulse duration 10000000000000.033 drifts")
+    cache = PropagatorCache(GENERIC)
+    good = keyed(cache, PI_PULSE, [0.1 / 50.0, 0.3 / 50.0], 0.001)
+    bad = keyed(cache, drifting, [0.0, 0.2 / 51.0], 0.001)
+    failed = cache.plan(good[:1] + bad + good[1:], 0.001)
+    assert failed.keys() == {key for key, _ in bad}
+    assert all(str(exc) == message for exc in failed.values())
+    for key, drive in good:
+        assert np.array_equal(cache._pulses[key], phase_build(GENERIC, drive, key[0], 0.001))
+
+
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_pulse_start_is_rejected_before_any_memo(start):
+    cache = PropagatorCache(GENERIC)
+    cache.pulse(PI_PULSE, 0.1, 0.001)
+    rounded, pulses = dict(cache._rounded), dict(cache._pulses)
+    for lookup in (cache.pulse_key, cache.pulse):
+        with pytest.raises(ValueError, match=f"^pulse start must be finite, got {start}$"):
+            lookup(PI_PULSE, start, 0.001)
+    assert cache._rounded == rounded and cache._pulses == pulses
 
 
 # ---------------------------------------------------------------- batched fit
