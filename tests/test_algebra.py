@@ -16,6 +16,7 @@ from spindd.algebra import (
     identity,
     partial_trace,
     spin_ops,
+    state_errors,
     tensor,
 )
 
@@ -192,6 +193,16 @@ def test_check_states_raises_the_single_state_messages(stack):
     assert error_of(lambda: check_states(np.array(stack))) == stack_error(stack)
     for m in stack:
         assert error_of(lambda: DensityMatrix(Operator(m))) == one_state_error(m)
+
+
+def test_state_errors_give_each_stack_what_check_states_raises_on_it_alone():
+    # one pass over every stack: a bad state in one stack leaves the others alone
+    stacks = [[PURE, MIXED, PURE], [PURE, NEGATIVE, TRACE_4], [MIXED, NEGATIVE, SKEW],
+              [PURE, SKEW, NEGATIVE], [NEGATIVE, NAN, PURE], [MIXED, PURE, MIXED],
+              [PURE, MIXED, 0.7 * NEGATIVE + 0.3 * PURE]]
+    errors = state_errors(np.array(stacks))
+    assert [None if error is None else str(error) for error in errors] == [
+        stack_error(stack) for stack in stacks]
 
 
 def test_density_matrix_purity():
