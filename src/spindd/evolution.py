@@ -16,12 +16,19 @@ by that phase.
 Every sweep is one walk over cells ``(tau, length_factor, freq_factor)``:
 the taus of a tau sweep, or the error cells of N sweeps at one tau.  Each
 cell walks the pi train of its largest N once and closes it at each
-wanted N with the closing tail of its class.  The walk keys each lookup
-once, in an order that is the same for every cell, and one
-``PropagatorCache.plan`` builds every entry the cells lack.  The distinct
-entries form a ``(K, d, d)`` table, row 0 the identity, and the lookups a
-``(cells, L)`` index array; every cell advances by one batched product
-per position, its factors gathered a chunk of positions at a time.
+wanted N with the closing tail of its class, in an order of lookups that
+is the same for every cell.  The walk times and keys the lookups of all
+its cells at once, in array passes (see ``_lookups``): starts are running
+sums of snapped durations, which ``np.cumsum`` adds in the order of
+``apply_sequence``'s clock, raw carrier cycles are one array expression,
+and each distinct raw value and pulse shape is rounded once.  One
+``PropagatorCache.plan`` builds every pulse entry the cells lack, and one
+batched product every free propagator.  The distinct entries form a
+``(K, d, d)`` table, row 0 the identity, and the lookups a ``(cells, L)``
+index array; every cell advances by one batched product per position, its
+factors gathered a chunk of positions at a time, and the states of all
+wanted N come from one product over the closed propagators after the walk.
+``apply_sequence`` stays the per-element reference.
 
 Many phases of one pulse shape are read off a trigonometric interpolant
 in the phase.  The Trotter product ``U(phi)`` is a Laurent series in
@@ -35,6 +42,8 @@ that long pulses are multiplied from (see ``PropagatorCache``).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -79,6 +88,7 @@ def _node_count(y: float) -> int:
     return k
 
 
+@functools.cache
 def _phase_count(a: float) -> int:
     """Smallest odd M = 2 h + 1 with ``q = e a / (h + 1) < 1`` and
     ``2 q^(h+1) / (1 - q) <= _PHASE_TOL``."""
@@ -141,10 +151,13 @@ def _step_count(h0: Operator, pulse: DrivePulse, drive_op: Operator, dt: float) 
     return nsteps
 
 
-def _amplitudes(rows, nsteps: int, dt: float) -> np.ndarray:
-    """``(S, nsteps)`` carrier amplitudes at the step midpoints of rows ``(pulse, t_start)``."""
-    t_mid = (np.arange(nsteps) + 0.5) * dt
-    return np.array([pulse.carrier(t_start + t_mid) / pulse.omega1 for pulse, t_start in rows])
+def _amplitudes(rows: np.ndarray, nsteps: int, dt: float) -> np.ndarray:
+    """``(S, nsteps)`` carrier amplitudes at the step midpoints of ``(S, 4)`` rows
+    ``(omega1, omegap, phase, t_start)``: ``DrivePulse.carrier`` over ``omega1``,
+    in its order of operations."""
+    omega1, omegap, phase, t_start = rows.T[..., None]
+    t = t_start + (np.arange(nsteps) + 0.5) * dt
+    return omega1 * np.cos(2.0 * np.pi * omegap * t + phase) / omega1
 
 
 def _trotter(x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -159,9 +172,10 @@ def _trotter(x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return _reduce(us.reshape(s, n, d, d))
 
 
-def _exact(rows: list, nsteps: int, coefficients: np.ndarray, dt: float) -> np.ndarray:
-    """The ``(S, d, d)`` exact builds of checked rows ``(pulse, t_start)`` of
-    ``nsteps`` steps each, in stacks of at most ``_CHUNK`` complex step entries."""
+def _exact(rows: np.ndarray, nsteps: int, coefficients: np.ndarray, dt: float) -> np.ndarray:
+    """The ``(S, d, d)`` exact builds of checked ``(S, 4)`` rows ``(omega1,
+    omegap, phase, t_start)`` of ``nsteps`` steps each, in stacks of at most
+    ``_CHUNK`` complex step entries."""
     d = math.isqrt(coefficients.shape[1])
     out = np.empty((len(rows), d, d), dtype=complex)
     size = max(1, _CHUNK // (nsteps * d * d))
@@ -195,7 +209,7 @@ def pulse_propagator(h0: Operator, pulse: DrivePulse, drive_op: Operator,
     nsteps = _step_count(h0, pulse, drive_op, dt)
     if coefficients is None:
         coefficients = _step_coefficients(h0, drive_op, pulse.omega1, dt)[1]
-    x = _amplitudes([(pulse, t_start)], nsteps, dt)
+    x = _amplitudes(np.array([[pulse.omega1, pulse.omegap, pulse.phase, t_start]]), nsteps, dt)
     return Operator(_trotter(x, coefficients)[0], h0.dims)
 
 
@@ -241,7 +255,8 @@ class PropagatorCache:
     """Memoizes element propagators for one system.
 
     Free propagators reuse a single eigendecomposition of the static
-    Hamiltonian.  Pulse propagators are keyed by carrier phase in cycles,
+    Hamiltonian; ``plan_free`` builds all that a walk lacks in one batched
+    product, bit for bit the single builds.  Pulse propagators are keyed by carrier phase in cycles,
     ``(omegap t_start + phase / 2 pi) mod 1``, plus their shape: duration,
     amplitude, carrier frequency and ``dt``.  Pulses whose starts differ
     by whole carrier periods share one build, which is what makes a
@@ -291,12 +306,25 @@ class PropagatorCache:
 
     def free(self, duration: float) -> np.ndarray:
         key = self._free_keys.get(duration)
-        if key is None:
-            key = self._free_keys[duration] = round(duration, _KEY_DIGITS)
-        u = self._free.get(key)
-        if u is None:
-            u = self._free[key] = eig_propagator(self._evals, self._evecs, duration)
-        return u
+        if key not in self._free:
+            self.plan_free([duration])
+            key = self._free_keys[duration]
+        return self._free[key]
+
+    def plan_free(self, durations) -> None:
+        """Build the free propagators that ``durations`` lack in one batched
+        product, each key, a duration rounded once per unrounded value, from
+        its first duration."""
+        missing = {}
+        for duration in durations:
+            key = self._free_keys.get(duration)
+            if key is None:
+                key = self._free_keys[duration] = round(duration, _KEY_DIGITS)
+            if key not in self._free:
+                missing.setdefault(key, duration)
+        if missing:
+            durations = np.array(list(missing.values()))[:, None]
+            self._free.update(zip(missing, eig_propagator(self._evals, self._evecs, durations)))
 
     def pulse_key(self, pulse: DrivePulse, t_start: float, dt: float) -> tuple:
         """``(cycles, shape)`` of a pulse started at ``t_start``; each part is
@@ -304,15 +332,23 @@ class PropagatorCache:
         if not -math.inf < t_start < math.inf:
             raise ValueError(f"pulse start must be finite, got {t_start}")
         raw = (pulse.omegap * t_start + pulse.phase / (2.0 * np.pi)) % 1.0
+        return self._cycles(raw), self._shape(pulse, dt)
+
+    def _cycles(self, raw: float) -> float:
+        """Carrier cycles ``raw`` in [0, 1) rounded, a full cycle wrapped to 0."""
         cycles = self._rounded.get(raw)
         if cycles is None:
             cycles = round(raw, _KEY_DIGITS)
             cycles = self._rounded[raw] = 0.0 if cycles == 1.0 else cycles
+        return cycles
+
+    def _shape(self, pulse: DrivePulse, dt: float) -> tuple:
+        """``(duration, omega1, omegap)`` of ``pulse`` rounded, and ``dt``."""
         raw = (pulse.duration, pulse.omega1, pulse.omegap, dt)
         shape = self._rounded.get(raw)
         if shape is None:
             shape = self._rounded[raw] = tuple(round(x, _KEY_DIGITS) for x in raw[:3]) + (dt,)
-        return cycles, shape
+        return shape
 
     def pulse(self, pulse: DrivePulse, t_start: float, dt: float) -> np.ndarray:
         key = self.pulse_key(pulse, t_start, dt)
@@ -338,7 +374,7 @@ class PropagatorCache:
                 reads.append(self._route(shape, phases, dt, steps[shape[1:]], stacks, sampled))
             except ValueError as exc:
                 failed.update(dict.fromkeys([(c, shape) for c in phases], exc))
-        built = {(n, omega1): _exact(rows, n, self._steps[(omega1, dt)][1], dt)
+        built = {(n, omega1): _exact(np.concatenate(rows), n, self._steps[(omega1, dt)][1], dt)
                  for (n, omega1), rows in stacks.items()}
         for family, span in sampled.items():
             if not isinstance(span, ValueError):
@@ -351,7 +387,7 @@ class PropagatorCache:
                stacks: dict, sampled: dict):
         """Route one shape's missing ``phases``, cycles -> first pulse, on a
         family whose missing keys hold ``planned`` Trotter steps; queue its
-        exact builds on ``stacks``, (nsteps, omega1) -> rows, and the family's
+        exact builds on ``stacks``, (nsteps, omega1) -> row arrays, and the family's
         block samples, if taken, on ``sampled``, family -> their rows or error.
         Returns what reads the shape's entries off the built stacks."""
         family, pulse = shape[1:], next(iter(phases.values()))
@@ -404,12 +440,17 @@ class PropagatorCache:
         """Queue the ``nsteps``-step builds from ``t_start`` of ``drives``, cycles
         -> pulse, on their stack once the first passes ``pulse_propagator``'s
         checks (the rest share them); returns the stack's key and their rows."""
-        rows = [(replace(drive, phase=2.0 * np.pi * c, duration=nsteps * dt), t_start)
-                for c, drive in drives.items()]
-        _step_count(self.system.h0, rows[0][0], self.system.drive_op, dt)
-        stack = stacks.setdefault((nsteps, rows[0][0].omega1), [])
-        stack += rows
-        return (nsteps, rows[0][0].omega1), slice(len(stack) - len(rows), len(stack))
+        cycles, pulses = list(drives), list(drives.values())
+        first = replace(pulses[0], phase=2.0 * np.pi * cycles[0], duration=nsteps * dt)
+        _step_count(self.system.h0, first, self.system.drive_op, dt)
+        rows = np.empty((len(cycles), 4))
+        rows[:, :2] = [(pulse.omega1, pulse.omegap) for pulse in pulses]
+        rows[:, 2] = 2.0 * np.pi * np.array(cycles)
+        rows[:, 3] = t_start
+        stack = stacks.setdefault((nsteps, first.omega1), [])
+        start = sum(map(len, stack))
+        stack.append(rows)
+        return (nsteps, first.omega1), slice(start, start + len(rows))
 
 
 def _start(el, t: float, cfg: SimConfig) -> tuple:
@@ -448,13 +489,13 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
     )
 
 
-def _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell) -> list:
-    """One cell's lookups ``(element, start)`` in time order: the pi train of
-    max N, with the closing tail of its class after each wanted N's N-th pi
-    pulse.  Each class's first N, ``firsts``, is compiled, given the cell's
-    errors and, the first one, validated for ``cfg``, as applying each N's
-    sequence would; those checks read N only through N >= 1 and its closing
-    class, so they raise what every N would."""
+def _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell) -> tuple:
+    """One cell's elements: the pi train of max N, then the closing gap and
+    wrapper of each closing class, in ``firsts`` order.  Each class's first
+    N, ``firsts``, is compiled, given the cell's errors and, the first one,
+    validated for ``cfg``, as applying each N's sequence would; those checks
+    read N only through N >= 1 and its closing class, so they raise what
+    every N would."""
     tau, length_factor, freq_factor = cell
     if not wanted or min(wanted) < 1:
         raise ValueError("n values must be positive integers")
@@ -469,16 +510,92 @@ def _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell)
     top = max(wanted)  # a tau sweep's only N: its sequence is compiled once
     train = seqs[top] if top in seqs else compile_sequence(
         family, top, tau, pulse, wrapper_phase, closing_rule, length_factor, freq_factor)
-    t, out = 0.0, []
-    for i, el in enumerate(train.elements[:2 * top + 1]):
-        start, t = _start(el, t, cfg)
-        out.append((el, start))
-        if i % 2 == 0 and i // 2 in wanted:
-            end = t
-            for closer in seqs[firsts[closing_class(i // 2)]].elements[-2:]:
-                start, end = _start(closer, end, cfg)
-                out.append((closer, start))
-    return out
+    return train.elements[:2 * top + 1] + tuple(
+        el for seq in seqs.values() for el in seq.elements[-2:])
+
+
+def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
+    """Time and key the lookups of cells ``elements``, cell -> its ``_cell``
+    elements, all at once, and plan the entries they lack.  A cell looks up
+    its train in time order, with the closing gap at element ``closes[2 N]``
+    and the wrapper after it following train element 2 N, the N-th pi pulse.
+
+    Returns the keys of table rows 1, 2, ...: each distinct pulse key in
+    first-lookup order, cell after cell (None where its build failed), then
+    each distinct positive delay duration; and the ``(cells, L)`` index of
+    each lookup's row, 0 for an empty delay and throughout a cell whose
+    start is not finite or whose build failed, with that error in ``errors``."""
+    dt, cells = cfg.dt, list(elements)
+    flat = list(itertools.chain.from_iterable(elements.values()))
+    # each distinct element object once, and per cell its elements' codes
+    _, first, codes = np.unique(np.fromiter(map(id, flat), np.int64, len(flat)),
+                                return_index=True, return_inverse=True)
+    objects, codes = [flat[f] for f in first.tolist()], codes.reshape(len(cells), -1)
+    shapes, rows = {}, []  # per object: a pulse?, clock advance, omegap, phase cycles, shape
+    for el in objects:
+        if isinstance(el, Pulse):  # the clock advances by a pulse's snapped duration
+            drive = el.pulse
+            shape = shapes.setdefault(cache._shape(drive, dt), len(shapes))
+            rows.append((1, round(drive.duration / dt) * dt, drive.omegap,
+                         drive.phase / (2.0 * np.pi), shape))
+        else:
+            rows.append((0, el.duration, 0.0, 0.0, 0))
+    pulses, span, omegap, phase, shape_of = np.array(rows).T
+    # per lookup the element it reads; where the train's elements sit, and
+    # each closing wrapper with its pi pulse and closing gap
+    src, train_at, wrap_at, pis, gaps = [], [], [], [], []
+    for i in range(max(closes) + 1):
+        train_at.append(len(src))
+        src.append(i)
+        if i in closes:
+            wrap_at.append(len(src) + 1)
+            pis.append(i)
+            gaps.append(closes[i])
+            src += [closes[i], closes[i] + 1]
+    obj = codes[:, src]
+    starts = np.zeros(obj.shape)
+    if not cfg.carrier_reset:
+        ends = np.cumsum(span[codes[:, :len(train_at)]], axis=1)
+        starts[:, train_at[1:]] = ends[:, :-1]
+        starts[:, wrap_at] = ends[:, pis] + span[codes[:, gaps]]
+    lookups = pulses[obj] == 1
+    bad = lookups & ~np.isfinite(starts)
+    for r in np.flatnonzero(bad.any(axis=1)).tolist():
+        start = float(starts[r, bad[r].argmax()])
+        errors[cells[r]] = ValueError(f"pulse start must be finite, got {start}")
+    keyed = lookups & np.array([errors[j] is None for j in cells])[:, None]
+    at = obj[keyed]
+    raws, raw_of = np.unique((omegap[at] * starts[keyed] + phase[at]) % 1.0, return_inverse=True)
+    cycles, cycle_ids = [cache._cycles(raw) for raw in raws.tolist()], {}
+    cycle_of = np.array([cycle_ids.setdefault(c, len(cycle_ids)) for c in cycles], dtype=np.intp)
+    # one code per distinct key, its shape and rounded cycles, ranked in first-lookup order
+    _, first, key_of = np.unique(shape_of[at].astype(np.intp) * len(cycle_ids) + cycle_of[raw_of],
+                                 return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    shape_keys = list(shapes)
+    requests = [((cycles[raw_of[f]], shape_keys[int(shape_of[at[f]])]), objects[at[f]].pulse)
+                for f in np.sort(first).tolist()]
+    index = np.zeros(obj.shape, dtype=np.intp)
+    index[keyed] = 1 + rank[key_of]
+    failed = cache.plan(requests, dt)
+    if failed:
+        hit = np.array([False] + [key in failed for key, _ in requests])[index]
+        for r in np.flatnonzero(hit.any(axis=1)).tolist():
+            errors[cells[r]] = failed[requests[index[r, hit[r].argmax()] - 1][0]]
+    live = np.array([errors[j] is None for j in cells])
+    # each distinct positive delay duration of the live cells, in first-lookup order
+    delays = ~lookups & live[:, None]
+    held, first = np.unique(obj[delays], return_index=True)
+    durations, free_row = {}, np.zeros(len(objects), dtype=np.intp)
+    for o in held[np.argsort(first)].tolist():
+        if span[o] > 0:
+            row = durations.setdefault(objects[o].duration, len(durations))
+            free_row[o] = 1 + len(requests) + row
+    cache.plan_free(list(durations))
+    index[delays] = free_row[obj[delays]]
+    index[~live] = 0
+    return [None if key in failed else key for key, _ in requests] + list(durations), index
 
 
 def _walk(system, family, n_values, pulse, cfg, cells, wrapper_phase, closing_rule,
@@ -493,50 +610,41 @@ def _walk(system, family, n_values, pulse, cfg, cells, wrapper_phase, closing_ru
     for n in n_values.tolist():
         firsts.setdefault(closing_class(n), n)
     wanted = {n: k for k, n in enumerate(sorted(set(n_values.tolist())))}
-    errors, keyed = [None] * len(cells), [None] * len(cells)
+    errors, elements = [None] * len(cells), {}
     for j, cell in enumerate(cells):
         try:
-            lookups = _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell)
+            els = _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell)
             if cache.system is not system:
                 raise ValueError("cache was built for a different system")
-            # keyed once each: a pulse by its cache key, a delay by its duration
-            keyed[j] = [(None, el.duration if el.duration > 0 else None) if start is None
-                        else (el.pulse, cache.pulse_key(el.pulse, start, cfg.dt))
-                        for el, start in lookups]
+            elements[j] = els
         except ValueError as exc:
             errors[j] = exc
-    failed = cache.plan([(key, p) for lookups in keyed if lookups
-                         for p, key in lookups if p is not None], cfg.dt)
-    rows = {None: 0}  # key -> its table row; the identity for an empty delay or a failed cell
-    width = max((len(lookups) for lookups in keyed if lookups), default=0)
-    index = np.zeros((len(cells), width), dtype=np.intp)
-    for j, lookups in enumerate(keyed):
-        if lookups is not None:
-            errors[j] = next((failed[key] for _, key in lookups if key in failed),
-                             None) if failed else None
-            if errors[j] is None:
-                index[j] = [rows.setdefault(key, len(rows)) for _, key in lookups]
     d = system.h0.shape[0]
-    states = np.empty((len(cells), len(wanted), d, d), dtype=complex)
+    closed = np.empty((len(cells), len(wanted), d, d), dtype=complex)
     order = [wanted[n] for n in n_values.tolist()]
+    if elements:
+        top = 2 * max(wanted) + 1  # the train's elements; each class's closers follow
+        slots = {c: top + 2 * k for k, c in enumerate(firsts)}
+        closes = {2 * n: slots[closing_class(n)] for n in wanted}
+        keys, rows = _lookups(cache, elements, closes, cfg, errors)
     if all(error is not None for error in errors):
-        return states[:, order], errors
+        return closed[:, order], errors
+    index = np.zeros((len(cells), rows.shape[1]), dtype=np.intp)
+    index[list(elements)] = rows
     eye = np.eye(d, dtype=complex)
-    table = np.array([eye] + [cache._pulses[key] if isinstance(key, tuple) else cache.free(key)
-                              for key in list(rows)[1:]])
+    table = np.array([eye] + [eye if key is None else cache.free(key) if isinstance(key, float)
+                              else cache._pulses[key] for key in keys])
     del cache  # one this walk made is freed here, so its entries are not held twice
     # the (cells, d, d) factors of one position after another, gathered a chunk at a time
     size = max(1, _CHUNK // (len(cells) * d * d))
-    factors = (f for lo in range(0, width, size) for f in table[index[:, lo:lo + size].T])
+    factors = (f for lo in range(0, index.shape[1], size) for f in table[index[:, lo:lo + size].T])
     u, spare = np.array([eye] * len(cells)), np.empty((len(cells), d, d), dtype=complex)
-    for i in range(2 * max(wanted) + 1):
+    for i in range(top):
         u, spare = np.matmul(next(factors), u, out=spare), u
-        n = i // 2
-        if i % 2 or n not in wanted:
-            continue
-        closed = next(factors) @ u  # closing gap, then closing wrapper
-        closed = next(factors) @ closed
-        states[:, wanted[n]] = closed @ system.rho0.mat @ closed.conj().transpose(0, 2, 1)
+        if i in closes:
+            gap = next(factors) @ u  # closing gap, then closing wrapper
+            closed[:, wanted[i // 2]] = next(factors) @ gap
+    states = closed @ system.rho0.mat @ closed.conj().swapaxes(-1, -2)
     return states[:, order], errors
 
 

@@ -56,18 +56,20 @@ def test_importing_the_cli_leaves_scipy_unloaded():
 
 
 def test_a_sweep_leaves_numpy_polynomial_unloaded():
+    # nor numpy.ma, which a bare np.unique imports
     code = ("import sys, spindd.runner\n"
-            "from spindd.evolution import sweep_n\n"
+            "from spindd.evolution import sweep_n, sweep_tau\n"
             "from spindd.hamiltonians import (DrivePulse, GenericSystemParams, TargetParams,\n"
             "                                 generic_system)\n"
             "from spindd.sequences import SimConfig\n"
             "system = generic_system(GenericSystemParams(50.0, (TargetParams(1.0, 0.2),)))\n"
-            "sweep_n(system, 'xyn', [1, 2], 0.5, DrivePulse(5.0, 50.0, 0.0, 0.1),\n"
-            "        SimConfig(dt=0.001))\n"
-            "print('numpy.polynomial' in sys.modules)")
+            "pulse, cfg = DrivePulse(5.0, 50.0, 0.0, 0.1), SimConfig(dt=0.001)\n"
+            "sweep_n(system, 'xyn', [1, 2], 0.5, pulse, cfg)\n"
+            "sweep_tau(system, 'xyn', 4, [0.5, 0.4937], pulse, cfg)\n"
+            "print(sorted({'numpy.polynomial', 'numpy.ma'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_a_cold_cli_loads_a_preset_without_jsonschema_or_yaml():

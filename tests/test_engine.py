@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spindd import analysis, evolution
+from spindd import analysis, evolution, sequences
 from spindd.algebra import basis_dm, partial_trace
 from spindd.analysis import SweepResult, pseudo_fidelity, state_fidelity
 from spindd.config import ExperimentConfig
@@ -265,17 +265,40 @@ def test_walk_equals_each_cell_alone(family, n_values, tau, cells, failing):
     assert_walk_matches_each_cell(family, n_values, tau, cells, failing)
 
 
+def failing_late_builds(monkeypatch, after, message, omegap=None):
+    """Make the build of every pulse started after ``after``, on carrier
+    ``omegap`` if given, raise.  Compiled sequences give each such pulse a
+    shape of its own, a duration 1e-9 longer that its step grid does not
+    see, and a plan's route of such a shape raises ``ValueError(message(t))``,
+    ``t`` the start of the first pulse compiled with that shape."""
+    late, compile_sequence, route = {}, sequences.compile_sequence, PropagatorCache._route
+
+    def compiled(*args, **kwargs):
+        seq = compile_sequence(*args, **kwargs)
+        t, elements = 0.0, []
+        for el in seq.elements:
+            start, t = evolution._start(el, t, CFG)
+            if start is not None and start > after and omegap in (None, el.pulse.omegap):
+                el = replace(el, pulse=replace(el.pulse, duration=el.duration * (1.0 + 1e-9)))
+                late.setdefault(round(el.duration, 12), start)
+            elements.append(el)
+        return replace(seq, elements=tuple(elements))
+
+    def failing(self, shape, *args):
+        if shape[0] in late:
+            raise ValueError(message(late[shape[0]]))
+        return route(self, shape, *args)
+
+    for module in (sequences, evolution):
+        monkeypatch.setattr(module, "compile_sequence", compiled)
+    monkeypatch.setattr(PropagatorCache, "_route", failing)
+
+
 def test_a_failing_build_fails_only_its_cell(monkeypatch):
-    # a walk keys each lookup once, where applying a sequence looks it up:
-    # both fail at the same lookup of the same cell
-    original = PropagatorCache.pulse_key
-
-    def pulse_key(self, drive, t_start, dt):
-        if drive.omegap == 50.0 * 1.02 and t_start > 1.0:
-            raise ValueError("no pulse after the second")
-        return original(self, drive, t_start, dt)
-
-    monkeypatch.setattr(PropagatorCache, "pulse_key", pulse_key)
+    # only the 1.02 cell's pulses after t = 1.0 fail to build: a walk plans
+    # them with every other cell's, the per-N sequences one lookup at a time,
+    # and both fail that cell alone, with one message
+    failing_late_builds(monkeypatch, 1.0, lambda t: "no pulse after the second", 50.0 * 1.02)
     cells = [(1.1, 0.99), (1.1, 1.02), (1.1, 1.0)]
     assert_walk_matches_each_cell("xyn", [7, 3, 12, 1], 0.5, cells, {1})
 
@@ -323,12 +346,44 @@ def test_sweep_tau_equals_per_tau_sequences_on_the_nv_center(carrier_reset):
     assert_sweep_tau_matches_per_tau(NV, "xyn", 8, [0.364, 0.2, 0.41, 0.3655], NV_PI, cfg)
 
 
+def walked_keys(monkeypatch):
+    """Per walk, per cell that it keyed, the key of each lookup in walk order
+    as its index reads it: a pulse key, a delay's duration, or None (an empty
+    delay, or every lookup of a cell that failed)."""
+    walks, lookups = [], evolution._lookups
+
+    def logged(cache, elements, closes, cfg, errors):
+        keys, index = lookups(cache, elements, closes, cfg, errors)
+        rows = [None, *keys]
+        walks.append({j: [rows[r] for r in row] for j, row in zip(elements, index.tolist())})
+        return keys, index
+
+    monkeypatch.setattr(evolution, "_lookups", logged)
+    return walks
+
+
+def sequence_lookups(row, n_values, n):
+    """The lookups of walk row ``row`` that the N = ``n`` sequence makes, in its
+    order: the pi train up to its n-th pi pulse, then the closing gap and
+    wrapper that the walk looks up after that pulse."""
+    out, p = [], 0
+    for i in range(2 * n + 1):
+        out.append(row[p])
+        p += 1
+        if i % 2 == 0 and i // 2 in n_values:
+            p += 2
+    return out + row[p - 2:p]
+
+
 def test_walks_look_up_in_the_order_of_one_sequence_after_another(monkeypatch):
     # the order decides which phases of a shape are built exactly and which
-    # come from its interpolant, so it keeps the walk's states bit for bit.  A
-    # walk hands its plan every pulse lookup, keyed, and asks for each new free
-    # duration once; applying a sequence looks up each element
-    planned, looked_up, freed = logged_requests(monkeypatch), [], []
+    # come from its interpolant, so it keeps the walk's states bit for bit.
+    # Every position of a walk's index holds the lookup that applying its
+    # sequence makes there; its plan gets each distinct pulse key once, in
+    # first-lookup order with its first pulse, and it asks for each new free
+    # duration once, in the same order
+    walks, planned = walked_keys(monkeypatch), logged_requests(monkeypatch)
+    looked_up, freed = [], []
     pulse, free = PropagatorCache.pulse, PropagatorCache.free
 
     def logged_pulse(self, drive, t_start, dt):
@@ -337,28 +392,53 @@ def test_walks_look_up_in_the_order_of_one_sequence_after_another(monkeypatch):
 
     def logged_free(self, duration):
         freed.append(duration)
+        looked_up.append((duration, None))
         return free(self, duration)
 
     monkeypatch.setattr(PropagatorCache, "pulse", logged_pulse)
     monkeypatch.setattr(PropagatorCache, "free", logged_free)
 
-    def requested(fn, walks=True):
-        for log in (planned, looked_up, freed):
-            log.clear()
-        fn()
-        return list(planned if walks else looked_up), list(dict.fromkeys(freed))
+    def applied(seq, cache):
+        del looked_up[:]
+        apply_sequence(GENERIC, seq, CFG, cache)
+        return [key for key, _ in looked_up]
+
+    def first_lookups(keys, drives):
+        """The distinct pulse keys of ``keys`` with the pulse of their first
+        lookup, and the distinct delay durations, in first-lookup order."""
+        pulses = dict.fromkeys(key for key in keys if isinstance(key, tuple))
+        return ([(key, drives[key]) for key in pulses],
+                list(dict.fromkeys(key for key in keys if isinstance(key, float))))
 
     taus = [0.5, 0.4937, 0.62, 0.45]
-    walked = requested(lambda: sweep_tau(GENERIC, "xyn", 6, taus, PI_PULSE, CFG,
-                                         length_factor=1.1))
-    assert walked == requested(lambda: per_tau_sweep(GENERIC, "xyn", 6, taus, PI_PULSE, CFG,
-                                                     1.1, 1.0, PropagatorCache(GENERIC)), False)
-    cells, cache = [(1.1, 0.99), (1.1, 1.02)], PropagatorCache(GENERIC)
-    walked = requested(lambda: evolution.sweep_n_cells(GENERIC, "xyn", [7, 3, 12], 0.5,
-                                                       PI_PULSE, CFG, cells))
-    assert walked == requested(lambda: [
-        sweep_n(GENERIC, "xyn", [7, 3, 12], 0.5, PI_PULSE, CFG, length_factor=lf,
-                freq_factor=ff, cache=cache) for lf, ff in cells])
+    sweep_tau(GENERIC, "xyn", 6, taus, PI_PULSE, CFG, length_factor=1.1)
+    (rows,) = walks
+    walked = [key for j in range(len(taus)) for key in rows[j] if key is not None]
+    requested, walk_freed = list(planned), list(freed)
+    cache, drives = PropagatorCache(GENERIC), {}
+    applied_keys = []
+    for tau in taus:
+        applied_keys += applied(inject_errors(compile_xyn(6, tau, PI_PULSE), 1.1), cache)
+        for key, drive in looked_up:
+            drives.setdefault(key, drive)
+    assert walked == applied_keys
+    assert (requested, list(dict.fromkeys(walk_freed))) == first_lookups(walked, drives)
+
+    del walks[:], planned[:], freed[:]
+    cells, n_values = [(1.1, 0.99), (1.1, 1.02)], [7, 3, 12]
+    evolution.sweep_n_cells(GENERIC, "xyn", n_values, 0.5, PI_PULSE, CFG, cells)
+    (rows,) = walks
+    requested, walk_freed = list(planned), list(freed)
+    cache, drives = PropagatorCache(GENERIC), {}
+    for j, (lf, ff) in enumerate(cells):
+        for n in n_values:
+            keys = applied(inject_errors(compile_xyn(n, 0.5, PI_PULSE), lf, ff), cache)
+            walked = [key for key in sequence_lookups(rows[j], n_values, n) if key is not None]
+            assert walked == keys
+            for key, drive in looked_up:
+                drives.setdefault(key, drive)
+    walked = [key for j in range(len(cells)) for key in rows[j] if key is not None]
+    assert (requested, list(dict.fromkeys(walk_freed))) == first_lookups(walked, drives)
 
 
 @pytest.mark.parametrize("family, n, taus, factors, dt", [
@@ -380,19 +460,16 @@ def test_sweep_tau_raises_what_the_first_failing_tau_raises(family, n, taus, fac
 
 
 def test_a_failing_build_fails_its_tau_before_a_later_failing_tau(monkeypatch):
-    original = PropagatorCache.pulse_key  # keyed once per lookup, by walks and sequences
-
-    def pulse_key(self, drive, t_start, dt):
-        if t_start > 1.2:  # tau 0.7's closing wrapper and tau 0.9's last two pulses
-            raise ValueError(f"no pulse at {t_start}")
-        return original(self, drive, t_start, dt)
-
-    monkeypatch.setattr(PropagatorCache, "pulse_key", pulse_key)
+    # tau 0.7's closing wrapper and tau 0.9's last two pulses start after 1.2
+    failing_late_builds(monkeypatch, 1.2, lambda t: f"no pulse at {t}")
     taus = [0.5, 0.7, 0.9, 0.08]
     expected = error_of(lambda: per_tau_sweep(GENERIC, "cpmg", 2, taus, PI_PULSE, CFG, 1.0, 1.0,
                                               PropagatorCache(GENERIC)))
     assert expected.startswith("no pulse at 1.4")  # tau 0.7's closing wrapper
     assert error_of(lambda: sweep_tau(GENERIC, "cpmg", 2, taus, PI_PULSE, CFG)) == expected
+    # tau 0.9 alone fails at its first late pulse, its last pi pulse
+    assert error_of(lambda: sweep_tau(GENERIC, "cpmg", 2, [0.9], PI_PULSE, CFG)).startswith(
+        "no pulse at 1.32")
 
 
 def test_a_bad_state_at_an_earlier_tau_is_raised_before_a_failing_tau(monkeypatch):
@@ -432,14 +509,15 @@ def test_a_bad_state_fails_only_its_own_error_cell(monkeypatch):
 # ---------------------------------------------------------------- phase-keyed cache
 
 def counting_builds(monkeypatch):
-    """The rows ``(pulse, t_start)`` that caches hand the Trotter kernel, one
+    """The rows that caches hand the Trotter kernel as ``(pulse, t_start)``, one
     per built phase, in build order."""
     rows = []
     original = evolution._exact
 
-    def counted(stack, *args):
-        rows.extend(stack)
-        return original(stack, *args)
+    def counted(stack, nsteps, coefficients, dt):
+        rows.extend((DrivePulse(omega1, omegap, phase, nsteps * dt), t_start)
+                    for omega1, omegap, phase, t_start in stack.tolist())
+        return original(stack, nsteps, coefficients, dt)
 
     monkeypatch.setattr(evolution, "_exact", counted)
     return rows
@@ -841,8 +919,8 @@ def walk_preset(name):
 
 
 @pytest.mark.parametrize("name, count", [
-    ("nv-ddgate", 81), ("pulse-error-map", 567), ("nv-xyn-spectrum", 1410),
-    ("cpmg-spectrum", 2112),
+    ("nv-ddgate", 81), ("pulse-error-map", 40), ("nv-xyn-spectrum", 1238),
+    ("cpmg-spectrum", 4),
 ])
 def test_a_plan_does_not_depend_on_request_order(monkeypatch, name, count):
     requests = logged_requests(monkeypatch)
@@ -853,6 +931,58 @@ def test_a_plan_does_not_depend_on_request_order(monkeypatch, name, count):
     assert forward.plan(planned, dt) == {} == backward.plan(planned[::-1], dt)
     assert forward._pulses.keys() == backward._pulses.keys()
     assert all(np.array_equal(u, backward._pulses[key]) for key, u in forward._pulses.items())
+
+
+def element_keys(cache, seq, cfg):
+    """Per element of ``seq`` the key of the reference element loop:
+    ``pulse_key`` at the element's ``_start``, a positive delay's duration,
+    or None for an empty delay."""
+    keys, t = [], 0.0
+    for el in seq.elements:
+        start, t = evolution._start(el, t, cfg)
+        if start is not None:
+            keys.append(cache.pulse_key(el.pulse, start, cfg.dt))
+        else:
+            keys.append(el.duration if el.duration > 0 else None)
+    return keys
+
+
+@pytest.mark.parametrize("carrier_reset", [False, True], ids=["clock", "reset"])
+@pytest.mark.parametrize("system, pulse, tau", [
+    (GENERIC, PI_PULSE, 0.5), (NV, NV_PI, 0.364)], ids=["generic", "nv"])
+def test_a_walk_keys_each_lookup_as_the_element_loop_does(monkeypatch, system, pulse, tau,
+                                                          carrier_reset):
+    cfg = SimConfig(dt=pulse.duration / (100 if system is GENERIC else 512),
+                    carrier_reset=carrier_reset)
+    walks, cache = walked_keys(monkeypatch), PropagatorCache(system)
+    # an N walk of error cells; the last cell's pulses overlap, and it is not keyed
+    cells = [(1.1, 0.99), (1.0, 1.0), (0.8, 1.02), (tau / pulse.duration, 1.0)]
+    n_values = [7, 3, 12]
+    results = evolution.sweep_n_cells(system, "xyn", n_values, tau, pulse, cfg, cells,
+                                      cache=cache)
+    assert [isinstance(result, ValueError) for result in results] == [False] * 3 + [True]
+    (rows,) = walks
+    assert list(rows) == [0, 1, 2]
+    for j, (lf, ff) in enumerate(cells[:3]):
+        for n in n_values:
+            seq = inject_errors(compile_xyn(n, tau, pulse, system.wrapper_phase), lf, ff)
+            assert sequence_lookups(rows[j], n_values, n) == element_keys(cache, seq, cfg)
+    # a tau walk on a fresh cache, whose first two taus' inner gaps are two
+    # durations of one key
+    del walks[:]
+    cache, taus = PropagatorCache(system), [tau, tau + 1e-13, 1.2 * tau, 0.9 * tau]
+    sweep_tau(system, "xyn", 6, taus, pulse, cfg, length_factor=1.1, freq_factor=0.99,
+              cache=cache)
+    (rows,) = walks
+    for j, t in enumerate(taus):
+        seq = inject_errors(compile_xyn(6, t, pulse, system.wrapper_phase), 1.1, 0.99)
+        assert rows[j] == element_keys(cache, seq, cfg)
+    first, second = rows[0][3], rows[1][3]
+    assert first != second and round(first, 12) == round(second, 12)
+    w, v = evolution.eig_hermitian(system.h0)
+    built = evolution.eig_propagator(w, v.mat, first)
+    assert np.array_equal(cache.free(second), built)
+    assert not np.array_equal(evolution.eig_propagator(w, v.mat, second), built)
 
 
 # ---------------------------------------------------------------- block route
@@ -977,7 +1107,9 @@ def test_a_stacked_row_is_the_single_build(monkeypatch, system, pulse, dt):
 
     monkeypatch.setattr(evolution, "_trotter", counted)
     coefficients = evolution._step_coefficients(system.h0, system.drive_op, pulse.omega1, dt)[1]
-    stacked = evolution._exact(rows, nsteps, coefficients, dt)
+    stack = np.array([(drive.omega1, drive.omegap, drive.phase, t_start)
+                      for drive, t_start in rows])
+    stacked = evolution._exact(stack, nsteps, coefficients, dt)
     assert chunks == ([per_chunk, 2] if per_chunk > 1 else [1, 1, 1])
     monkeypatch.setattr(evolution, "_trotter", kernel)
     for u, (drive, t_start) in zip(stacked, rows):
