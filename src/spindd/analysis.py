@@ -188,10 +188,11 @@ def concurrence(rho: DensityMatrix) -> float:
 
 
 def _trig_tables(n: np.ndarray, periods: np.ndarray) -> tuple:
-    """The periods, their ``(P, n)`` cos and sin tables and the entries 00 01
-    02 11 12 22 of the inverse normal matrices of ``a + b cos + c sin``, as
-    ``(6, P)`` cofactors over the determinant.  A period aliasing on the N
-    grid (determinant not safely positive) gets nan, and so an infinite rms."""
+    """The periods, their ``(P, n)`` cos and sin tables, the ``(5, P)`` sums of
+    cos, sin, cos^2, cos sin and sin^2 over n, and the entries 00 01 02 11 12 22
+    of the inverse normal matrices of ``a + b cos + c sin``, as ``(6, P)``
+    cofactors over the determinant.  A period aliasing on the N grid
+    (determinant not safely positive) gets nan, and so an infinite rms."""
     arg = 2.0 * np.pi * n[None, :] / periods[:, None]
     cos, sin = np.cos(arg), np.sin(arg)
     m, c, s = float(n.size), cos.sum(axis=1), sin.sum(axis=1)
@@ -201,7 +202,7 @@ def _trig_tables(n: np.ndarray, periods: np.ndarray) -> tuple:
     det = m * inv[0] + c * inv[1] + s * inv[2]
     # m^3 bounds the determinant, and its rounding error is about 1e-15 m^3
     inv /= np.where(det > 1e-12 * m ** 3, det, np.nan)
-    return periods, cos, sin, inv
+    return periods, cos, sin, np.stack([c, s, cc, cs, ss]), inv
 
 
 @functools.lru_cache(maxsize=1)
@@ -215,22 +216,95 @@ def _coarse_tables(key: bytes) -> tuple:
     return tables
 
 
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+
 def _best_fit(y: np.ndarray, tables: tuple) -> tuple:
     """``(rms, period, hypot(b, c))`` of the least-squares ``a + b cos + c sin``
-    at the trial period of least rms.  The residual is explicit, as the
-    normal-equation identity for it cancels badly on near-perfect fits."""
-    periods, cos, sin, (i00, i01, i02, i11, i12, i22) = tables
+    at the trial period of least rms, the first on a tie.  The residual is
+    explicit, as the normal-equation identity for it cancels badly on
+    near-perfect fits; it is formed only at the periods the identity cannot
+    rule out.
+
+    The identity ``|y - a - b cos - c sin|^2 = y.y - 2 (a ty + b tc + c ts) +
+    m a^2 + cc b^2 + ss c^2 + 2 (c1 a b + s1 a c + cs b c)`` holds for any
+    coefficients; ``c1``, ``s1``, ``cc``, ``cs`` and ``ss`` are the sums over n
+    of cos, sin, cos^2, cos sin and sin^2 in the tables.  With ``R = max|y| +
+    |a| + |b| + |c|``, which bounds every residual entry, the explicit
+    residual and its sum are off the exact sum of the computed coefficients
+    by at most ``(m + 7) m eps R^2``, and the identity, with its products
+    and sums, by at most about ``(m^2 + 10 m) eps R^2``; for m >= 6 both fit
+    in ``E = 16 m^2 eps R^2``, which also covers the rounding of ``rss -+ E``
+    (``tiny`` covers underflow).  A period whose ``rss - E`` exceeds the
+    least ``rss + E`` by more than 16 ulp has an explicit sum above that
+    period's by a margin that survives ``/ m`` and ``sqrt``, so it can
+    neither be the least rms nor tie it.  A period whose bound is not finite
+    (an aliasing one, or an overflowing scale) is always formed."""
+    periods, cos, sin, (c1, s1, cc, cs, ss), (i00, i01, i02, i11, i12, i22) = tables
+    m = y.size
     ty, tc, ts = y.sum(), cos @ y, sin @ y
     a = i00 * ty + i01 * tc + i02 * ts
     b = i01 * ty + i11 * tc + i12 * ts
     c = i02 * ty + i12 * tc + i22 * ts
-    resid = y - a[:, None]
-    resid -= b[:, None] * cos
-    resid -= c[:, None] * sin
-    rms = np.sqrt(np.einsum("ij,ij->i", resid, resid) / y.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows have no finite scale
+        rss = (a * (m * a + 2.0 * (c1 * b + s1 * c - ty)) + b * (cc * b + 2.0 * (cs * c - tc))
+               + c * (ss * c - 2.0 * ts) + y @ y)
+        r = np.abs(y).max() + np.abs(a) + np.abs(b) + np.abs(c)
+        scale = 16.0 * m * m * r * r
+        err = _EPS * scale + 16.0 * m * m * _TINY
+        ok = np.isfinite(scale)
+        least = np.min(rss + err, where=ok, initial=np.inf)
+        rows = np.flatnonzero(~ok | (rss - err <= least * (1.0 + 16.0 * _EPS) + m * _TINY))
+    resid = y - a[rows, None]
+    resid -= b[rows, None] * cos[rows]
+    resid -= c[rows, None] * sin[rows]
+    rms = np.sqrt(np.einsum("ij,ij->i", resid, resid) / m)
     rms[np.isnan(rms)] = np.inf
-    i = int(np.argmin(rms))
-    return float(rms[i]), float(periods[i]), float(np.hypot(b[i], c[i]))
+    k = int(np.argmin(rms))
+    i = rows[k]
+    return float(rms[k]), float(periods[i]), float(np.hypot(b[i], c[i]))
+
+
+def pseudo_fidelities(n, ys, value_range) -> list:
+    """``pseudo_fidelity`` of each trace of ``ys`` on one N grid ``n``: per
+    trace ``(f_tilde, n_pi)`` or the ``ValueError`` that ``pseudo_fidelity``
+    raises for it, with the same checks in the same order.  The fine tables
+    are built once per distinct coarse best period, one at a time."""
+    n = np.asarray(n, dtype=float)
+    rng = float(value_range[1] - value_range[0])
+    results, coarse = [], {}  # coarse best period -> [(trace index, y, coarse fit)]
+    for k, y in enumerate(ys):
+        y = np.asarray(y, dtype=float)
+        if rng <= 0:
+            results.append(ValueError(f"invalid observable range {value_range}"))
+        elif n.size < 6:
+            results.append(ValueError("need at least 6 points to fit an oscillation"))
+        elif not np.isfinite(y).all():
+            results.append(ValueError("trace has non-finite values"))
+        else:
+            # the coarse grid's first minimum, then a refinement that wins only when strictly better
+            fit = _best_fit(y, _coarse_tables(n.tobytes()))
+            coarse.setdefault(fit[1], []).append((k, y, fit))
+            results.append(None)
+    for best_t, fits in coarse.items():
+        span = n.max() - n.min()
+        tables = _trig_tables(n, np.linspace(max(2.5, best_t * 0.9), min(1.6 * span, best_t * 1.1),
+                                             400))
+        for k, y, fit in fits:
+            refined = _best_fit(y, tables)
+            rms, period, amp = refined if refined[0] < fit[0] else fit
+            if period > 1.26 * span:
+                results[k] = ValueError(
+                    f"series spans {span:.1f} pulses but the best-fit period is {period:.1f}; "
+                    "sweep does not contain a full oscillation")
+            elif rms > 0.15 * rng:
+                results[k] = ValueError(
+                    f"cosine fit residual {rms:.3g} exceeds 0.15 of the observable range "
+                    f"{rng:.3g} (period {period:.2f}, amplitude {amp:.3g})")
+            else:
+                results[k] = (min(2.0 * amp / rng, 1.0), period / 2.0)
+        del tables
+    return results
 
 
 def pseudo_fidelity(sweep: SweepResult, label: str, value_range) -> tuple:
@@ -242,32 +316,13 @@ def pseudo_fidelity(sweep: SweepResult, label: str, value_range) -> tuple:
     ``(f_tilde, n_pi)`` where ``f_tilde = 2|b|`` normalized by the declared
     observable range and clipped to 1, and ``n_pi = T / 2`` is the
     inversion period in pulses.  Raises when the series is shorter than
-    one period or the fit residual exceeds 0.15 of the range.
+    one period or the fit residual exceeds 0.15 of the range.  This is the
+    one-trace case of ``pseudo_fidelities``.
     """
-    n = np.asarray(sweep.values, dtype=float)
-    y = np.asarray(sweep.trace(label), dtype=float)
-    rng = float(value_range[1] - value_range[0])
-    if rng <= 0:
-        raise ValueError(f"invalid observable range {value_range}")
-    if n.size < 6:
-        raise ValueError("need at least 6 points to fit an oscillation")
-    if not np.isfinite(y).all():
-        raise ValueError("trace has non-finite values")
-
-    span = n.max() - n.min()
-    # the coarse grid's first minimum, then a refinement that wins only when strictly better
-    rms, best_t, amp = _best_fit(y, _coarse_tables(n.tobytes()))
-    fine = np.linspace(max(2.5, best_t * 0.9), min(1.6 * span, best_t * 1.1), 400)
-    refined = _best_fit(y, _trig_tables(n, fine))
-    if refined[0] < rms:
-        rms, best_t, amp = refined
-    if best_t > 1.26 * span:
-        raise ValueError(f"series spans {span:.1f} pulses but the best-fit period is "
-                         f"{best_t:.1f}; sweep does not contain a full oscillation")
-    if rms > 0.15 * rng:
-        raise ValueError(f"cosine fit residual {rms:.3g} exceeds 0.15 of the observable range "
-                         f"{rng:.3g} (period {best_t:.2f}, amplitude {amp:.3g})")
-    return min(2.0 * amp / rng, 1.0), best_t / 2.0
+    (result,) = pseudo_fidelities(sweep.values, [sweep.trace(label)], value_range)
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
 
 def find_resonance(sweep: SweepResult, label: str) -> float:

@@ -58,6 +58,7 @@ from .sequences import (Delay, DrivePulse, Pulse, PulseSequence, SimConfig, clos
 from .sequences import compile_cpmg, compile_xyn  # noqa: F401
 
 _KEY_DIGITS = 12
+_RAW_PHASE = "carrier phase of the pulse started at {} is not finite"
 
 # Error bound of an interpolated step exponential.  Interpolating a
 # smooth f at the K Chebyshev nodes misses it by at most
@@ -80,9 +81,13 @@ _CHUNK = 2 ** 14
 
 
 def _node_count(y: float) -> int:
-    """Smallest K with ``2 y^K / K! <= _CHEB_TOL``."""
+    """Smallest K with ``2 y^K / K! <= _CHEB_TOL``; raises where the bound
+    overflows on the way (or ``y`` is not finite)."""
     k, bound = 1, 2.0 * y
-    while bound > _CHEB_TOL:
+    while not bound <= _CHEB_TOL:
+        if not bound < math.inf:
+            raise ValueError(f"Chebyshev step bound 2 y^K / K! overflows at y = pi dt omega1 "
+                             f"|drive_op|_2 = {y:g}; lower omega1 or dt")
         k += 1
         bound *= y / k
     return k
@@ -90,14 +95,18 @@ def _node_count(y: float) -> int:
 
 @functools.cache
 def _phase_count(a: float) -> int:
-    """Smallest odd M = 2 h + 1 with ``q = e a / (h + 1) < 1`` and
-    ``2 q^(h+1) / (1 - q) <= _PHASE_TOL``."""
-    h = 0
-    while True:
-        q = np.e * a / (h + 1)
-        if q < 1.0 and 2.0 * q ** (h + 1) / (1.0 - q) <= _PHASE_TOL:
-            return 2 * h + 1
-        h += 1
+    """Smallest odd M = 2 h + 1 with ``q = e a / (h + 1) < 1`` and ``2 q^(h+1) /
+    (1 - q) <= _PHASE_TOL``.  No h below ``e a`` has q < 1 and a reachable h lies
+    a few dozen above it; raises if ``e a`` is not finite or the next 1000 h miss."""
+    ea = float(np.e * a)
+    if ea < math.inf:
+        first = max(0, int(ea))
+        for h in range(first, first + 1000):
+            q = ea / (h + 1)
+            if q < 1.0 and 2.0 * q ** (h + 1) / (1.0 - q) <= _PHASE_TOL:
+                return 2 * h + 1
+    raise ValueError(f"no phase sample count meets the bound at a = pi nsteps dt omega1 "
+                     f"|drive_op|_2 = {a:g}; lower omega1 or the pulse duration")
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,7 @@ def _chebyshev(x: np.ndarray, k: int) -> np.ndarray:
 def _step_coefficients(h0: Operator, drive_op: Operator, omega1: float, dt: float) -> tuple:
     """``y`` and the ``(K, d^2)`` Chebyshev coefficient matrices of one
     Trotter step in the carrier amplitude (see ``pulse_propagator``)."""
-    y = np.pi * dt * omega1 * np.linalg.norm(drive_op.mat, 2)
+    y = float(np.pi * dt * omega1 * np.linalg.norm(drive_op.mat, 2))
     k = _node_count(y)
     theta = np.pi * (np.arange(k) + 0.5) / k
     nodes = h0.mat[None] + (omega1 * np.cos(theta))[:, None, None] * drive_op.mat[None]
@@ -305,11 +314,8 @@ class PropagatorCache:
         self._families = {}    # shape[1:], (omega1, omegap, dt) -> _Series of its blocks
 
     def free(self, duration: float) -> np.ndarray:
-        key = self._free_keys.get(duration)
-        if key not in self._free:
-            self.plan_free([duration])
-            key = self._free_keys[duration]
-        return self._free[key]
+        self.plan_free([duration])
+        return self._free[self._free_keys[duration]]
 
     def plan_free(self, durations) -> None:
         """Build the free propagators that ``durations`` lack in one batched
@@ -332,6 +338,8 @@ class PropagatorCache:
         if not -math.inf < t_start < math.inf:
             raise ValueError(f"pulse start must be finite, got {t_start}")
         raw = (pulse.omegap * t_start + pulse.phase / (2.0 * np.pi)) % 1.0
+        if math.isnan(raw):  # omegap t_start overflowed
+            raise ValueError(_RAW_PHASE.format(t_start))
         return self._cycles(raw), self._shape(pulse, dt)
 
     def _cycles(self, raw: float) -> float:
@@ -440,13 +448,10 @@ class PropagatorCache:
         """Queue the ``nsteps``-step builds from ``t_start`` of ``drives``, cycles
         -> pulse, on their stack once the first passes ``pulse_propagator``'s
         checks (the rest share them); returns the stack's key and their rows."""
-        cycles, pulses = list(drives), list(drives.values())
-        first = replace(pulses[0], phase=2.0 * np.pi * cycles[0], duration=nsteps * dt)
+        cycles, pulse = next(iter(drives.items()))
+        first = replace(pulse, phase=2.0 * np.pi * cycles, duration=nsteps * dt)
         _step_count(self.system.h0, first, self.system.drive_op, dt)
-        rows = np.empty((len(cycles), 4))
-        rows[:, :2] = [(pulse.omega1, pulse.omegap) for pulse in pulses]
-        rows[:, 2] = 2.0 * np.pi * np.array(cycles)
-        rows[:, 3] = t_start
+        rows = np.array([(p.omega1, p.omegap, 2.0 * np.pi * c, t_start) for c, p in drives.items()])
         stack = stacks.setdefault((nsteps, first.omega1), [])
         start = sum(map(len, stack))
         stack.append(rows)
@@ -454,13 +459,11 @@ class PropagatorCache:
 
 
 def _start(el, t: float, cfg: SimConfig) -> tuple:
-    """The start that element ``el`` at clock ``t`` is looked up at (None for
-    a delay) and the clock after it."""
+    """The lookup start of element ``el`` at clock ``t`` (None for a delay), and the next clock."""
     if isinstance(el, Delay):
         return None, t + el.duration
     if isinstance(el, Pulse):
-        # the clock advances by the snapped duration so later carrier
-        # phases stay consistent with the actual evolution
+        # the clock advances by the snapped duration, as the evolution does
         return (0.0 if cfg.carrier_reset else t), t + round(el.duration / cfg.dt) * cfg.dt
     raise TypeError(f"unknown sequence element {el!r}")
 
@@ -482,20 +485,17 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
         elif el.duration > 0:
             u_total = cache.free(el.duration) @ u_total
 
-    rho_f = u_total @ system.rho0.mat @ u_total.conj().T
-    return EvolutionResult(
-        rho_final=DensityMatrix(Operator(rho_f, system.h0.dims), label=system.rho0.label),
-        unitary=Operator(u_total, system.h0.dims),
-    )
+    rho_f, dims = u_total @ system.rho0.mat @ u_total.conj().T, system.h0.dims
+    return EvolutionResult(DensityMatrix(Operator(rho_f, dims), label=system.rho0.label),
+                           Operator(u_total, dims))
 
 
 def _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell) -> tuple:
-    """One cell's elements: the pi train of max N, then the closing gap and
-    wrapper of each closing class, in ``firsts`` order.  Each class's first
-    N, ``firsts``, is compiled, given the cell's errors and, the first one,
-    validated for ``cfg``, as applying each N's sequence would; those checks
-    read N only through N >= 1 and its closing class, so they raise what
-    every N would."""
+    """One cell's elements: the pi train of max N, then the closing gap and wrapper
+    of each closing class, in ``firsts`` order.  Each class's first N, ``firsts``,
+    is compiled, given the cell's errors and, the first one, validated for
+    ``cfg``, as applying each N's sequence would; those checks read N only
+    through N >= 1 and its closing class, so they raise what every N would."""
     tau, length_factor, freq_factor = cell
     if not wanted or min(wanted) < 1:
         raise ValueError("n values must be positive integers")
@@ -554,18 +554,21 @@ def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
             src += [closes[i], closes[i] + 1]
     obj = codes[:, src]
     starts = np.zeros(obj.shape)
-    if not cfg.carrier_reset:
-        ends = np.cumsum(span[codes[:, :len(train_at)]], axis=1)
-        starts[:, train_at[1:]] = ends[:, :-1]
-        starts[:, wrap_at] = ends[:, pis] + span[codes[:, gaps]]
+    with np.errstate(over="ignore", invalid="ignore"):  # a lookup with a nan raw fails its cell
+        if not cfg.carrier_reset:
+            ends = np.cumsum(span[codes[:, :len(train_at)]], axis=1)
+            starts[:, train_at[1:]] = ends[:, :-1]
+            starts[:, wrap_at] = ends[:, pis] + span[codes[:, gaps]]
+        raw = (omegap[obj] * starts + phase[obj]) % 1.0
     lookups = pulses[obj] == 1
-    bad = lookups & ~np.isfinite(starts)
+    bad = lookups & np.isnan(raw)  # where the start or omegap * start is not finite
     for r in np.flatnonzero(bad.any(axis=1)).tolist():
         start = float(starts[r, bad[r].argmax()])
-        errors[cells[r]] = ValueError(f"pulse start must be finite, got {start}")
+        errors[cells[r]] = ValueError(_RAW_PHASE.format(start) if math.isfinite(start)
+                                      else f"pulse start must be finite, got {start}")
     keyed = lookups & np.array([errors[j] is None for j in cells])[:, None]
     at = obj[keyed]
-    raws, raw_of = np.unique((omegap[at] * starts[keyed] + phase[at]) % 1.0, return_inverse=True)
+    raws, raw_of = np.unique(raw[keyed], return_inverse=True)
     cycles, cycle_ids = [cache._cycles(raw) for raw in raws.tolist()], {}
     cycle_of = np.array([cycle_ids.setdefault(c, len(cycle_ids)) for c in cycles], dtype=np.intp)
     # one code per distinct key, its shape and rounded cycles, ranked in first-lookup order
@@ -655,9 +658,8 @@ def _sweep_result(system, axis: str, values, rhos) -> SweepResult:
     return SweepResult(axis, np.asarray(values, dtype=float), dict(zip(labels, traces.T)), rhos)
 
 
-def sweep_tau(system, family: str, n: int, tau_grid, pulse: DrivePulse,
-              cfg: SimConfig, wrapper_phase: float | None = None,
-              closing_rule: str | None = None,
+def sweep_tau(system, family: str, n: int, tau_grid, pulse: DrivePulse, cfg: SimConfig,
+              wrapper_phase: float | None = None, closing_rule: str | None = None,
               length_factor: float = 1.0, freq_factor: float = 1.0,
               cache: PropagatorCache | None = None) -> SweepResult:
     """Observable traces versus inter-pulse spacing ``tau``, one walk cell per
@@ -680,8 +682,7 @@ def sweep_tau(system, family: str, n: int, tau_grid, pulse: DrivePulse,
 
 def sweep_n_cells(system, family: str, n_values, tau: float, pulse: DrivePulse,
                   cfg: SimConfig, cells, wrapper_phase: float | None = None,
-                  closing_rule: str | None = None,
-                  cache: PropagatorCache | None = None) -> list:
+                  closing_rule: str | None = None, cache: PropagatorCache | None = None) -> list:
     """N sweeps of error cells ``(length_factor, freq_factor)`` that share
     everything else, in one walk: per cell its ``SweepResult``, or the
     ``ValueError`` that ``sweep_n`` raises for it; their states are checked in one pass."""
@@ -697,9 +698,8 @@ def sweep_n_cells(system, family: str, n_values, tau: float, pulse: DrivePulse,
     return results
 
 
-def sweep_n(system, family: str, n_values, tau: float, pulse: DrivePulse,
-            cfg: SimConfig, wrapper_phase: float | None = None,
-            closing_rule: str | None = None,
+def sweep_n(system, family: str, n_values, tau: float, pulse: DrivePulse, cfg: SimConfig,
+            wrapper_phase: float | None = None, closing_rule: str | None = None,
             length_factor: float = 1.0, freq_factor: float = 1.0,
             cache: PropagatorCache | None = None) -> SweepResult:
     """Observable traces versus pulse count at fixed ``tau``: the one-cell

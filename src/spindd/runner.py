@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .algebra import DensityMatrix, Operator, basis_dm, partial_trace
-from .analysis import (GateMetrics, concurrence, find_resonance, pseudo_fidelity, state_fidelity,
-                       tpi_scaling)
+from .analysis import (GateMetrics, concurrence, find_resonance, pseudo_fidelities,
+                       pseudo_fidelity, state_fidelity, tpi_scaling)
 from .config import ConfigError, ExperimentConfig
 from .evolution import sweep_n, sweep_n_cells, sweep_tau
 from .hamiltonians import polarization_target
@@ -215,23 +216,30 @@ def errmap_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None 
     length_factors = [float(x) for x in grid["length_factors"]]
     freq_factors = [float(x) for x in grid["freq_factors"]]
 
-    failures = []
-    values = np.empty((len(length_factors), len(freq_factors)))
-    # one walk per row: its cells share every delay, and so one cache
-    for i, lf in enumerate(length_factors):
-        cells = [(lf * seq["length_factor"], ff * seq["freq_factor"]) for ff in freq_factors]
-        sweeps = sweep_n_cells(system, seq["family"], cfg.sweep_values(), float(seq["tau"]),
-                               pulse, sim_cfg, cells, seq["wrapper_phase"],
-                               seq["closing_rule"])
-        for j, (ff, sweep) in enumerate(zip(freq_factors, sweeps)):
-            try:
-                if isinstance(sweep, ValueError):
-                    raise sweep
-                values[i, j], _ = pseudo_fidelity(sweep, obs.label, (obs.lo, obs.hi))
-            except ValueError as exc:
-                failures.append({"length_factor": lf, "freq_factor": ff,
-                                 "error": type(exc).__name__, "message": str(exc)})
-                values[i, j] = math.nan
+    # one walk per row: its cells share every delay, and so one cache.  A
+    # cell keeps its walk's error or a copy of its fit trace, not its states,
+    # and one call fits the whole map
+    errors, traces = [], []
+    for lf in length_factors:
+        row = [(lf * seq["length_factor"], ff * seq["freq_factor"]) for ff in freq_factors]
+        for sweep in sweep_n_cells(system, seq["family"], cfg.sweep_values(), float(seq["tau"]),
+                                   pulse, sim_cfg, row, seq["wrapper_phase"],
+                                   seq["closing_rule"]):
+            walked = not isinstance(sweep, ValueError)
+            errors.append(None if walked else sweep)
+            if walked:
+                n = sweep.values
+                traces.append(sweep.trace(obs.label).copy())
+    fits = iter(pseudo_fidelities(n, traces, (obs.lo, obs.hi)) if traces else [])
+
+    failures, values = [], []
+    for (lf, ff), error in zip(itertools.product(length_factors, freq_factors), errors):
+        fit = error or next(fits)
+        if isinstance(fit, ValueError):
+            failures.append({"length_factor": lf, "freq_factor": ff,
+                             "error": type(fit).__name__, "message": str(fit)})
+        values.append(math.nan if isinstance(fit, ValueError) else fit[0])
+    values = np.reshape(values, (len(length_factors), len(freq_factors)))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

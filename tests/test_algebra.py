@@ -205,6 +205,49 @@ def test_state_errors_give_each_stack_what_check_states_raises_on_it_alone():
         stack_error(stack) for stack in stacks]
 
 
+def rotated(evals, seed):
+    """``U diag(evals) U^dag`` for a seeded random unitary U."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(len(evals),) * 2) + 1j * rng.normal(size=(len(evals),) * 2)
+    u, _ = np.linalg.qr(z)
+    return (u * np.asarray(evals, dtype=float)) @ u.conj().T
+
+
+LOW = {lam: rotated([0.6 + abs(lam), 0.4, 0.0, lam], 7) for lam in (-1.0001e-9, -0.9999e-9, -5e-10)}
+PURE_4 = rotated([1.0, 0.0, 0.0, 0.0], 8)
+MIXED_4 = rotated([0.5, 0.5, 0.0, 0.0], 9)
+
+
+def test_the_cholesky_certificate_gives_the_eigvalsh_verdicts():
+    trace_off, skew = 1.1 * MIXED_4, MIXED_4 + 1e-6 * np.triu(np.ones((4, 4)), 1)
+    stacks = [[PURE_4, MIXED_4, PURE_4], [PURE_4, LOW[-1.0001e-9], MIXED_4],
+              [LOW[-0.9999e-9], PURE_4, MIXED_4], [MIXED_4, LOW[-5e-10], PURE_4],
+              [PURE_4, trace_off, LOW[-1.0001e-9]], [skew, MIXED_4, PURE_4],
+              [LOW[-0.9999e-9], LOW[-5e-10], LOW[-0.9999e-9]]]
+    expected = [stack_error(stack) for stack in stacks]
+    assert expected[1].startswith("density matrix has negative eigenvalue -1.000e-09")
+    assert expected[2] is expected[3] is expected[6] is None
+    for cut in range(1, len(stacks) + 1):  # with and without each failing stack
+        errors = state_errors(np.array(stacks[:cut]))
+        assert [None if e is None else str(e) for e in errors] == expected[:cut]
+
+
+def test_a_healthy_stack_skips_eigvalsh(monkeypatch):
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    healthy = np.array([[PURE_4, MIXED_4, rotated([0.25] * 4, 10)]] * 5)
+    assert state_errors(healthy) == [None] * 5
+    assert calls == []
+    # a lowest eigenvalue just above the floor fails the certificate, not the check
+    assert state_errors(np.array([[PURE_4, LOW[-0.9999e-9], MIXED_4]])) == [None]
+    assert calls == [(1, 3, 4, 4)]
+
+
 def test_density_matrix_purity():
     pure = basis_dm((2,), (0,))
     assert pure.purity() == pytest.approx(1.0)

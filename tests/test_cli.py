@@ -326,6 +326,18 @@ def test_dt_override_too_coarse_is_exit_3(tmp_path):
     assert "numeric failure" in proc.stderr
 
 
+def test_an_overflowing_step_bound_is_exit_3_not_a_hang(tmp_path):
+    raw = get_preset("nv-polarize")
+    raw["sequence"]["omega1"] = 1e12
+    path = write_config(tmp_path, raw)
+    proc = subprocess.run([sys.executable, "-m", "spindd.cli", "run", "--config", str(path),
+                           "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 3
+    assert "Chebyshev step bound 2 y^K / K! overflows at y = pi dt omega1" in proc.stderr
+    assert "lower omega1 or dt" in proc.stderr
+
+
 @pytest.mark.parametrize("verb, preset", [("run", "ddgate"), ("errmap", "pulse-error-map")])
 @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-0.001"])
 def test_dt_override_breaking_the_sim_dt_rule_is_exit_2(verb, preset, dt, tmp_path, capsys):

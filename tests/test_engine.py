@@ -10,6 +10,7 @@ whose every pulse phase was built exactly; see ``golden/README``.
 import csv
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -619,6 +620,14 @@ def test_node_counts_of_the_nv_generic_and_coarse_pulses():
     assert evolution._node_count(np.pi * 0.01 * 5.0) == 12
 
 
+def test_an_overflowing_node_bound_raises_at_once():
+    # 2 y^K / K! passes 1.8e308 near K = y = 1000 before it falls again
+    for y in (1e3, 1.6e8, math.inf, math.nan):
+        with pytest.raises(ValueError, match="overflows at y = pi dt omega1 .*lower omega1 or dt"):
+            evolution._node_count(y)
+    assert evolution._node_count(700.0) == 1938  # the bound peaks below 1.8e308
+
+
 def test_nv_pulse_eigendecomposes_the_nodes_not_the_steps(monkeypatch):
     seen = []
     original = np.linalg.eigh
@@ -676,6 +685,13 @@ def test_phase_counts_of_the_nv_and_generic_pulses():
     assert evolution._phase_count(np.pi * 0.01285 * 27.5683 * 2.0) == 51        # NV pi
     assert evolution._phase_count(np.pi * 0.01285 / 2 * 27.5683 * 2.0) == 39    # NV pi/2
     assert evolution._phase_count(np.pi * 0.1 * 5.0) == 43                      # generic pi
+
+
+@pytest.mark.parametrize("a", [math.inf, math.nan, 1e300])
+def test_an_unreachable_phase_count_raises_at_once(a):
+    # at e a = 2.7e300, q = e a / (h + 1) rounds to 1 for every h within reach
+    with pytest.raises(ValueError, match="no phase sample count meets the bound at a = "):
+        evolution._phase_count(a)
 
 
 def request_phases(cache, pulse, dt, cycles):
@@ -1144,6 +1160,31 @@ def test_a_non_finite_pulse_start_is_rejected_before_any_memo(start):
     assert cache._rounded == rounded and cache._pulses == pulses
 
 
+def test_a_non_finite_raw_phase_is_rejected_before_any_memo():
+    # 50 * 1e307 overflows, so the raw cycles are nan
+    cache = PropagatorCache(GENERIC)
+    cache.pulse(PI_PULSE, 0.1, 0.001)
+    rounded, pulses = dict(cache._rounded), dict(cache._pulses)
+    for lookup in (cache.pulse_key, cache.pulse):
+        with pytest.raises(ValueError, match="^carrier phase of the pulse started at 1e[+]307 "):
+            lookup(PI_PULSE, 1e307, 0.001)
+    assert cache._rounded == rounded and cache._pulses == pulses
+
+
+def test_an_overflowing_clock_fails_the_walk_as_its_sequence_does():
+    # the first pi pulse starts at 5e307, finite, where omegap * start is not
+    with np.errstate(over="ignore", invalid="ignore"):  # it builds the 5e307 gap's propagator
+        expected = error_of(lambda: apply_sequence(GENERIC, compile_cpmg(3, 1e308, PI_PULSE), CFG))
+    assert expected == "carrier phase of the pulse started at 5e+307 is not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the walk's running sums overflow silently
+        assert error_of(lambda: sweep_tau(GENERIC, "cpmg", 3, [1e308], PI_PULSE, CFG)) == expected
+        assert error_of(lambda: sweep_n(GENERIC, "cpmg", [3, 4], 1e308, PI_PULSE, CFG)) == expected
+        # a later tau's start is inf: the first failing tau in grid order is raised
+        assert error_of(lambda: sweep_tau(GENERIC, "cpmg", 3, [0.5, 1e308, math.inf], PI_PULSE,
+                                          CFG)) == expected
+
+
 # ---------------------------------------------------------------- batched fit
 
 def scalar_fit(n, y, value_range):
@@ -1232,8 +1273,9 @@ def test_coarse_fit_tables_are_shared_and_read_only():
     info = analysis._coarse_tables.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     tables = analysis._coarse_tables(n.tobytes())
-    # the periods, the cos and sin tables, and six inverse normal-matrix entries per period
-    assert [t.shape for t in tables] == [(600,), (600, 40), (600, 40), (6, 600)]
+    # the periods, the cos and sin tables, five sums and six inverse normal-matrix entries
+    # per period
+    assert [t.shape for t in tables] == [(600,), (600, 40), (600, 40), (5, 600), (6, 600)]
     for table in tables:
         assert not table.flags.writeable
     # another n replaces the one entry
