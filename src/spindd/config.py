@@ -250,6 +250,11 @@ def _semantic_problems(raw: dict) -> list:
         for i, tgt in enumerate(system.get("targets", [])):
             if isinstance(tgt, dict) and "azx" in tgt and "coupling" in tgt:
                 problems.append(f"system.targets.{i}: give either azx or coupling, not both")
+        if "carrier" not in seq and "omega00" in system:  # the default must pass its rule
+            found, rule = [], SCHEMA["properties"]["sequence"]["properties"]["carrier"]
+            _walk(float(system["omega00"]), rule, (), found)
+            problems += [f"sequence.carrier: {message} (its default, system.omega00)"
+                         for _, message in found]
     elif model == "nv":
         if "b0" not in system:
             problems.append("system.b0: required for the nv model")

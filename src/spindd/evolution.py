@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .sequences import compile_cpmg, compile_xyn  # noqa: F401
 
 _KEY_DIGITS = 12
 _RAW_PHASE = "carrier phase of the pulse started at {} is not finite"
+_FREE_PHASE = "free evolution phase of the delay of {} is not finite"
 
 # Error bound of an interpolated step exponential.  Interpolating a
 # smooth f at the K Chebyshev nodes misses it by at most
@@ -107,6 +108,12 @@ def _phase_count(a: float) -> int:
                 return 2 * h + 1
     raise ValueError(f"no phase sample count meets the bound at a = pi nsteps dt omega1 "
                      f"|drive_op|_2 = {a:g}; lower omega1 or the pulse duration")
+
+
+def _cycles(raw: float) -> float:
+    """Carrier cycles ``raw`` in [0, 1) rounded, a full cycle wrapped to 0."""
+    cycles = round(raw, _KEY_DIGITS)
+    return 0.0 if cycles == 1.0 else cycles
 
 
 @dataclass(frozen=True)
@@ -194,8 +201,7 @@ def _exact(rows: np.ndarray, nsteps: int, coefficients: np.ndarray, dt: float) -
 
 
 def pulse_propagator(h0: Operator, pulse: DrivePulse, drive_op: Operator,
-                     t_start: float = 0.0, dt: float = None,
-                     coefficients: np.ndarray | None = None) -> Operator:
+                     t_start: float = 0.0, dt: float = None) -> Operator:
     """Propagator of one driven interval.
 
     The pulse duration is snapped to an integer number of steps; the
@@ -210,14 +216,11 @@ def pulse_propagator(h0: Operator, pulse: DrivePulse, drive_op: Operator,
     ``x_j = cos(pi (j + 1/2) / K)``, turned into Chebyshev coefficient
     matrices by the discrete cosine transform, and evaluated at every
     step as ``sum_m T_m(x) c_m``.  With ``y = pi dt omega1 |drive_op|_2``,
-    K is the smallest node count with ``2 y^K / K! <= 1e-17``.  Those
-    coefficient matrices depend on neither the start nor the phase; a
-    caller that holds them for this ``h0``, ``drive_op``, ``omega1`` and
-    ``dt`` passes them as ``coefficients``.  This is ``_trotter`` on one row.
+    K is the smallest node count with ``2 y^K / K! <= 1e-17``.  This is
+    ``_trotter`` on one row.
     """
     nsteps = _step_count(h0, pulse, drive_op, dt)
-    if coefficients is None:
-        coefficients = _step_coefficients(h0, drive_op, pulse.omega1, dt)[1]
+    coefficients = _step_coefficients(h0, drive_op, pulse.omega1, dt)[1]
     x = _amplitudes(np.array([[pulse.omega1, pulse.omegap, pulse.phase, t_start]]), nsteps, dt)
     return Operator(_trotter(x, coefficients)[0], h0.dims)
 
@@ -272,7 +275,7 @@ class PropagatorCache:
     carrier commensurate with ``tau`` cheap.  Each entry is built at
     ``t_start = 0`` with the keyed phase, so it does not depend on which
     request built it.  Step coefficients are computed once per amplitude
-    and ``dt``, and each key part is rounded once per unrounded value.
+    and ``dt``, and each shape is rounded once per unrounded shape.
 
     ``plan`` builds every entry that a list of keyed requests lacks; a
     lookup that misses is a plan of its own key.  A plan groups the
@@ -296,9 +299,9 @@ class PropagatorCache:
 
     Every exact build of a plan is a row of one stack per step count and
     amplitude, built by ``_trotter`` in chunks of ``_CHUNK`` complex step
-    entries once its shape passed ``pulse_propagator``'s checks.  Every
-    product is batched so that each row is its own, and an entry is the
-    same bits whatever else its stack holds.
+    entries after every shape of the plan ran ``pulse_propagator``'s checks.
+    Every product is batched so that each row is its own, and an entry is
+    the same bits whatever else its stack holds.
     """
 
     def __init__(self, system):
@@ -308,7 +311,7 @@ class PropagatorCache:
         self._free = {}
         self._free_keys = {}   # unrounded duration -> key
         self._pulses = {}      # (cycles, shape) -> propagator
-        self._rounded = {}     # unrounded phase or (duration, omega1, omegap, dt) -> key part
+        self._rounded = {}     # (duration, omega1, omegap, dt) -> shape
         self._steps = {}       # (omega1, dt) -> (y, Chebyshev step coefficients)
         self._shapes = {}      # shape -> _Series of its phases
         self._families = {}    # shape[1:], (omega1, omegap, dt) -> _Series of its blocks
@@ -320,7 +323,7 @@ class PropagatorCache:
     def plan_free(self, durations) -> None:
         """Build the free propagators that ``durations`` lack in one batched
         product, each key, a duration rounded once per unrounded value, from
-        its first duration."""
+        its first duration; raises, building none, if one is ``_unbuildable``."""
         missing = {}
         for duration in durations:
             key = self._free_keys.get(duration)
@@ -330,7 +333,15 @@ class PropagatorCache:
                 missing.setdefault(key, duration)
         if missing:
             durations = np.array(list(missing.values()))[:, None]
+            if (bad := self._unbuildable(durations)).any():
+                raise ValueError(_FREE_PHASE.format(float(durations[bad.argmax(), 0])))
             self._free.update(zip(missing, eig_propagator(self._evals, self._evecs, durations)))
+
+    def _unbuildable(self, durations: np.ndarray) -> np.ndarray:
+        """Per row of ``(n, 1)`` ``durations``: is the phase ``-2j pi duration w``
+        of its free propagator, formed as ``eig_propagator`` forms it, not finite?"""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ~np.isfinite(-2j * np.pi * durations * self._evals).all(axis=1)
 
     def pulse_key(self, pulse: DrivePulse, t_start: float, dt: float) -> tuple:
         """``(cycles, shape)`` of a pulse started at ``t_start``; each part is
@@ -340,15 +351,7 @@ class PropagatorCache:
         raw = (pulse.omegap * t_start + pulse.phase / (2.0 * np.pi)) % 1.0
         if math.isnan(raw):  # omegap t_start overflowed
             raise ValueError(_RAW_PHASE.format(t_start))
-        return self._cycles(raw), self._shape(pulse, dt)
-
-    def _cycles(self, raw: float) -> float:
-        """Carrier cycles ``raw`` in [0, 1) rounded, a full cycle wrapped to 0."""
-        cycles = self._rounded.get(raw)
-        if cycles is None:
-            cycles = round(raw, _KEY_DIGITS)
-            cycles = self._rounded[raw] = 0.0 if cycles == 1.0 else cycles
-        return cycles
+        return _cycles(raw), self._shape(pulse, dt)
 
     def _shape(self, pulse: DrivePulse, dt: float) -> tuple:
         """``(duration, omega1, omegap)`` of ``pulse`` rounded, and ``dt``."""
@@ -367,9 +370,10 @@ class PropagatorCache:
     def plan(self, requests, dt: float) -> dict:
         """Build every entry that the keyed requests ``(pulse_key(pulse,
         t_start, dt), pulse)`` lack, shape after shape in request order, each
-        from the pulse of its first request; per key whose shape or family
-        raised, that ``ValueError``.  A failing shape or family is tried once
-        and keeps no half-built series; a plan whose stacks raise keeps nothing."""
+        from the pulse of its first request; per key whose shape raised, that
+        ``ValueError``.  A failing shape is checked once and stores no entry,
+        though its family's block samples are taken; a plan whose stacks raise
+        keeps nothing."""
         wanted, steps = {}, {}  # shape -> {cycles: first pulse}, family -> Trotter steps
         for key, pulse in requests:
             if key not in self._pulses:
@@ -385,8 +389,7 @@ class PropagatorCache:
         built = {(n, omega1): _exact(np.concatenate(rows), n, self._steps[(omega1, dt)][1], dt)
                  for (n, omega1), rows in stacks.items()}
         for family, span in sampled.items():
-            if not isinstance(span, ValueError):
-                self._families[family].sample(built[span[0]][span[1]])
+            self._families[family].sample(built[span[0]][span[1]])
         for read in reads:
             self._pulses.update(read(built))
         return failed
@@ -396,7 +399,7 @@ class PropagatorCache:
         """Route one shape's missing ``phases``, cycles -> first pulse, on a
         family whose missing keys hold ``planned`` Trotter steps; queue its
         exact builds on ``stacks``, (nsteps, omega1) -> row arrays, and the family's
-        block samples, if taken, on ``sampled``, family -> their rows or error.
+        block samples, if taken, on ``sampled``, family -> their rows.
         Returns what reads the shape's entries off the built stacks."""
         family, pulse = shape[1:], next(iter(phases.values()))
         steps = self._steps.get((pulse.omega1, dt))
@@ -410,15 +413,9 @@ class PropagatorCache:
         blocks = self._families.get(family)
         if blocks is None:
             blocks = self._families[family] = _Series(_phase_count(_BLOCK * steps[0]))
-        if isinstance(sampled.get(family), ValueError):
-            raise sampled[family]
         if blocks.series is None and family not in sampled and planned > _BLOCK * blocks.samples:
-            try:  # each sample is built exactly: the series is set once all are
-                sampled[family] = self._queue(stacks, dict.fromkeys(blocks.phases(), pulse), dt,
-                                              _BLOCK)
-            except ValueError as exc:
-                sampled[family] = exc
-                raise
+            # each sample is built exactly: the series is set once all are
+            sampled[family] = self._queue(stacks, dict.fromkeys(blocks.phases(), pulse), dt, _BLOCK)
         nsteps = _step_count(self.system.h0, pulse, self.system.drive_op, dt)
         if state is None:
             state = self._shapes[shape] = _Series(_phase_count(nsteps * steps[0]))
@@ -446,16 +443,14 @@ class PropagatorCache:
     def _queue(self, stacks: dict, drives: dict, dt: float, nsteps: int,
                t_start: float = 0.0) -> tuple:
         """Queue the ``nsteps``-step builds from ``t_start`` of ``drives``, cycles
-        -> pulse, on their stack once the first passes ``pulse_propagator``'s
-        checks (the rest share them); returns the stack's key and their rows."""
-        cycles, pulse = next(iter(drives.items()))
-        first = replace(pulse, phase=2.0 * np.pi * cycles, duration=nsteps * dt)
-        _step_count(self.system.h0, first, self.system.drive_op, dt)
+        -> pulse, on their stack unchecked: whole steps of a shape that passed
+        ``_step_count``, at finite phases; returns the stack's key and their rows."""
+        key = (nsteps, next(iter(drives.values())).omega1)
         rows = np.array([(p.omega1, p.omegap, 2.0 * np.pi * c, t_start) for c, p in drives.items()])
-        stack = stacks.setdefault((nsteps, first.omega1), [])
+        stack = stacks.setdefault(key, [])
         start = sum(map(len, stack))
         stack.append(rows)
-        return (nsteps, first.omega1), slice(start, start + len(rows))
+        return key, slice(start, start + len(rows))
 
 
 def _start(el, t: float, cfg: SimConfig) -> tuple:
@@ -523,8 +518,9 @@ def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
     Returns the keys of table rows 1, 2, ...: each distinct pulse key in
     first-lookup order, cell after cell (None where its build failed), then
     each distinct positive delay duration; and the ``(cells, L)`` index of
-    each lookup's row, 0 for an empty delay and throughout a cell whose
-    start is not finite or whose build failed, with that error in ``errors``."""
+    each lookup's row, 0 for an empty delay.  A cell fails, with that error in
+    ``errors``, at its first lookup whose start, raw cycles or free phase is not
+    finite or whose build failed; nothing reads its index."""
     dt, cells = cfg.dt, list(elements)
     flat = list(itertools.chain.from_iterable(elements.values()))
     # each distinct element object once, and per cell its elements' codes
@@ -541,6 +537,7 @@ def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
         else:
             rows.append((0, el.duration, 0.0, 0.0, 0))
     pulses, span, omegap, phase, shape_of = np.array(rows).T
+    unbuildable = (pulses == 0) & cache._unbuildable(span[:, None])  # per delay object
     # per lookup the element it reads; where the train's elements sit, and
     # each closing wrapper with its pi pulse and closing gap
     src, train_at, wrap_at, pis, gaps = [], [], [], [], []
@@ -561,15 +558,17 @@ def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
             starts[:, wrap_at] = ends[:, pis] + span[codes[:, gaps]]
         raw = (omegap[obj] * starts + phase[obj]) % 1.0
     lookups = pulses[obj] == 1
-    bad = lookups & np.isnan(raw)  # where the start or omegap * start is not finite
+    # where a pulse's start or omegap * start, or a delay's phase, is not finite
+    bad = lookups & np.isnan(raw) | unbuildable[obj]
     for r in np.flatnonzero(bad.any(axis=1)).tolist():
-        start = float(starts[r, bad[r].argmax()])
-        errors[cells[r]] = ValueError(_RAW_PHASE.format(start) if math.isfinite(start)
+        o, start = obj[r, bad[r].argmax()], float(starts[r, bad[r].argmax()])
+        errors[cells[r]] = ValueError(_FREE_PHASE.format(float(span[o])) if unbuildable[o]
+                                      else _RAW_PHASE.format(start) if math.isfinite(start)
                                       else f"pulse start must be finite, got {start}")
     keyed = lookups & np.array([errors[j] is None for j in cells])[:, None]
     at = obj[keyed]
     raws, raw_of = np.unique(raw[keyed], return_inverse=True)
-    cycles, cycle_ids = [cache._cycles(raw) for raw in raws.tolist()], {}
+    cycles, cycle_ids = [_cycles(raw) for raw in raws.tolist()], {}
     cycle_of = np.array([cycle_ids.setdefault(c, len(cycle_ids)) for c in cycles], dtype=np.intp)
     # one code per distinct key, its shape and rounded cycles, ranked in first-lookup order
     _, first, key_of = np.unique(shape_of[at].astype(np.intp) * len(cycle_ids) + cycle_of[raw_of],
@@ -597,7 +596,6 @@ def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
             free_row[o] = 1 + len(requests) + row
     cache.plan_free(list(durations))
     index[delays] = free_row[obj[delays]]
-    index[~live] = 0
     return [None if key in failed else key for key, _ in requests] + list(durations), index
 
 

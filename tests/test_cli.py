@@ -4,6 +4,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,34 @@ def test_an_overflowing_step_bound_is_exit_3_not_a_hang(tmp_path):
     assert proc.returncode == 3
     assert "Chebyshev step bound 2 y^K / K! overflows at y = pi dt omega1" in proc.stderr
     assert "lower omega1 or dt" in proc.stderr
+
+
+def test_a_free_phase_that_overflows_is_exit_3_naming_its_delay(tmp_path, capsys):
+    raw = copy.deepcopy(SMALL)
+    raw["sequence"] = {"family": "cpmg", "n": 2, "tau_range": [1.5e306, 1.6e306, 2], "t_pi": 0.1}
+    raw["outputs"] = {}
+    path = write_config(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    # the inner gap of the first tau, after its opening gap and first pi pulse
+    assert ("numeric failure: free evolution phase of the delay of 1.5e+306 is not finite"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("omega00", [0.0, -50.0])
+def test_a_defaulted_carrier_breaking_its_rule_is_exit_2(verb, omega00, tmp_path, capsys):
+    raw = copy.deepcopy(SMALL)
+    raw["system"]["omega00"] = omega00
+    path = write_config(tmp_path, raw)
+    out = ["--out", str(tmp_path / "o")] if verb == "run" else []
+    assert main([verb, "--config", str(path), *out]) == 2
+    assert (f"sequence.carrier: {omega00!r} is less than or equal to the minimum of 0 "
+            f"(its default, system.omega00)" in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+    raw["sequence"]["carrier"] = 50.0  # only the default is read off omega00
+    assert main(["validate", "--config", str(write_config(tmp_path, raw))]) == 0
 
 
 @pytest.mark.parametrize("verb, preset", [("run", "ddgate"), ("errmap", "pulse-error-map")])

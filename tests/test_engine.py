@@ -882,17 +882,33 @@ def test_a_failing_sample_build_fails_only_the_cells_of_its_shape(monkeypatch):
     # and each family more planned steps than its 29 x 32 block samples
     cells = [(1.0, 1.0), (1.0, 1.02), (1.1, 1.0), (1.0, 1.02)]
     assert_walk_matches_each_cell("xyn", [90, 3, 47], 0.4937, cells, {1, 3})
-    # the walk's plan, then cell 1's own walk, each tried the first block sample
-    assert failed[:2] == [(0.0, 32 * CFG.dt)] * 2
     cache = PropagatorCache(GENERIC)
     del failed[:]
     evolution.sweep_n_cells(GENERIC, "xyn", [90, 3, 47], 0.4937, PI_PULSE, CFG, cells,
                             cache=cache)
-    # one plan tries the failing family once: its first block sample fails every
-    # shape of both detuned cells, and neither cell retries it
-    assert failed == [(0.0, 32 * CFG.dt)]
+    # one plan checks each detuned shape once, the pi/2 wrapper, the pi pulse and
+    # the 3 pi/2 closer, though both detuned cells look them up
+    assert [round(duration / CFG.dt) for _, duration in failed] == [50, 100, 150]
     detuned = cache.pulse_key(replace(PI_PULSE, omegap=50.0 * 1.02), 0.0, CFG.dt)[1][1:]
-    assert cache._families[detuned].series is None  # no half-built series is kept
+    # no entry or phase series of theirs is kept
+    assert [shape for _, shape in cache._pulses if shape[1:] == detuned] == []
+    assert [shape for shape in cache._shapes if shape[1:] == detuned] == []
+    # the family's block samples, queued before the first shape's check, are still taken
+    assert cache._families[detuned].series is not None
+
+
+def test_every_queued_build_passes_the_step_checks():
+    # a plan checks each shape once and queues its builds unchecked: blocks of 32
+    # steps, 1 to 31 trailing steps, or the shape's own steps, at cycles in [0, 1)
+    rng = np.random.default_rng(23)
+    h0, drive_op = GENERIC.h0, GENERIC.drive_op
+    for dt in (10.0 ** rng.uniform(-7.0, -1.0, 200)).tolist():
+        shape = replace(PI_PULSE, duration=dt * 10.0 ** float(rng.uniform(0.0, 5.0)))
+        nsteps = evolution._step_count(h0, shape, drive_op, dt)
+        for k in [*range(1, 33), nsteps]:
+            cycles = float(rng.uniform(0.0, 1.0))
+            queued = replace(shape, duration=k * dt, phase=2.0 * np.pi * cycles)
+            assert evolution._step_count(h0, queued, drive_op, dt) == k
 
 
 def test_a_walk_interrupted_mid_build_leaves_no_route_behind(monkeypatch):
@@ -1172,17 +1188,32 @@ def test_a_non_finite_raw_phase_is_rejected_before_any_memo():
 
 
 def test_an_overflowing_clock_fails_the_walk_as_its_sequence_does():
-    # the first pi pulse starts at 5e307, finite, where omegap * start is not
-    with np.errstate(over="ignore", invalid="ignore"):  # it builds the 5e307 gap's propagator
-        expected = error_of(lambda: apply_sequence(GENERIC, compile_cpmg(3, 1e308, PI_PULSE), CFG))
-    assert expected == "carrier phase of the pulse started at 5e+307 is not finite"
+    # the 5e307 opening gap's free phase overflows before the first pi pulse,
+    # which starts at 5e307, finite, where omegap * start is not
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the walk's running sums overflow silently
+        expected = error_of(lambda: apply_sequence(GENERIC, compile_cpmg(3, 1e308, PI_PULSE), CFG))
+        assert expected == "free evolution phase of the delay of 5e+307 is not finite"
         assert error_of(lambda: sweep_tau(GENERIC, "cpmg", 3, [1e308], PI_PULSE, CFG)) == expected
         assert error_of(lambda: sweep_n(GENERIC, "cpmg", [3, 4], 1e308, PI_PULSE, CFG)) == expected
-        # a later tau's start is inf: the first failing tau in grid order is raised
+        # a later tau is inf: the first failing tau in grid order is raised
         assert error_of(lambda: sweep_tau(GENERIC, "cpmg", 3, [0.5, 1e308, math.inf], PI_PULSE,
                                           CFG)) == expected
+
+
+def test_a_delay_whose_free_phase_overflows_fails_with_its_duration():
+    # the 7.5e305 opening gap and the first pi pulse build; the 1.5e306 inner gap's
+    # 2 pi duration w overflows
+    cache = PropagatorCache(GENERIC)
+    expected = "free evolution phase of the delay of 1.5e+306 is not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: apply_sequence(GENERIC, compile_cpmg(2, 1.5e306, PI_PULSE), CFG),
+                    lambda: sweep_tau(GENERIC, "cpmg", 2, [1.5e306, 1.6e306], PI_PULSE, CFG),
+                    lambda: sweep_n(GENERIC, "cpmg", [2, 3], 1.5e306, PI_PULSE, CFG),
+                    lambda: cache.plan_free([0.5, 1.5e306])):
+            assert error_of(run) == expected
+    assert cache._free == {}  # a failed plan builds none of its durations
 
 
 # ---------------------------------------------------------------- batched fit

@@ -5,8 +5,11 @@ A stdlib ``ast`` pass stands in for a linter's unused-import check.  It
 skips ``__init__.py``, whose imports are the package's exports,
 ``__future__`` imports, names listed in a module's ``__all__`` and
 imports on a line marked ``# noqa: F401``: names kept for
-``benchmarks/spans.py`` to patch.  A second pass finds each top-level
-function, class or assignment named ``_x`` that its module never reads.
+``benchmarks/spans.py`` to patch, and a third pass checks that each is a
+target of ``spans.patched`` on that module, reading the file with ``ast``
+so that nothing under ``benchmarks/`` is imported.  A second pass finds
+each top-level function, class or assignment named ``_x`` that its module
+never reads.
 """
 
 import ast
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spindd"
+SPANS = PACKAGE.parent.parent / "benchmarks" / "spans.py"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
@@ -25,6 +29,11 @@ def exported(tree) -> set:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             return set(ast.literal_eval(node.value))
     return set()
+
+
+def marked(node, lines) -> bool:
+    """Whether a line of import ``node`` carries ``# noqa: F401``."""
+    return any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
 
 
 def unused_imports(path: Path) -> list:
@@ -39,7 +48,7 @@ def unused_imports(path: Path) -> list:
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+        if marked(node, lines):
             continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
@@ -51,6 +60,27 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+def patch_targets() -> set:
+    """``(owner, attribute)`` of each entry ``(owner, "attribute", span, count)``
+    of the ``targets`` that ``spans.patched`` replaces."""
+    (patched,) = [node for node in ast.parse(SPANS.read_text()).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "patched"]
+    return {(node.elts[0].id, node.elts[1].value) for node in ast.walk(patched)
+            if isinstance(node, ast.Tuple) and len(node.elts) == 4
+            and isinstance(node.elts[0], ast.Name) and isinstance(node.elts[1], ast.Constant)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_noqa_import_is_a_patch_target_on_its_module(path):
+    source = path.read_text()
+    lines = source.splitlines()
+    kept = [alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and marked(node, lines)
+            for alias in node.names]
+    targets = patch_targets()
+    assert [name for name in kept if (path.stem, name) not in targets] == []
 
 
 def unused_private_names(path: Path) -> list:
