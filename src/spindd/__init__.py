@@ -45,7 +45,6 @@ from .hamiltonians import (
 )
 from .sequences import (
     Delay,
-    Pulse,
     PulseSequence,
     SimConfig,
     compile_cpmg,

@@ -52,10 +52,10 @@ import numpy as np
 from .algebra import (DensityMatrix, Operator, check_states, eig_hermitian, eig_propagator,
                       state_errors)
 from .analysis import SweepResult, expvals
-from .sequences import (Delay, DrivePulse, Pulse, PulseSequence, SimConfig, closing_class,
-                        compile_sequence, inject_errors)
+from .sequences import (Delay, DrivePulse, PulseSequence, SimConfig, closing_class,
+                        compile_sequence)
 # unused here; benchmarks/spans.py patches these names on this module
-from .sequences import compile_cpmg, compile_xyn  # noqa: F401
+from .sequences import compile_cpmg, compile_xyn, inject_errors  # noqa: F401
 
 _KEY_DIGITS = 12
 _RAW_PHASE = "carrier phase of the pulse started at {} is not finite"
@@ -346,10 +346,8 @@ class PropagatorCache:
     def pulse_key(self, pulse: DrivePulse, t_start: float, dt: float) -> tuple:
         """``(cycles, shape)`` of a pulse started at ``t_start``; each part is
         rounded once per unrounded value and then looked up."""
-        if not -math.inf < t_start < math.inf:
-            raise ValueError(f"pulse start must be finite, got {t_start}")
         raw = (pulse.omegap * t_start + pulse.phase / (2.0 * np.pi)) % 1.0
-        if math.isnan(raw):  # omegap t_start overflowed
+        if math.isnan(raw):  # t_start, or omegap t_start, is not finite
             raise ValueError(_RAW_PHASE.format(t_start))
         return _cycles(raw), self._shape(pulse, dt)
 
@@ -371,9 +369,9 @@ class PropagatorCache:
         """Build every entry that the keyed requests ``(pulse_key(pulse,
         t_start, dt), pulse)`` lack, shape after shape in request order, each
         from the pulse of its first request; per key whose shape raised, that
-        ``ValueError``.  A failing shape is checked once and stores no entry,
-        though its family's block samples are taken; a plan whose stacks raise
-        keeps nothing."""
+        ``ValueError``.  A failing shape is checked once, before any of its
+        family's block samples are queued, and stores no entry; a plan whose
+        stacks raise keeps nothing."""
         wanted, steps = {}, {}  # shape -> {cycles: first pulse}, family -> Trotter steps
         for key, pulse in requests:
             if key not in self._pulses:
@@ -410,13 +408,13 @@ class PropagatorCache:
         d, cycles = self.system.h0.shape[0], np.array(list(phases))[:, None, None]
         if state is not None and state.series is not None:
             return lambda built: dict(zip(keys, state.at(cycles).reshape(-1, d, d)))
+        nsteps = _step_count(self.system.h0, pulse, self.system.drive_op, dt)
         blocks = self._families.get(family)
         if blocks is None:
             blocks = self._families[family] = _Series(_phase_count(_BLOCK * steps[0]))
         if blocks.series is None and family not in sampled and planned > _BLOCK * blocks.samples:
             # each sample is built exactly: the series is set once all are
             sampled[family] = self._queue(stacks, dict.fromkeys(blocks.phases(), pulse), dt, _BLOCK)
-        nsteps = _step_count(self.system.h0, pulse, self.system.drive_op, dt)
         if state is None:
             state = self._shapes[shape] = _Series(_phase_count(nsteps * steps[0]))
         sample = state.built + len(phases) > 2 * state.samples
@@ -457,7 +455,7 @@ def _start(el, t: float, cfg: SimConfig) -> tuple:
     """The lookup start of element ``el`` at clock ``t`` (None for a delay), and the next clock."""
     if isinstance(el, Delay):
         return None, t + el.duration
-    if isinstance(el, Pulse):
+    if isinstance(el, DrivePulse):
         # the clock advances by the snapped duration, as the evolution does
         return (0.0 if cfg.carrier_reset else t), t + round(el.duration / cfg.dt) * cfg.dt
     raise TypeError(f"unknown sequence element {el!r}")
@@ -476,7 +474,7 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
     for el in seq.elements:
         start, t = _start(el, t, cfg)
         if start is not None:
-            u_total = cache.pulse(el.pulse, start, cfg.dt) @ u_total
+            u_total = cache.pulse(el, start, cfg.dt) @ u_total
         elif el.duration > 0:
             u_total = cache.free(el.duration) @ u_total
 
@@ -488,17 +486,17 @@ def apply_sequence(system, seq: PulseSequence, cfg: SimConfig,
 def _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell) -> tuple:
     """One cell's elements: the pi train of max N, then the closing gap and wrapper
     of each closing class, in ``firsts`` order.  Each class's first N, ``firsts``,
-    is compiled, given the cell's errors and, the first one, validated for
-    ``cfg``, as applying each N's sequence would; those checks read N only
-    through N >= 1 and its closing class, so they raise what every N would."""
+    is compiled once with the cell's errors, which raises what compiling and
+    then injecting them would, and the first one validated for ``cfg``, as
+    applying each N's sequence would; those checks read N only through N >= 1
+    and its closing class, so they raise what every N would."""
     tau, length_factor, freq_factor = cell
     if not wanted or min(wanted) < 1:
         raise ValueError("n values must be positive integers")
     seqs = {}
     for n in firsts.values():
-        seq = compile_sequence(family, n, tau, pulse, wrapper_phase, closing_rule)
-        if length_factor != 1.0 or freq_factor != 1.0:
-            seq = inject_errors(seq, length_factor, freq_factor)
+        seq = compile_sequence(family, n, tau, pulse, wrapper_phase, closing_rule,
+                               length_factor, freq_factor)
         if not seqs:
             cfg.validate_for(seq)
         seqs[n] = seq
@@ -519,7 +517,7 @@ def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
     first-lookup order, cell after cell (None where its build failed), then
     each distinct positive delay duration; and the ``(cells, L)`` index of
     each lookup's row, 0 for an empty delay.  A cell fails, with that error in
-    ``errors``, at its first lookup whose start, raw cycles or free phase is not
+    ``errors``, at its first lookup whose raw carrier cycles or free phase is not
     finite or whose build failed; nothing reads its index."""
     dt, cells = cfg.dt, list(elements)
     flat = list(itertools.chain.from_iterable(elements.values()))
@@ -529,11 +527,10 @@ def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
     objects, codes = [flat[f] for f in first.tolist()], codes.reshape(len(cells), -1)
     shapes, rows = {}, []  # per object: a pulse?, clock advance, omegap, phase cycles, shape
     for el in objects:
-        if isinstance(el, Pulse):  # the clock advances by a pulse's snapped duration
-            drive = el.pulse
-            shape = shapes.setdefault(cache._shape(drive, dt), len(shapes))
-            rows.append((1, round(drive.duration / dt) * dt, drive.omegap,
-                         drive.phase / (2.0 * np.pi), shape))
+        if isinstance(el, DrivePulse):  # the clock advances by a pulse's snapped duration
+            shape = shapes.setdefault(cache._shape(el, dt), len(shapes))
+            rows.append((1, round(el.duration / dt) * dt, el.omegap, el.phase / (2.0 * np.pi),
+                         shape))
         else:
             rows.append((0, el.duration, 0.0, 0.0, 0))
     pulses, span, omegap, phase, shape_of = np.array(rows).T
@@ -558,13 +555,12 @@ def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
             starts[:, wrap_at] = ends[:, pis] + span[codes[:, gaps]]
         raw = (omegap[obj] * starts + phase[obj]) % 1.0
     lookups = pulses[obj] == 1
-    # where a pulse's start or omegap * start, or a delay's phase, is not finite
+    # where a pulse's raw cycles, or a delay's free phase, are not finite
     bad = lookups & np.isnan(raw) | unbuildable[obj]
     for r in np.flatnonzero(bad.any(axis=1)).tolist():
         o, start = obj[r, bad[r].argmax()], float(starts[r, bad[r].argmax()])
         errors[cells[r]] = ValueError(_FREE_PHASE.format(float(span[o])) if unbuildable[o]
-                                      else _RAW_PHASE.format(start) if math.isfinite(start)
-                                      else f"pulse start must be finite, got {start}")
+                                      else _RAW_PHASE.format(start))
     keyed = lookups & np.array([errors[j] is None for j in cells])[:, None]
     at = obj[keyed]
     raws, raw_of = np.unique(raw[keyed], return_inverse=True)
@@ -576,7 +572,7 @@ def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))
     shape_keys = list(shapes)
-    requests = [((cycles[raw_of[f]], shape_keys[int(shape_of[at[f]])]), objects[at[f]].pulse)
+    requests = [((cycles[raw_of[f]], shape_keys[int(shape_of[at[f]])]), objects[at[f]])
                 for f in np.sort(first).tolist()]
     index = np.zeros(obj.shape, dtype=np.intp)
     index[keyed] = 1 + rank[key_of]

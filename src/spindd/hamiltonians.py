@@ -388,8 +388,7 @@ def generic_system(params: GenericSystemParams,
     return _system(h0, 0, sz, initial, time_unit="arb")
 
 
-def nv_system(params: NvParams, initial: str = "polarized",
-              frame: str = "nv") -> SpinSystem:
+def nv_system(params: NvParams, initial: str = "polarized") -> SpinSystem:
     """Build the NV model as a ready-to-evolve system.
 
     The central-observable label ``Sz`` is the fluorescence-normalized
@@ -401,9 +400,11 @@ def nv_system(params: NvParams, initial: str = "polarized",
     Driving the 0 to -1 transition puts the monitored ``m_S = 0`` level
     at the bottom of the working manifold, so the effective rotating
     frame is conjugated: the system's ``wrapper_phase`` is ``3 pi / 2``,
-    which realizes y-axis wrappers there (see ``sequences``).
+    which realizes y-axis wrappers there (see ``sequences``).  The register
+    is built in ``nv_h0``'s NV frame, whose z axis the ``Sz`` projector and
+    the drive share.
     """
-    h0 = nv_h0(params, frame=frame)
+    h0 = nv_h0(params)
     # basis order is m_S = +1, 0, -1: the monitored m_S = 0 level is 1
     fluor = Observable("Sz", _central_projector(h0.dims, 1), 0.0, 1.0)
     return _system(h0, 1, fluor, initial, time_unit="us",

@@ -1,6 +1,7 @@
 """Pulse-sequence construction: timing, phases and error injection.
 
-A sequence is a flat list of delays and pulses.  Compilation fixes the
+A compiled sequence is a tuple of ``DrivePulse`` and ``Delay`` elements;
+a pulse's rotation angle lives only in its duration.  Compilation fixes the
 timing so that pi-pulse centers sit exactly ``tau`` apart and the
 half-pi wrappers sit ``tau/2`` from the first and last pi pulse,
 center to center.  Durations refer to the full pulse envelope; delays
@@ -22,7 +23,8 @@ observable consistent across an N sweep of XY sequences.
 ``family_rule`` holds each family's default: plain for CPMG,
 xy8-parity for XY.
 
-``compile_sequence`` builds every sequence.  The first ``2 k + 1``
+``compile_sequence`` builds every sequence and is the one place that
+checks error factors; ``inject_errors`` recompiles.  The first ``2 k + 1``
 elements of a sequence, its opening wrapper and first ``k`` pi pulses, do
 not depend on ``n >= k``, and its last two depend on ``n`` only through
 ``closing_class(n)``; an N sweep shares one pi train across all N.
@@ -36,8 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HALF_PI = math.pi / 2.0
-
-NOMINAL_ANGLES = (HALF_PI, math.pi, 3.0 * HALF_PI)
 
 
 @dataclass(frozen=True)
@@ -87,25 +87,8 @@ class Delay:
             )
 
 
-@dataclass(frozen=True)
-class Pulse:
-    """A driven element: carrier parameters plus bookkeeping labels.
-
-    ``nominal_angle`` is one of pi/2, pi, 3 pi/2 and records the intended
-    rotation; the actual rotation follows from the carrier parameters and
-    duration.  The drive axis is ``pulse.phase``.
-    """
-
-    pulse: DrivePulse
-    nominal_angle: float
-
-    def __post_init__(self):
-        if not any(abs(self.nominal_angle - a) < 1e-12 for a in NOMINAL_ANGLES):
-            raise ValueError(f"nominal angle {self.nominal_angle} not in {{pi/2, pi, 3pi/2}}")
-
-    @property
-    def duration(self) -> float:
-        return self.pulse.duration
+# benchmarks/spans.py counts a sequence's pulse elements by this name
+Pulse = DrivePulse
 
 
 @dataclass(frozen=True)
@@ -166,13 +149,14 @@ def family_rule(family: str, closing_rule: str | None) -> str:
     return _DEFAULT_RULES[family] if closing_rule is None else closing_rule
 
 
-def _closing_angle(n: int, closing_rule: str) -> float:
+def _closing_halves(n: int, closing_rule: str) -> float:
+    """The closing wrapper's angle in half-pi rotations: 1, or 3 for 3 pi/2."""
     if closing_rule == "plain":
-        return HALF_PI
+        return 1.0
     if closing_rule == "xy8-parity":
         # odd number of two-pulse blocks flips the sign of the central
         # observable; a 3pi/2 closer undoes that
-        return 3.0 * HALF_PI if closing_class(n) else HALF_PI
+        return 3.0 if closing_class(n) else 1.0
     raise ValueError(f"unknown closing rule {closing_rule!r}")
 
 
@@ -185,14 +169,31 @@ def _axis_phases(family: str, n: int, wrapper_phase: float):
     return [0.0 if k % 2 == 0 else wrapper_phase for k in range(n)]
 
 
+def _gaps(tau: float, t_pi: float, halves: float) -> tuple:
+    """The opening, closing and inter-pulse gaps of pi pulses ``t_pi`` long
+    whose centers sit ``tau`` apart, closed by a wrapper of ``halves`` half-pi
+    rotations; raises where one is negative."""
+    t_half = t_pi / 2.0
+    gaps = (tau / 2.0 - t_pi / 2.0 - t_half / 2.0, tau / 2.0 - t_pi / 2.0 - t_half * halves / 2.0,
+            tau - t_pi)
+    for gap, name in zip(gaps, ("opening", "closing", "inter-pulse")):
+        if gap < -1e-12:
+            raise ValueError(
+                f"{name} gap is negative ({gap:.4g}): tau={tau} too short for pulse length {t_pi}"
+            )
+    return gaps
+
+
 def compile_sequence(family, n, tau, pi_pulse, wrapper_phase, closing_rule=None,
                      length_factor=1.0, freq_factor=1.0) -> PulseSequence:
     """The ``n``-pulse ``family`` sequence with pulse durations scaled by
-    ``length_factor`` and carrier frequencies by ``freq_factor``; raises
-    where the pulses do not fit.
+    ``length_factor`` and carrier frequencies by ``freq_factor``.
 
-    Element ``2 k`` is the ``k``-th pi pulse; the last two elements are the
-    closing gap and wrapper.
+    Raises what compiling the nominal sequence and then injecting the
+    factors with ``inject_errors`` would, for a finite ``wrapper_phase``: the
+    nominal sequence's errors first, then a factor that is not positive,
+    then where the scaled pulses do not fit.  Element ``2 k`` is the
+    ``k``-th pi pulse; the last two elements are the closing gap and wrapper.
     """
     closing_rule = family_rule(family, closing_rule)
     if n < 1:
@@ -200,32 +201,26 @@ def compile_sequence(family, n, tau, pi_pulse, wrapper_phase, closing_rule=None,
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
 
+    halves = _closing_halves(n, closing_rule)
+    _gaps(tau, pi_pulse.duration, halves)  # the nominal sequence's gaps
+    if length_factor <= 0 or freq_factor <= 0:
+        raise ValueError("error factors must be positive")
     t_pi = pi_pulse.duration * length_factor
+    open_gap, close_gap, inner_gap = _gaps(tau, t_pi, halves)
+
+    def driven(duration, axis):
+        return DrivePulse(pi_pulse.omega1, pi_pulse.omegap * freq_factor, axis, duration)
+
     t_half = t_pi / 2.0
-    closing = _closing_angle(n, closing_rule)
-    t_close = t_half * (3.0 if closing > math.pi else 1.0)
-    open_gap = tau / 2.0 - t_pi / 2.0 - t_half / 2.0
-    close_gap = tau / 2.0 - t_pi / 2.0 - t_close / 2.0
-    inner_gap = tau - t_pi
-    for gap, name in ((open_gap, "opening"), (close_gap, "closing"), (inner_gap, "inter-pulse")):
-        if gap < -1e-12:
-            raise ValueError(
-                f"{name} gap is negative ({gap:.4g}): tau={tau} too short for pulse length {t_pi}"
-            )
-
-    def driven(duration, angle, axis):
-        drive = DrivePulse(pi_pulse.omega1, pi_pulse.omegap * freq_factor, axis, duration)
-        return Pulse(drive, nominal_angle=angle)
-
-    elements = [driven(t_half, HALF_PI, wrapper_phase), Delay(max(open_gap, 0.0))]
+    elements = [driven(t_half, wrapper_phase), Delay(max(open_gap, 0.0))]
     axes = _axis_phases(family, n, wrapper_phase)
     # elements are frozen: the pi pulses of one axis, and the inter-pulse
     # gaps, are each one shared element
-    pis = {axis: driven(t_pi, math.pi, axis) for axis in dict.fromkeys(axes)}
+    pis = {axis: driven(t_pi, axis) for axis in dict.fromkeys(axes)}
     gap = Delay(inner_gap)
     for k, axis in enumerate(axes):
         elements += [gap, pis[axis]] if k else [pis[axis]]
-    elements += [Delay(max(close_gap, 0.0)), driven(t_close, closing, wrapper_phase)]
+    elements += [Delay(max(close_gap, 0.0)), driven(t_half * halves, wrapper_phase)]
     return PulseSequence(tuple(elements), family, n, tau, pi_pulse, wrapper_phase,
                          closing_rule, length_factor, freq_factor)
 
@@ -251,15 +246,14 @@ def compile_xyn(n: int, tau: float, pi_pulse: DrivePulse,
 
 def inject_errors(seq: PulseSequence, length_factor: float = 1.0,
                   freq_factor: float = 1.0) -> PulseSequence:
-    """Systematic pulse miscalibration.
+    """Systematic pulse miscalibration: ``seq`` recompiled with every pulse
+    duration scaled by ``length_factor`` and every carrier frequency by
+    ``freq_factor``, on top of its own factors.
 
-    Every pulse duration is scaled by ``length_factor`` and every carrier
-    frequency by ``freq_factor``; delays are then recomputed so pi-pulse
-    centers remain ``tau`` apart.  Raises when the stretched pulses no
-    longer fit into the timing grid.
+    Delays are recomputed so pi-pulse centers remain ``tau`` apart;
+    ``compile_sequence`` raises where a factor is not positive or the
+    stretched pulses no longer fit into the timing grid.
     """
-    if length_factor <= 0 or freq_factor <= 0:
-        raise ValueError("error factors must be positive")
     return compile_sequence(seq.family, seq.n_pulses, seq.tau, seq.base_pulse,
                             seq.wrapper_phase, seq.closing_rule,
                             length_factor * seq.error_length_factor,

@@ -39,14 +39,14 @@ def write_config(tmp_path, raw, name="cfg.yaml"):
     return path
 
 
-def test_list_presets_names_everything():
-    proc = run_cli("list-presets")
-    assert proc.returncode == 0
-    lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
+def test_list_presets_names_everything(capsys):
+    # one line per preset, sorted by name, each ending in its description
+    assert main(["list-presets"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert len(lines) >= 10
-    assert any(ln.startswith("nv-polarize") for ln in lines)
-    listed = {ln.split()[0] for ln in lines}
-    assert listed == set(PRESETS)
+    assert [line.split()[0] for line in lines] == sorted(PRESETS)
+    for line in lines:
+        assert line.endswith(f" {PRESETS[line.split()[0]]['description']}")
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
@@ -281,6 +281,56 @@ def test_the_gate_metrics_share_one_fit(monkeypatch, tmp_path):
     # the order the metrics are listed in does not change what they report
     preset = run_experiment(ExperimentConfig.from_dict(get_preset("ddgate-tomo")), tmp_path / "p")
     assert (manifest["metrics"], manifest["extras"]) == (preset["metrics"], preset["extras"])
+
+
+def too_long_n_range(raw):
+    raw["sequence"]["n_range"] = [1, 40, 1, 1]
+    return raw
+
+
+def no_omega00(raw):
+    del raw["system"]["omega00"]
+    return raw
+
+
+def nv_without_b0(raw):
+    raw["system"] = {"model": "nv"}
+    return raw
+
+
+def tau_sweep_without_n(raw):
+    del raw["sequence"]["tau"], raw["sequence"]["n_range"], raw["outputs"]
+    raw["sequence"]["tau_range"] = [0.3, 0.5, 3]
+    return raw
+
+
+def no_azx(raw):
+    del raw["system"]["targets"][0]["azx"]
+    return raw
+
+
+def azx_zero_hash():
+    raw = copy.deepcopy(SMALL)
+    raw["system"]["targets"][0]["azx"] = 0.0
+    return ExperimentConfig.from_dict(raw).config_hash()
+
+
+@pytest.mark.parametrize("change, code, line", [
+    (too_long_n_range, 2, "sequence.n_range: [1, 40, 1, 1] is too long"),
+    (no_omega00, 2, "system.omega00: required for the generic model"),
+    (nv_without_b0, 2, "system.b0: required for the nv model"),
+    (tau_sweep_without_n, 2, "sequence.n: required for a tau_range sweep"),
+    (lambda raw: [raw], 2, "<root>: expected a mapping"),
+    (None, 2, "--config: 'no-such-preset' is neither a file nor a preset name"),
+    # a generic target with neither azx nor coupling is an uncoupled one
+    (no_azx, 0, f"OK tiny {azx_zero_hash()}"),
+], ids=["too-long", "omega00", "b0", "n", "root", "unknown-name", "azx-default"])
+def test_validate_prints_each_rule_s_outcome(change, code, line, tmp_path, capsys):
+    spec = ("no-such-preset" if change is None
+            else str(write_config(tmp_path, change(copy.deepcopy(SMALL)))))
+    assert main(["validate", "--config", spec]) == code
+    out, err = capsys.readouterr()
+    assert (line if code == 0 else f"  - {line}") in (out if code == 0 else err).splitlines()
 
 
 def test_unknown_config_name_is_exit_2():

@@ -279,8 +279,8 @@ def failing_late_builds(monkeypatch, after, message, omegap=None):
         t, elements = 0.0, []
         for el in seq.elements:
             start, t = evolution._start(el, t, CFG)
-            if start is not None and start > after and omegap in (None, el.pulse.omegap):
-                el = replace(el, pulse=replace(el.pulse, duration=el.duration * (1.0 + 1e-9)))
+            if start is not None and start > after and omegap in (None, el.omegap):
+                el = replace(el, duration=el.duration * (1.0 + 1e-9))
                 late.setdefault(round(el.duration, 12), start)
             elements.append(el)
         return replace(seq, elements=tuple(elements))
@@ -884,6 +884,7 @@ def test_a_failing_sample_build_fails_only_the_cells_of_its_shape(monkeypatch):
     assert_walk_matches_each_cell("xyn", [90, 3, 47], 0.4937, cells, {1, 3})
     cache = PropagatorCache(GENERIC)
     del failed[:]
+    builds = counting_builds(monkeypatch)
     evolution.sweep_n_cells(GENERIC, "xyn", [90, 3, 47], 0.4937, PI_PULSE, CFG, cells,
                             cache=cache)
     # one plan checks each detuned shape once, the pi/2 wrapper, the pi pulse and
@@ -893,8 +894,11 @@ def test_a_failing_sample_build_fails_only_the_cells_of_its_shape(monkeypatch):
     # no entry or phase series of theirs is kept
     assert [shape for _, shape in cache._pulses if shape[1:] == detuned] == []
     assert [shape for shape in cache._shapes if shape[1:] == detuned] == []
-    # the family's block samples, queued before the first shape's check, are still taken
-    assert cache._families[detuned].series is not None
+    # each shape is checked before its family's block samples are queued, so the
+    # detuned family has no entry and none of its 29 block samples is built
+    assert detuned not in cache._families
+    assert [drive for drive, _ in builds if drive.omegap == 50.0 * 1.02] == []
+    assert 32 in {round(drive.duration / CFG.dt) for drive, _ in builds}  # other families' blocks
 
 
 def test_every_queued_build_passes_the_step_checks():
@@ -973,7 +977,7 @@ def element_keys(cache, seq, cfg):
     for el in seq.elements:
         start, t = evolution._start(el, t, cfg)
         if start is not None:
-            keys.append(cache.pulse_key(el.pulse, start, cfg.dt))
+            keys.append(cache.pulse_key(el, start, cfg.dt))
         else:
             keys.append(el.duration if el.duration > 0 else None)
     return keys
@@ -1171,7 +1175,8 @@ def test_a_non_finite_pulse_start_is_rejected_before_any_memo(start):
     cache.pulse(PI_PULSE, 0.1, 0.001)
     rounded, pulses = dict(cache._rounded), dict(cache._pulses)
     for lookup in (cache.pulse_key, cache.pulse):
-        with pytest.raises(ValueError, match=f"^pulse start must be finite, got {start}$"):
+        with pytest.raises(ValueError,
+                           match=f"^carrier phase of the pulse started at {start} is not finite$"):
             lookup(PI_PULSE, start, 0.001)
     assert cache._rounded == rounded and cache._pulses == pulses
 
@@ -1199,6 +1204,22 @@ def test_an_overflowing_clock_fails_the_walk_as_its_sequence_does():
         # a later tau is inf: the first failing tau in grid order is raised
         assert error_of(lambda: sweep_tau(GENERIC, "cpmg", 3, [0.5, 1e308, math.inf], PI_PULSE,
                                           CFG)) == expected
+
+
+def test_a_carrier_phase_that_overflows_fails_the_walk_as_its_sequence_does():
+    # at tau 1e305 every free phase is finite, but the 38th pi pulse starts at
+    # 3.65e306, where omegap * start overflows and the raw cycles are nan
+    expected = "carrier phase of the pulse started at 3.650000000000002e+306 is not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: apply_sequence(GENERIC, compile_cpmg(40, 1e305, PI_PULSE), CFG),
+                    lambda: sweep_n(GENERIC, "cpmg", [38, 40], 1e305, PI_PULSE, CFG),
+                    lambda: sweep_tau(GENERIC, "cpmg", 40, [0.5, 1e305], PI_PULSE, CFG)):
+            assert error_of(run) == expected
+        # on a carrier of half the frequency no product overflows: that cell walks
+        failed, walked = evolution.sweep_n_cells(GENERIC, "cpmg", [38, 40], 1e305, PI_PULSE,
+                                                 CFG, [(1.0, 1.0), (1.0, 0.5)])
+    assert str(failed) == expected and walked.values.tolist() == [38.0, 40.0]
 
 
 def test_a_delay_whose_free_phase_overflows_fails_with_its_duration():

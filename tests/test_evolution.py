@@ -16,7 +16,7 @@ from spindd.hamiltonians import (
     generic_system,
     nv_system,
 )
-from spindd.sequences import Delay, Pulse, PulseSequence, SimConfig, compile_cpmg, compile_xyn
+from spindd.sequences import Delay, PulseSequence, SimConfig, compile_cpmg, compile_xyn
 
 GENERIC = GenericSystemParams(50.0, (TargetParams(1.0, 0.1),))
 UNCOUPLED = GenericSystemParams(50.0, (TargetParams(1.0, 0.0),))
@@ -130,7 +130,7 @@ def test_wrapper_pair_with_zero_net_rotation_restores_the_pole():
     base = DrivePulse(6.25, 50.0, 0.0, 0.08)
 
     def wrapper(phase):
-        return Pulse(DrivePulse(6.25, 50.0, phase, 0.04), math.pi / 2.0)
+        return DrivePulse(6.25, 50.0, phase, 0.04)
 
     seq = PulseSequence(
         elements=(wrapper(math.pi / 2.0), Delay(0.02), wrapper(3.0 * math.pi / 2.0)),

@@ -7,7 +7,6 @@ import pytest
 from spindd.sequences import (
     Delay,
     DrivePulse,
-    Pulse,
     PulseSequence,
     SimConfig,
     closing_class,
@@ -23,7 +22,7 @@ PI_PULSE = DrivePulse(omega1=5.0, omegap=50.0, phase=0.0, duration=0.1)
 
 
 def pulses_of(seq: PulseSequence):
-    return [e for e in seq.elements if isinstance(e, Pulse)]
+    return [e for e in seq.elements if isinstance(e, DrivePulse)]
 
 
 def delays_of(seq: PulseSequence):
@@ -33,13 +32,14 @@ def delays_of(seq: PulseSequence):
 def test_cpmg_element_layout():
     seq = compile_cpmg(2, 0.5, PI_PULSE)
     kinds = [type(e).__name__ for e in seq.elements]
-    assert kinds == ["Pulse", "Delay", "Pulse", "Delay", "Pulse", "Delay", "Pulse"]
+    assert kinds == ["DrivePulse", "Delay", "DrivePulse", "Delay", "DrivePulse", "Delay",
+                     "DrivePulse"]
     pulses = pulses_of(seq)
     assert len(pulses) == 4  # two wrappers plus n pi pulses
-    assert pulses[0].nominal_angle == pytest.approx(PI / 2.0)
+    # a pulse's angle is its duration: t_pi / 2 for a wrapper, t_pi for a pi pulse
     assert pulses[0].duration == pytest.approx(0.05)
-    assert all(p.nominal_angle == pytest.approx(PI) for p in pulses[1:-1])
     assert all(p.duration == pytest.approx(0.1) for p in pulses[1:-1])
+    assert all((p.omega1, p.omegap) == (5.0, 50.0) for p in pulses)
 
 
 def test_cpmg_timing_grid():
@@ -57,7 +57,7 @@ def test_pi_pulse_centers_sit_tau_apart():
     t = 0.0
     centers = []
     for e in seq.elements:
-        if isinstance(e, Pulse) and abs(e.nominal_angle - PI) < 1e-12:
+        if isinstance(e, DrivePulse) and e.duration == PI_PULSE.duration:
             centers.append(t + e.duration / 2.0)
         t += e.duration
     spacings = [b - a for a, b in zip(centers, centers[1:])]
@@ -67,36 +67,37 @@ def test_pi_pulse_centers_sit_tau_apart():
 def test_cpmg_phases_all_x():
     seq = compile_cpmg(4, 0.5, PI_PULSE)
     pulses = pulses_of(seq)
-    assert pulses[0].pulse.phase == pytest.approx(PI / 2.0)
-    assert pulses[-1].pulse.phase == pytest.approx(PI / 2.0)
-    assert all(p.pulse.phase == 0.0 for p in pulses[1:-1])
-    assert [p.pulse.phase for p in pulses] == [PI / 2.0, 0.0, 0.0, 0.0, 0.0, PI / 2.0]
+    assert pulses[0].phase == pytest.approx(PI / 2.0)
+    assert pulses[-1].phase == pytest.approx(PI / 2.0)
+    assert all(p.phase == 0.0 for p in pulses[1:-1])
+    assert [p.phase for p in pulses] == [PI / 2.0, 0.0, 0.0, 0.0, 0.0, PI / 2.0]
 
 
 def test_xyn_phases_alternate_with_wrapper():
     seq = compile_xyn(5, 0.5, PI_PULSE)
-    inner = [p.pulse.phase for p in pulses_of(seq)[1:-1]]
+    inner = [p.phase for p in pulses_of(seq)[1:-1]]
     assert inner == pytest.approx([0.0, PI / 2.0, 0.0, PI / 2.0, 0.0])
     conj = compile_xyn(5, 0.5, PI_PULSE, wrapper_phase=3.0 * PI / 2.0)
-    inner = [p.pulse.phase for p in pulses_of(conj)[1:-1]]
+    inner = [p.phase for p in pulses_of(conj)[1:-1]]
     assert inner == pytest.approx([0.0, 3.0 * PI / 2.0, 0.0, 3.0 * PI / 2.0, 0.0])
-    assert pulses_of(conj)[0].pulse.phase == pytest.approx(3.0 * PI / 2.0)
+    assert pulses_of(conj)[0].phase == pytest.approx(3.0 * PI / 2.0)
 
 
 @pytest.mark.parametrize("n,angle", [(2, 1.5 * PI), (4, 0.5 * PI), (6, 1.5 * PI), (8, 0.5 * PI)])
 def test_xy_parity_closing_rule(n, angle):
     seq = compile_xyn(n, 0.5, PI_PULSE)
     closer = pulses_of(seq)[-1]
-    assert closer.nominal_angle == pytest.approx(angle)
+    # a 3 pi/2 closer is three half-pi wrappers long, 3 t_pi / 2
     expected = 0.15 if angle > PI else 0.05
     assert closer.duration == pytest.approx(expected)
+    assert closer.phase == pulses_of(seq)[0].phase
 
 
 def test_plain_closing_rule_everywhere():
     for n in (1, 2, 3, 6):
         seq = compile_cpmg(n, 0.5, PI_PULSE)
         closer = pulses_of(seq)[-1]
-        assert closer.nominal_angle == pytest.approx(PI / 2.0)
+        assert closer.duration == pytest.approx(PI_PULSE.duration / 2.0)
         assert seq.closing_rule == "plain"
 
 
@@ -148,8 +149,6 @@ def test_drive_pulse_validation():
         DrivePulse(5.0, 50.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="negative delay"):
         Delay(-0.01)
-    with pytest.raises(ValueError, match="nominal angle"):
-        Pulse(PI_PULSE, nominal_angle=PI / 3.0)
 
 
 def test_inject_errors_rescales_pulses_and_delays():
@@ -158,7 +157,7 @@ def test_inject_errors_rescales_pulses_and_delays():
     pulses = pulses_of(bad)
     assert pulses[1].duration == pytest.approx(0.115)
     assert pulses[0].duration == pytest.approx(0.0575)
-    assert all(p.pulse.omegap == pytest.approx(50.5) for p in pulses)
+    assert all(p.omegap == pytest.approx(50.5) for p in pulses)
     # centers stay tau apart, so the interior delay shrinks
     assert delays_of(bad)[1].duration == pytest.approx(0.5 - 0.115)
     assert bad.error_length_factor == pytest.approx(1.15)
@@ -181,6 +180,21 @@ def test_inject_errors_detects_overlong_pulses():
     seq = compile_cpmg(2, 0.16, PI_PULSE)
     with pytest.raises(ValueError, match="gap is negative"):
         inject_errors(seq, 1.7, 1.0)
+
+
+@pytest.mark.parametrize("tau, factors, message", [
+    (0.5, (-1.0, 1.0), "error factors must be positive"),  # not a negative duration
+    (0.5, (1.0, 0.0), "error factors must be positive"),
+    (0.1, (0.5, 1.0), "opening gap is negative (-0.025)"),  # the shorter pulses would fit
+])
+def test_compiling_with_errors_raises_what_compiling_then_injecting_raises(tau, factors,
+                                                                           message):
+    with pytest.raises(ValueError) as injected:
+        inject_errors(compile_cpmg(2, tau, PI_PULSE), *factors)
+    with pytest.raises(ValueError) as compiled:
+        compile_sequence("cpmg", 2, tau, PI_PULSE, PI / 2.0, None, *factors)
+    assert str(compiled.value) == str(injected.value)
+    assert str(compiled.value).startswith(message)
 
 
 @pytest.mark.parametrize("build, message", [
