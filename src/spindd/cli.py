@@ -9,7 +9,8 @@ Verbs:
 
 ``--config`` accepts either a YAML file path or a preset name.  Exit
 codes: 0 on success, 2 for configuration errors, 3 for numeric
-failures during a run.
+failures during a run.  The config, ``--dt`` and ``--out`` are all
+checked before any sweep.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ def _load_config(spec: str) -> ExperimentConfig:
     if spec in PRESETS:
         return ExperimentConfig.from_dict(get_preset(spec))
     raise ConfigError([f"--config: {spec!r} is neither a file nor a preset name"])
+
+
+def _check_out(out: str) -> None:
+    """``--out`` must be a directory, or a path where one can be made."""
+    existing = next(path for path in (Path(out), *Path(out).parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError([f"--out: {str(existing)!r} is not a directory"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,6 +77,7 @@ def main(argv=None) -> int:
         if args.verb == "validate":
             print(f"OK {cfg.name} {cfg.config_hash()}")
             return 0
+        _check_out(args.out)
         if args.verb == "run":
             manifest = run_experiment(cfg, args.out, dt_override=args.dt)
         else:

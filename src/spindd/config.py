@@ -2,12 +2,17 @@
 
 A configuration is a YAML (or plain dict) description of one runnable
 experiment: which system to build, which sequence family to sweep, how
-to integrate it and what to report.  Loading validates against a JSON
-schema (a small walker over the keywords ``SCHEMA`` uses, with JSON
-Schema's semantics except that nan and infinities are not numbers), then
-fills in every default and spells each number as its schema type, so that
-two configs with the same meaning normalize to the same dictionary; the
-canonical SHA-256 hash is taken over that normalized form.
+to integrate it and what to report.  This module owns every config rule
+and default.  Loading checks a JSON schema (a small walker over the
+keywords ``SCHEMA`` uses, with JSON Schema's semantics except that nan
+and infinities are not numbers), then the rules across fields, the
+``outputs`` section's included, and reports every fault it finds.  The
+walker also spells each number as its schema type, and loading resolves
+every default to its value: the model's wrapper phase, the family's
+closing rule, the register's observables and the fit observable.  Two
+configs with the same meaning so normalize to the same dictionary; the
+canonical SHA-256 hash is taken over that form without ``description``,
+which no output reads.
 
 Exactly one of ``sequence.n_range`` (pulse-number sweep at fixed
 ``tau``) and ``sequence.tau_range`` (spacing sweep at fixed ``n``) must
@@ -29,11 +34,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .hamiltonians import GenericSystemParams, NvParams, TargetParams, generic_system, nv_system
-from .sequences import DrivePulse, SimConfig
+from .hamiltonians import (WRAPPER_PHASES, GenericSystemParams, NvParams, TargetParams,
+                           generic_system, nv_system, observable_labels)
+from .sequences import DrivePulse, SimConfig, family_rule
 
 # metrics read off an N sweep: its oscillation fit or its state at some N
 _N_METRICS = ["pseudo-fidelity", "inversion-fidelity", "concurrence", "polarization"]
+_METRICS = ["resonance", *_N_METRICS]  # the order a loaded config lists its metrics in
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -101,7 +108,12 @@ SCHEMA = {
                     "items": {"type": "integer", "minimum": 1},
                 },
                 "tau": _POSITIVE,
-                "tau_range": {"type": "array", "minItems": 3, "maxItems": 3},
+                "tau_range": {  # [lo, hi, points]
+                    "type": "array",
+                    "minItems": 3,
+                    "maxItems": 3,
+                    "prefixItems": [_POSITIVE, _POSITIVE, {"type": "integer", "minimum": 2}],
+                },
                 "t_pi": _POSITIVE,
                 "omega1": _POSITIVE,
                 "carrier": _POSITIVE,
@@ -117,7 +129,6 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "dt": _POSITIVE,
-                "carrier_reset": {"type": "boolean"},
             },
         },
         "outputs": {
@@ -126,7 +137,7 @@ SCHEMA = {
             "properties": {
                 "observables": {"type": ["array", "null"],
                                 "items": {"type": "string"}, "minItems": 1},
-                "metrics": {"type": "array", "items": {"enum": ["resonance", *_N_METRICS]}},
+                "metrics": {"type": "array", "items": {"enum": _METRICS}},
                 "fit_observable": {"type": ["string", "null"]},
             },
         },
@@ -175,11 +186,14 @@ _TYPES = {
 }
 
 
-def _walk(value, schema: dict, path: tuple, out: list) -> None:
+def _walk(value, schema: dict, path: tuple, out: list):
     """Append ``(path, message)`` for every rule of ``schema`` that ``value``
-    breaks, in keyword order.  As in JSON Schema, a keyword that constrains
+    breaks, in keyword order, and return a copy of ``value`` with each number
+    that passes its ``type`` keyword spelled as that type: an integer as an
+    int, a number as a float.  As in JSON Schema, a keyword that constrains
     one kind of value ignores the others (``minimum`` passes a string)."""
     is_dict, is_list = isinstance(value, dict), isinstance(value, list)
+    spelled = dict(value) if is_dict else list(value) if is_list else value
 
     def fail(message):
         out.append((path, message))
@@ -187,10 +201,15 @@ def _walk(value, schema: dict, path: tuple, out: list) -> None:
     for key, rule in schema.items():
         if key == "type":
             names = [rule] if isinstance(rule, str) else rule
-            if not any(_TYPES[name](value) for name in names):
+            passed = [name for name in names if _TYPES[name](value)]
+            if not passed:
                 fail(f"{value!r} is not a finite number"
                      if isinstance(value, float) and not math.isfinite(value)
                      else f"{value!r} is not of type {', '.join(map(repr, names))}")
+            elif "integer" in passed:
+                spelled = int(value)
+            elif "number" in passed:
+                spelled = float(value)
         elif key == "enum":
             if value not in rule:
                 fail(f"{value!r} is not one of {rule!r}")
@@ -201,7 +220,7 @@ def _walk(value, schema: dict, path: tuple, out: list) -> None:
         elif key == "properties":
             for name, sub in rule.items() if is_dict else ():
                 if name in value:
-                    _walk(value[name], sub, path + (name,), out)
+                    spelled[name] = _walk(value[name], sub, path + (name,), out)
         elif key == "additionalProperties" and rule is False:
             extra = sorted(set(value) - set(schema["properties"]), key=str) if is_dict else []
             if extra:
@@ -209,7 +228,10 @@ def _walk(value, schema: dict, path: tuple, out: list) -> None:
                      f"{'was' if len(extra) == 1 else 'were'} unexpected)")
         elif key == "items":
             for i, item in enumerate(value if is_list else ()):
-                _walk(item, rule, path + (i,), out)
+                spelled[i] = _walk(item, rule, path + (i,), out)
+        elif key == "prefixItems":
+            for i, (item, sub) in enumerate(zip(value if is_list else (), rule)):
+                spelled[i] = _walk(item, sub, path + (i,), out)
         elif key == "minItems":
             if is_list and len(value) < rule:
                 fail(f"{value!r} should be non-empty" if rule == 1 else f"{value!r} is too short")
@@ -224,6 +246,7 @@ def _walk(value, schema: dict, path: tuple, out: list) -> None:
                 fail(f"{value!r} is less than or equal to the minimum of {rule!r}")
         else:
             raise ValueError(f"schema keyword {key!r} is not supported")
+    return spelled
 
 
 def _schema_problems(raw: dict) -> list:
@@ -234,12 +257,20 @@ def _schema_problems(raw: dict) -> list:
     return [f"{'.'.join(map(str, path)) or '<root>'}: {message}" for path, message in found]
 
 
-def _semantic_problems(raw: dict) -> list:
-    problems = []
-    system = raw.get("system", {})
-    model = system.get("model")
-    seq = raw.get("sequence", {})
+def coupling_label(azx: float) -> str:
+    """The label that names a ``coupling_scan`` coupling's CSV and gate time."""
+    return f"{azx:g}"
 
+
+def _semantic_problems(raw: dict) -> list:
+    """The rules across fields of a config that passed the schema."""
+    problems = []
+    system, seq = raw["system"], raw["sequence"]
+    model = system["model"]
+
+    name = raw.get("name", "run")
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        problems.append(f"name: {name!r} cannot name a file under --out")
     if model == "generic":
         for key in ("omega00", "targets"):
             if key not in system:
@@ -248,7 +279,7 @@ def _semantic_problems(raw: dict) -> list:
             if key in system:
                 problems.append(f"system.{key}: not a generic-model field")
         for i, tgt in enumerate(system.get("targets", [])):
-            if isinstance(tgt, dict) and "azx" in tgt and "coupling" in tgt:
+            if "azx" in tgt and "coupling" in tgt:
                 problems.append(f"system.targets.{i}: give either azx or coupling, not both")
         if "carrier" not in seq and "omega00" in system:  # the default must pass its rule
             found, rule = [], SCHEMA["properties"]["sequence"]["properties"]["carrier"]
@@ -277,27 +308,15 @@ def _semantic_problems(raw: dict) -> list:
         problems.append("sequence.n: conflicts with n_range")
     if has_tau_range and "tau" in seq:
         problems.append("sequence.tau: conflicts with tau_range")
-
-    if has_n_range and len(seq.get("n_range", [])) >= 2:
-        rng = seq["n_range"]
-        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in rng)
-        if numbers and rng[1] < rng[0]:
-            problems.append("sequence.n_range: upper bound below lower bound")
-    if has_tau_range:
-        rng = seq.get("tau_range", [])
-        ok = (
-            len(rng) == 3
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in rng)
-            and isinstance(rng[2], int)
-        )
-        if not ok:
-            problems.append("sequence.tau_range: expected [lo, hi, points] with integer points")
-        elif rng[0] <= 0 or rng[1] <= rng[0] or rng[2] < 2:
-            problems.append("sequence.tau_range: need 0 < lo < hi and at least 2 points")
+    if has_n_range and seq["n_range"][1] < seq["n_range"][0]:
+        problems.append("sequence.n_range: upper bound below lower bound")
+    if has_tau_range and seq["tau_range"][1] <= seq["tau_range"][0]:
+        problems.append("sequence.tau_range: upper bound not above lower bound")
 
     if "errmap" in raw and not has_n_range:
         problems.append("errmap: requires an n_range sweep to fit pseudo-fidelities")
-    metrics = raw.get("outputs", {}).get("metrics", [])
+    outputs = raw.get("outputs", {})
+    metrics = outputs.get("metrics", [])
     if "errmap" in raw and any(name != "pseudo-fidelity" for name in metrics):
         problems.append("outputs.metrics: an errmap computes only pseudo-fidelity")
     if has_tau_range and any(name in _N_METRICS for name in metrics):
@@ -311,62 +330,67 @@ def _semantic_problems(raw: dict) -> list:
         targets = system.get("targets", [])
         if model != "generic" or len(targets) != 1:
             problems.append("coupling_scan: only defined for a generic single-target system")
-        elif isinstance(targets[0], dict) and "coupling" in targets[0]:
+        elif "coupling" in targets[0]:
             problems.append("coupling_scan: incompatible with a full coupling tensor")
         if any(name != "pseudo-fidelity" for name in metrics):
             problems.append("outputs.metrics: a coupling_scan computes only pseudo-fidelity")
+        labels = [coupling_label(azx) for azx in raw["coupling_scan"]]
+        shared = sorted({label for label in labels if labels.count(label) > 1})
+        if shared:
+            problems.append(f"coupling_scan: couplings share the labels {shared} that name "
+                            "their CSVs and gate times")
+
+    # the register's observables, where the system's fields give it
+    targets = 1 if model == "nv" else len(system.get("targets", []))
+    if targets:
+        labels = observable_labels(targets)
+        missing = [label for label in outputs.get("observables") or [] if label not in labels]
+        if missing:
+            problems.append(f"outputs.observables: unknown {missing}; have {labels}")
+        fit = outputs.get("fit_observable")
+        fit = labels[-1] if fit is None else fit
+        if fit not in labels:
+            problems.append(f"outputs.fit_observable: unknown {fit!r}")
+        elif fit == labels[0] and {"inversion-fidelity", "polarization"} & set(metrics):
+            problems.append(f"outputs.fit_observable: {fit!r} is not a target observable")
+        if "concurrence" in metrics and (model, targets) != ("generic", 1):
+            problems.append("outputs.metrics: concurrence needs a two-qubit register")
     return problems
 
 
-def _spell(value, schema: dict):
-    """A copy of ``value`` with each number spelled as ``schema`` types it:
-    an integer as an int, a number as a float."""
-    if isinstance(value, dict):
-        properties = schema.get("properties", {})
-        return {key: _spell(item, properties.get(key, {})) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_spell(item, schema.get("items", {})) for item in value]
-    kinds = schema.get("type", ())  # a type name or a list of them
-    if _is_number(value) and ("integer" in kinds or "number" in kinds):
-        return int(value) if "integer" in kinds else float(value)
-    return value
-
-
 def _normalize(raw: dict) -> dict:
-    """``raw`` with every default filled in and every number spelled as typed."""
-    cfg = _spell(raw, SCHEMA)
+    """``raw`` spelled as ``SCHEMA`` types it, with every default resolved to its value."""
+    cfg = _walk(raw, SCHEMA, (), [])
     cfg.setdefault("name", "run")
     cfg.setdefault("description", "")
     cfg.setdefault("initial_state", "polarized")
 
-    system = cfg["system"]
-    if system["model"] == "generic":
+    system, seq = cfg["system"], cfg["sequence"]
+    model = system["model"]
+    if model == "generic":
         for tgt in system["targets"]:
-            if "azx" not in tgt and "coupling" not in tgt:
-                tgt["azx"] = 0.0
+            if "coupling" not in tgt:
+                tgt.setdefault("azx", 0.0)
+        seq.setdefault("carrier", system["omega00"])
+        seq.setdefault("omega1", 1.0 / (2.0 * seq["t_pi"]))
     else:
         for key, value in _NV_DEFAULTS.items():
             system.setdefault(key, value)
-
-    seq = cfg["sequence"]
-    if system["model"] == "generic":
-        seq.setdefault("carrier", float(system["omega00"]))
-        seq.setdefault("omega1", 1.0 / (2.0 * float(seq["t_pi"])))
     seq.setdefault("length_factor", 1.0)
     seq.setdefault("freq_factor", 1.0)
-    seq.setdefault("wrapper_phase", None)
-    seq.setdefault("closing_rule", None)
-    if "n_range" in seq and len(seq["n_range"]) == 2:
-        seq["n_range"] = [seq["n_range"][0], seq["n_range"][1], 1]
-    if "tau_range" in seq:  # [lo, hi, points]; the schema leaves its items untyped
-        seq["tau_range"][:2] = [float(x) for x in seq["tau_range"][:2]]
-
-    cfg["sim"].setdefault("carrier_reset", False)
+    if seq.get("wrapper_phase") is None:
+        seq["wrapper_phase"] = WRAPPER_PHASES[model]
+    seq["closing_rule"] = family_rule(seq["family"], seq.get("closing_rule"))
+    if len(seq.get("n_range", ())) == 2:
+        seq["n_range"].append(1)
 
     outputs = cfg.setdefault("outputs", {})
-    outputs.setdefault("observables", None)
-    outputs.setdefault("metrics", [])
-    outputs.setdefault("fit_observable", None)
+    labels = observable_labels(len(system["targets"]) if model == "generic" else 1)
+    if outputs.get("observables") is None:
+        outputs["observables"] = labels
+    if outputs.get("fit_observable") is None:
+        outputs["fit_observable"] = labels[-1]
+    outputs["metrics"] = [name for name in _METRICS if name in outputs.get("metrics", [])]
     return cfg
 
 
@@ -380,9 +404,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(["<root>: expected a mapping"])
-        problems = _schema_problems(raw)
-        if not problems:
-            problems = _semantic_problems(raw)
+        problems = _schema_problems(raw) or _semantic_problems(raw)
         if problems:
             raise ConfigError(problems)
         return cls(_normalize(raw))
@@ -410,71 +432,55 @@ class ExperimentConfig:
 
         return yaml.safe_dump(self.data, sort_keys=True, default_flow_style=False)
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        """SHA-256 of the canonical JSON of the loaded config, less its ``description``."""
+        data = {key: value for key, value in self.data.items() if key != "description"}
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
     @property
     def name(self) -> str:
         return self.data["name"]
 
     @property
-    def model(self) -> str:
-        return self.data["system"]["model"]
-
-    @property
     def sweep_axis(self) -> str:
         return "n" if "n_range" in self.data["sequence"] else "tau"
 
-    def system_params(self, azx_override: float | None = None):
-        system = self.data["system"]
-        if system["model"] == "generic":
-            targets = []
-            for tgt in system["targets"]:
-                coupling = tgt.get("coupling")
-                if coupling is None:
-                    coupling = tgt["azx"] if azx_override is None else azx_override
-                else:
-                    coupling = np.asarray(coupling, dtype=float)
-                targets.append(TargetParams(float(tgt["omega0"]), coupling))
-            return GenericSystemParams(float(system["omega00"]), tuple(targets))
-        return NvParams(float(system["b0"]), math.radians(float(system["theta0_deg"])),
-                         **{key: float(system[key]) for key in list(_NV_DEFAULTS)[1:]})
-
     def build_system(self, azx_override: float | None = None):
-        params = self.system_params(azx_override)
-        initial = self.data["initial_state"]
-        if self.model == "generic":
-            return generic_system(params, initial=initial)
-        return nv_system(params, initial=initial)
+        system, initial = self.data["system"], self.data["initial_state"]
+        if system["model"] == "nv":
+            params = NvParams(system["b0"], math.radians(system["theta0_deg"]),
+                              **{key: system[key] for key in list(_NV_DEFAULTS)[1:]})
+            return nv_system(params, initial=initial)
+        targets = []
+        for tgt in system["targets"]:
+            if "coupling" in tgt:
+                coupling = np.asarray(tgt["coupling"], dtype=float)
+            else:
+                coupling = tgt["azx"] if azx_override is None else azx_override
+            targets.append(TargetParams(tgt["omega0"], coupling))
+        return generic_system(GenericSystemParams(system["omega00"], tuple(targets)),
+                              initial=initial)
 
     def build_pulse(self) -> DrivePulse:
         seq = self.data["sequence"]
-        return DrivePulse(
-            omega1=float(seq["omega1"]),
-            omegap=float(seq["carrier"]),
-            phase=0.0,
-            duration=float(seq["t_pi"]),
-        )
+        return DrivePulse(omega1=seq["omega1"], omegap=seq["carrier"], phase=0.0,
+                          duration=seq["t_pi"])
 
     def sim_config(self, dt_override: float | None = None) -> SimConfig:
         """The integrator settings; ``dt_override`` (the CLI's ``--dt``)
         replaces ``sim.dt`` and must pass the same rule."""
-        if dt_override is not None:
-            found = []
-            _walk(dt_override, SCHEMA["properties"]["sim"]["properties"]["dt"], (), found)
-            if found:
-                raise ConfigError([f"--dt: {message}" for _, message in found])
-        sim = self.data["sim"]
-        dt = float(sim["dt"]) if dt_override is None else float(dt_override)
-        return SimConfig(dt=dt, carrier_reset=bool(sim["carrier_reset"]))
+        if dt_override is None:
+            return SimConfig(dt=self.data["sim"]["dt"])
+        found = []
+        _walk(dt_override, SCHEMA["properties"]["sim"]["properties"]["dt"], (), found)
+        if found:
+            raise ConfigError([f"--dt: {message}" for _, message in found])
+        return SimConfig(dt=float(dt_override))
 
     def sweep_values(self) -> np.ndarray:
         seq = self.data["sequence"]
         if self.sweep_axis == "n":
             lo, hi, step = seq["n_range"]
             return np.arange(lo, hi + 1, step, dtype=int)
-        lo, hi, num = seq["tau_range"]
-        return np.linspace(float(lo), float(hi), int(num))
+        return np.linspace(*seq["tau_range"])

@@ -9,9 +9,8 @@ multiplied, later steps on the left, by a pairwise reduction.  One
 kernel, ``_trotter``, does both for a stack of pulses that share their
 step count and coefficients; ``pulse_propagator`` is its one-row case.
 The lab clock runs continuously across the whole sequence, so a pulse's
-carrier phase follows from its start time (``SimConfig.carrier_reset``
-restarts the carrier at every pulse instead), and the cache keys pulses
-by that phase.
+carrier phase follows from its start time, and the cache keys pulses by
+that phase.
 
 Every sweep is one walk over cells ``(tau, length_factor, freq_factor)``:
 the taus of a tau sweep, or the error cells of N sweeps at one tau.  Each
@@ -457,7 +456,7 @@ def _start(el, t: float, cfg: SimConfig) -> tuple:
         return None, t + el.duration
     if isinstance(el, DrivePulse):
         # the clock advances by the snapped duration, as the evolution does
-        return (0.0 if cfg.carrier_reset else t), t + round(el.duration / cfg.dt) * cfg.dt
+        return t, t + round(el.duration / cfg.dt) * cfg.dt
     raise TypeError(f"unknown sequence element {el!r}")
 
 
@@ -549,10 +548,9 @@ def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
     obj = codes[:, src]
     starts = np.zeros(obj.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # a lookup with a nan raw fails its cell
-        if not cfg.carrier_reset:
-            ends = np.cumsum(span[codes[:, :len(train_at)]], axis=1)
-            starts[:, train_at[1:]] = ends[:, :-1]
-            starts[:, wrap_at] = ends[:, pis] + span[codes[:, gaps]]
+        ends = np.cumsum(span[codes[:, :len(train_at)]], axis=1)
+        starts[:, train_at[1:]] = ends[:, :-1]
+        starts[:, wrap_at] = ends[:, pis] + span[codes[:, gaps]]
         raw = (omegap[obj] * starts + phase[obj]) % 1.0
     lookups = pulses[obj] == 1
     # where a pulse's raw cycles, or a delay's free phase, are not finite

@@ -40,8 +40,12 @@ __all__ = [
     "TargetParams", "GenericSystemParams", "NvParams", "Observable",
     "SpinSystem", "DrivePulse", "generic_h0", "drive_h1", "nv_h0",
     "nv_rotated_tensor", "transition_frequency", "calibrate_rabi",
-    "generic_system", "nv_system", "polarization_target",
+    "generic_system", "nv_system", "polarization_target", "WRAPPER_PHASES",
+    "observable_labels",
 ]
+
+# the carrier phase of a y-axis wrapper pulse in each model's frame; see SpinSystem
+WRAPPER_PHASES = {"generic": math.pi / 2.0, "nv": 3.0 * math.pi / 2.0}
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ class SpinSystem:
     rho0: DensityMatrix
     observables: tuple
     time_unit: str = "arb"
-    wrapper_phase: float = math.pi / 2.0
+    wrapper_phase: float = WRAPPER_PHASES["generic"]
 
     @property
     def dims(self):
@@ -358,22 +362,29 @@ def calibrate_rabi(system: SpinSystem, target_tpi: float, carrier: float,
     return best
 
 
-def _system(h0: Operator, level: int, central_obs: Observable, initial: str,
+def observable_labels(targets: int) -> list:
+    """The observable labels of a register with ``targets`` targets: ``Sz``
+    of the central spin, then one ``Iz`` per target (``Iz1``, ``Iz2``, ...
+    when there are several)."""
+    return ["Sz", *(["Iz"] if targets == 1 else [f"Iz{j}" for j in range(1, targets + 1)])]
+
+
+def _system(h0: Operator, level: int, central: tuple, initial: str,
             **kwargs) -> SpinSystem:
     """The ready-to-evolve system around ``h0``: the 2 Sx drive on the
-    central spin, ``central_obs`` and one ``Iz`` per target (``Iz1``,
-    ``Iz2``, ... when there are several), and the ``initial`` state with
+    central spin, the observables of ``observable_labels``, the central one
+    ``central`` (its operator, lo and hi), and the ``initial`` state with
     the central spin in ``level``."""
     dims = h0.dims
     drive = Operator((2.0 * embed(spin_ops(dims[0]).sx, 0, dims)).mat, dims, herm=True)
-    sz = spin_ops(2).sz
-    targets = [Observable("Iz" if len(dims) == 2 else f"Iz{j}", embed(sz, j, dims),
-                          -0.5, 0.5, site=j) for j in range(1, len(dims))]
+    sz, labels = spin_ops(2).sz, observable_labels(len(dims) - 1)
+    targets = [Observable(labels[j], embed(sz, j, dims), -0.5, 0.5, site=j)
+               for j in range(1, len(dims))]
     if initial not in ("polarized", "mixed-target"):
         raise ValueError(f"unknown initial state {initial!r}")
     polarized = range(1, len(dims)) if initial == "polarized" else ()
     rho0 = _product_dm(dims, [level], polarized, initial)
-    return SpinSystem(h0, drive, rho0, (central_obs, *targets), **kwargs)
+    return SpinSystem(h0, drive, rho0, (Observable(labels[0], *central), *targets), **kwargs)
 
 
 def generic_system(params: GenericSystemParams,
@@ -384,8 +395,7 @@ def generic_system(params: GenericSystemParams,
     ``"mixed-target"`` (central spin up, targets maximally mixed).
     """
     h0 = generic_h0(params)
-    sz = Observable("Sz", embed(spin_ops(2).sz, 0, h0.dims), -0.5, 0.5)
-    return _system(h0, 0, sz, initial, time_unit="arb")
+    return _system(h0, 0, (embed(spin_ops(2).sz, 0, h0.dims), -0.5, 0.5), initial)
 
 
 def nv_system(params: NvParams, initial: str = "polarized") -> SpinSystem:
@@ -406,6 +416,5 @@ def nv_system(params: NvParams, initial: str = "polarized") -> SpinSystem:
     """
     h0 = nv_h0(params)
     # basis order is m_S = +1, 0, -1: the monitored m_S = 0 level is 1
-    fluor = Observable("Sz", _central_projector(h0.dims, 1), 0.0, 1.0)
-    return _system(h0, 1, fluor, initial, time_unit="us",
-                   wrapper_phase=3.0 * math.pi / 2.0)
+    return _system(h0, 1, (_central_projector(h0.dims, 1), 0.0, 1.0), initial, time_unit="us",
+                   wrapper_phase=WRAPPER_PHASES["nv"])

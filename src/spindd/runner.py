@@ -4,8 +4,10 @@ CSV values are written with 12 significant digits and newline-terminated
 rows, so identical configs produce byte-identical files.  The manifest
 records the canonical config hash, the settings actually used
 (``effective``), the package version, wall-clock time, a checksum for
-every emitted file and the computed metric summary.  Every verb resolves
-a config's ``outputs`` in one function, ``_outputs``, before any sweep.
+every emitted file and the computed metric summary.  A loaded config has
+passed every config rule, its ``outputs`` section's included, and holds
+each default's value, so a verb raises ``ConfigError`` only for an
+``errmap`` config with no grid.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import __version__
 from .algebra import DensityMatrix, Operator, basis_dm, partial_trace
 from .analysis import (GateMetrics, concurrence, find_resonance, pseudo_fidelities,
                        pseudo_fidelity, state_fidelity, tpi_scaling)
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, coupling_label
 from .evolution import sweep_n, sweep_n_cells, sweep_tau
 from .hamiltonians import polarization_target
 # unused here; benchmarks/spans.py patches these names on this module
@@ -49,26 +51,10 @@ def _write_csv(path: Path, header, rows):
         writer.writerows(rows)
 
 
-def _outputs(cfg: ExperimentConfig, system) -> tuple:
-    """The CSV's observable labels and the fit observable; raises every
-    ``outputs`` config error before any sweep runs."""
-    outputs = cfg.data["outputs"]
-    available = [obs.label for obs in system.observables]
-    labels = available if outputs["observables"] is None else list(outputs["observables"])
-    missing = [label for label in labels if label not in available]
-    if missing:
-        raise ConfigError([f"outputs.observables: unknown {missing}; have {available}"])
-    label = outputs["fit_observable"]
-    obs = system.observables[-1] if label is None else next(
-        (o for o in system.observables if o.label == label), None)
-    if obs is None:
-        raise ConfigError([f"outputs.fit_observable: unknown {label!r}"])
-    for name in outputs["metrics"]:
-        if name in ("inversion-fidelity", "polarization") and obs.site is None:
-            raise ConfigError([f"outputs.fit_observable: {obs.label!r} is not a target observable"])
-        if name == "concurrence" and system.dims != (2, 2):
-            raise ConfigError(["outputs.metrics: concurrence needs a two-qubit register"])
-    return labels, obs
+def _fit_observable(cfg: ExperimentConfig, system):
+    """The observable of ``system`` that ``outputs.fit_observable`` names."""
+    return next(obs for obs in system.observables
+                if obs.label == cfg.data["outputs"]["fit_observable"])
 
 
 def _run_sweep(cfg, system, pulse, sim_cfg):
@@ -77,14 +63,14 @@ def _run_sweep(cfg, system, pulse, sim_cfg):
     kwargs = {key: seq[key] for key in keys}
     values = cfg.sweep_values()
     if cfg.sweep_axis == "n":
-        return sweep_n(system, seq["family"], values, float(seq["tau"]), pulse, sim_cfg, **kwargs)
-    return sweep_tau(system, seq["family"], int(seq["n"]), values, pulse, sim_cfg, **kwargs)
+        return sweep_n(system, seq["family"], values, seq["tau"], pulse, sim_cfg, **kwargs)
+    return sweep_tau(system, seq["family"], seq["n"], values, pulse, sim_cfg, **kwargs)
 
 
 def _compute_metrics(cfg, system, sweep, obs):
     metrics = GateMetrics()
     extras = {}
-    tau = cfg.data["sequence"].get("tau")
+    seq = cfg.data["sequence"]
 
     def state(k: int) -> DensityMatrix:
         return DensityMatrix(Operator(sweep.states[k], system.dims))
@@ -102,7 +88,7 @@ def _compute_metrics(cfg, system, sweep, obs):
         if name == "pseudo-fidelity":
             metrics.f_tilde = f_tilde
             metrics.n_pi = n_pi
-            metrics.t_pi = n_pi * float(tau)
+            metrics.t_pi = n_pi * seq["tau"]
         elif name == "resonance":
             extras["resonance_tau"] = find_resonance(sweep, obs.label)
         elif name == "inversion-fidelity":
@@ -122,7 +108,7 @@ def _compute_metrics(cfg, system, sweep, obs):
             extras["iz_max"] = float(trace[idx])
             extras["iz_max_n"] = n_star
             extras["efficiency"] = float(trace[idx] / obs.hi)
-            extras["t_pol"] = n_star * float(tau)
+            extras["t_pol"] = n_star * seq["tau"]
             target = polarization_target(system, obs.site)
             metrics.state_fidelity = state_fidelity(state(idx), target)
     return metrics, extras
@@ -167,27 +153,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None = N
     sim_cfg = cfg.sim_config(dt_override)
     pulse = cfg.build_pulse()
     scan = cfg.data.get("coupling_scan")
+    labels = cfg.data["outputs"]["observables"]
 
-    runs, gate_times = [], {}
-    for azx in [None] if scan is None else [float(a) for a in scan]:
+    sweeps, gate_times = [], {}
+    for azx in [None] if scan is None else scan:
         system = cfg.build_system(azx_override=azx)
-        labels, obs = _outputs(cfg, system)
-        sweep = _run_sweep(cfg, system, pulse, sim_cfg)
+        obs = _fit_observable(cfg, system)
+        sweeps.append(_run_sweep(cfg, system, pulse, sim_cfg))
         if azx is not None:  # every fit passes before any CSV is written
-            _, n_pi = pseudo_fidelity(sweep, obs.label, (obs.lo, obs.hi))
-            gate_times[f"{azx:g}"] = n_pi * float(cfg.data["sequence"]["tau"])
-        runs.append((azx, labels, sweep))
+            _, n_pi = pseudo_fidelity(sweeps[-1], obs.label, (obs.lo, obs.hi))
+            gate_times[coupling_label(azx)] = n_pi * cfg.data["sequence"]["tau"]
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)  # only once every sweep and fit passed
-    files = []
-    for azx, labels, sweep in runs:
-        files.append(out / (f"{cfg.name}.csv" if azx is None else f"{cfg.name}-azx{azx:g}.csv"))
-        _write_csv(files[-1], [sweep.axis] + labels, _sweep_rows(sweep, labels))
+    files = ([out / f"{cfg.name}.csv"] if scan is None
+             else [out / f"{cfg.name}-azx{label}.csv" for label in gate_times])
+    for path, sweep in zip(files, sweeps):
+        _write_csv(path, [sweep.axis] + labels, _sweep_rows(sweep, labels))
     if scan is None:
         metrics, extras = _compute_metrics(cfg, system, sweep, obs)
     else:
-        c_fit, residuals = tpi_scaling([(azx, gate_times[f"{azx:g}"]) for azx, _, _ in runs])
+        c_fit, residuals = tpi_scaling(list(zip(scan, gate_times.values())))
         metrics = GateMetrics()
         extras = {
             "c_fit": c_fit,
@@ -211,10 +197,9 @@ def errmap_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None 
     sim_cfg = cfg.sim_config(dt_override)
     system = cfg.build_system()
     pulse = cfg.build_pulse()
-    _, obs = _outputs(cfg, system)
+    obs = _fit_observable(cfg, system)
     seq = cfg.data["sequence"]
-    length_factors = [float(x) for x in grid["length_factors"]]
-    freq_factors = [float(x) for x in grid["freq_factors"]]
+    length_factors, freq_factors = grid["length_factors"], grid["freq_factors"]
 
     # one walk per row: its cells share every delay, and so one cache.  A
     # cell keeps its walk's error or a copy of its fit trace, not its states,
@@ -222,7 +207,7 @@ def errmap_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None 
     errors, traces = [], []
     for lf in length_factors:
         row = [(lf * seq["length_factor"], ff * seq["freq_factor"]) for ff in freq_factors]
-        for sweep in sweep_n_cells(system, seq["family"], cfg.sweep_values(), float(seq["tau"]),
+        for sweep in sweep_n_cells(system, seq["family"], cfg.sweep_values(), seq["tau"],
                                    pulse, sim_cfg, row, seq["wrapper_phase"],
                                    seq["closing_rule"]):
             walked = not isinstance(sweep, ValueError)

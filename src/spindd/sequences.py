@@ -117,10 +117,11 @@ class SimConfig:
     exact).  It must resolve both the pulse envelope (at most one
     twentieth of the pi duration) and the carrier; presets pick
     ``dt ~ 1 / (20 omegap)`` which satisfies both for resonant pulses.
+    The carrier runs on one lab clock across the whole sequence, so a
+    pulse's carrier phase follows from its start time.
     """
 
     dt: float
-    carrier_reset: bool = False
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:

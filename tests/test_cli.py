@@ -2,6 +2,7 @@ import copy
 import json
 import hashlib
 import math
+import random
 import subprocess
 import sys
 import warnings
@@ -15,6 +16,7 @@ from spindd.cli import main
 from spindd.config import ConfigError, ExperimentConfig
 from spindd.evolution import sweep_n
 from spindd.presets import PRESETS, get_preset
+from spindd import runner
 from spindd.runner import errmap_experiment, run_experiment
 
 
@@ -204,19 +206,28 @@ def test_a_metric_the_run_cannot_compute_is_exit_2_before_the_sweep(preset, chan
     raw["outputs"].update(change)
     path = write_config(tmp_path, raw)
     out = tmp_path / "out"
+    # validate and run both exit 2, and print the same problem lines
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == err
+    assert message in err
     assert not list(out.glob("*.csv"))
 
 
-@pytest.mark.parametrize("verb", ["run", "errmap"])
+def verb_args(verb, path, out):
+    return [verb, "--config", str(path)] + ([] if verb == "validate" else ["--out", str(out)])
+
+
+@pytest.mark.parametrize("verb", ["run", "errmap", "validate"])
 def test_an_unknown_observable_is_exit_2_before_the_sweep(verb, tmp_path, capsys):
     raw = copy.deepcopy(SMALL)
     raw["outputs"]["observables"] = ["Jz"]
     raw["errmap"] = {"length_factors": [1.0], "freq_factors": [1.0]}
     out = tmp_path / "out"
-    assert main([verb, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
-    assert "outputs.observables: unknown ['Jz']" in capsys.readouterr().err
+    assert main(verb_args(verb, write_config(tmp_path, raw), out)) == 2
+    assert "  - outputs.observables: unknown ['Jz']; have ['Sz', 'Iz']" in (
+        capsys.readouterr().err.splitlines())
     assert not list(out.glob("*.csv"))
     assert not out.exists()
 
@@ -523,3 +534,142 @@ def test_run_preset_by_name(tmp_path):
     manifest = json.loads((out / "ddgate-manifest.json").read_text())
     assert manifest["metrics"]["f_tilde"] == pytest.approx(0.9886, abs=2e-3)
     assert manifest["metrics"]["n_pi"] == pytest.approx(19.93, abs=0.15)
+
+
+# ---------------------------------------------------------------- one home for config rules
+
+class Swept(Exception):
+    """Raised in place of a sweep: the run passed every check before it."""
+
+
+def refuse_to_sweep(monkeypatch):
+    def swept(*args, **kwargs):
+        raise Swept
+
+    for name in ("_run_sweep", "sweep_n_cells"):
+        monkeypatch.setattr(runner, name, swept)
+
+
+def outputs_faults(raw, system) -> set:
+    """The outputs faults of ``raw`` as the built ``system`` decides them:
+    its observables, their sites and its register's dims."""
+    outputs, faults = raw["outputs"], set()
+    labels = [obs.label for obs in system.observables]
+    metrics = outputs.get("metrics", [])
+    if "resonance" in metrics:  # every base config is an N sweep
+        faults.add("outputs.metrics: resonance needs a tau_range sweep")
+    missing = [label for label in outputs.get("observables") or [] if label not in labels]
+    if missing:
+        faults.add(f"outputs.observables: unknown {missing}; have {labels}")
+    fit = outputs.get("fit_observable") or labels[-1]
+    obs = next((o for o in system.observables if o.label == fit), None)
+    if obs is None:
+        faults.add(f"outputs.fit_observable: unknown {fit!r}")
+    elif obs.site is None and {"inversion-fidelity", "polarization"} & set(metrics):
+        faults.add(f"outputs.fit_observable: {fit!r} is not a target observable")
+    if "concurrence" in metrics and system.dims != (2, 2):
+        faults.add("outputs.metrics: concurrence needs a two-qubit register")
+    return faults
+
+
+def mutate_outputs(outputs, rng):
+    """Replace or drop one to three entries of an ``outputs`` section."""
+    labels = ["Sz", "Iz", "Iz1", "Iz2", "Jz"]
+    metrics = ["resonance", "pseudo-fidelity", "inversion-fidelity", "concurrence",
+               "polarization"]
+    choices = {
+        "observables": lambda: rng.choice([None, rng.sample(labels, rng.randint(1, 3))]),
+        "fit_observable": lambda: rng.choice([None, *labels]),
+        "metrics": lambda: [rng.choice(metrics) for _ in range(rng.randint(0, 3))],
+    }
+    for key in rng.sample(list(choices), rng.randint(1, 3)):
+        if rng.random() < 0.2:
+            outputs.pop(key, None)
+        else:
+            outputs[key] = choices[key]()
+
+
+def test_validate_exits_2_exactly_where_run_does_listing_every_outputs_fault(
+        tmp_path, capsys, monkeypatch):
+    refuse_to_sweep(monkeypatch)
+    rng = random.Random(28)
+    bases = {name: get_preset(name) for name in ("ddgate", "three-qubit-q1", "nv-polarize")}
+    systems = {name: ExperimentConfig.from_dict(raw).build_system() for name, raw in bases.items()}
+    several = refused = 0
+    for k in range(120):
+        name = rng.choice(sorted(bases))
+        raw = copy.deepcopy(bases[name])
+        mutate_outputs(raw["outputs"], rng)
+        path = write_config(tmp_path, raw, f"cfg{k}.yaml")
+        faults = outputs_faults(raw, systems[name])
+        code = main(["validate", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == (2 if faults else 0), raw
+        assert {line[4:] for line in err.splitlines()[1:]} == faults, raw
+        try:
+            ran = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        except Swept:
+            ran = "swept"
+        assert ran == (2 if faults else "swept"), raw
+        assert capsys.readouterr().err == err
+        several += len(faults) > 1
+        refused += bool(faults)
+    assert not (tmp_path / "out").exists()
+    assert several >= 15 and 40 <= refused <= 100
+
+
+@pytest.mark.parametrize("name", ["../escape", "a/b", "a\\b", "", ".", ".."])
+def test_a_name_that_is_not_a_file_name_is_exit_2_from_both_verbs(name, tmp_path, capsys):
+    raw = copy.deepcopy(SMALL)
+    raw["name"] = name
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "runs" / "out"
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"  - name: {name!r} cannot name a file under --out" in err.splitlines()
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("verb, config", [("run", "ddgate"), ("errmap", "pulse-error-map")])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_an_out_that_cannot_be_a_directory_is_exit_2_before_the_sweep(
+        verb, config, under, tmp_path, capsys, monkeypatch):
+    refuse_to_sweep(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "out" if under else taken
+    assert main([verb, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid config:", f"  - --out: {str(taken)!r} is not a directory"]
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("scan", [[0.2, 0.2000001, 0.35], [0.2, 0.35, 0.2]],
+                         ids=["same-label", "repeated"])
+def test_coupling_scan_labels_that_collide_are_exit_2_from_both_verbs(scan, tmp_path, capsys):
+    # each coupling's CSV and gate time are named by f"{azx:g}"; 0.2000001 prints as 0.2
+    raw = get_preset("coupling-scaling")
+    raw["coupling_scan"] = scan
+    path = write_config(tmp_path, raw)
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert ("  - coupling_scan: couplings share the labels ['0.2'] that name their CSVs and "
+            "gate times") in err.splitlines()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_that_sets_the_retired_carrier_reset_is_exit_2_from_both_verbs(tmp_path, capsys):
+    raw = copy.deepcopy(SMALL)
+    raw["sim"]["carrier_reset"] = False
+    path = write_config(tmp_path, raw)
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "invalid config:",
+        "  - sim: Additional properties are not allowed ('carrier_reset' was unexpected)"]
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == err

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 
 import numpy as np
@@ -54,12 +55,16 @@ def test_defaults_fill_in():
     assert seq["carrier"] == 50.0
     assert seq["omega1"] == pytest.approx(5.0)
     assert seq["length_factor"] == 1.0 and seq["freq_factor"] == 1.0
-    assert seq["wrapper_phase"] is None and seq["closing_rule"] is None
+    # the generic model's y-axis wrapper phase and the CPMG family's closing rule
+    assert seq["wrapper_phase"] == math.pi / 2 and seq["closing_rule"] == "plain"
     assert cfg.data["name"] == "run"
     assert cfg.data["initial_state"] == "polarized"
-    assert cfg.data["sim"]["carrier_reset"] is False
-    assert cfg.data["outputs"] == {"observables": None, "metrics": [],
-                                   "fit_observable": None}
+    assert cfg.data["sim"] == {"dt": 0.001}
+    assert cfg.data["outputs"] == {"observables": ["Sz", "Iz"], "metrics": [],
+                                   "fit_observable": "Iz"}
+    nv = ExperimentConfig.from_dict(nv_minimal()).data
+    assert nv["sequence"]["wrapper_phase"] == 3 * math.pi / 2
+    assert nv["sequence"]["closing_rule"] == "xy8-parity"
 
 
 def test_hash_ignores_default_spelling():
@@ -83,6 +88,62 @@ def test_hash_ignores_default_spelling():
     respelled["sequence"].update(n=8.0, tau_range=[1, 2, 11])
     assert (ExperimentConfig.from_dict(respelled).config_hash()
             == ExperimentConfig.from_dict(tau_sweep).config_hash())
+
+
+def hash_of(raw):
+    return ExperimentConfig.from_dict(raw).config_hash()
+
+
+def with_changes(raw, **sections):
+    """``raw`` with each section's entries updated (a new section where there is none)."""
+    raw = copy.deepcopy(raw)
+    for section, entries in sections.items():
+        raw.setdefault(section, {}).update(entries)
+    return raw
+
+
+@pytest.mark.parametrize("base, sequence, outputs", [
+    (minimal, {"wrapper_phase": math.pi / 2}, {}),
+    (minimal, {"wrapper_phase": None, "closing_rule": None}, {}),
+    (minimal, {"closing_rule": "plain"}, {}),
+    (minimal, {}, {"observables": ["Sz", "Iz"], "fit_observable": "Iz"}),
+    (minimal, {}, {"observables": None, "fit_observable": None, "metrics": []}),
+    (nv_minimal, {"wrapper_phase": 3 * math.pi / 2, "closing_rule": "xy8-parity"}, {}),
+    (nv_minimal, {}, {"observables": ["Sz", "Iz"], "fit_observable": "Iz"}),
+], ids=["generic-wrapper", "nulls", "cpmg-rule", "generic-outputs", "null-outputs",
+        "nv-sequence", "nv-outputs"])
+def test_an_explicit_default_hashes_as_the_omitted_field(base, sequence, outputs):
+    assert hash_of(with_changes(base(), sequence=sequence, outputs=outputs)) == hash_of(base())
+
+
+def test_the_hash_ignores_the_description_and_the_metric_order():
+    raw = minimal(description="one")
+    assert hash_of(raw) == hash_of(minimal(description="two")) == hash_of(minimal())
+    listed = with_changes(raw, outputs={"metrics": ["inversion-fidelity", "pseudo-fidelity"]})
+    reordered = with_changes(raw, outputs={"metrics": ["pseudo-fidelity", "inversion-fidelity",
+                                                       "pseudo-fidelity"]})
+    assert hash_of(listed) == hash_of(reordered)
+    assert ExperimentConfig.from_dict(reordered).data["outputs"]["metrics"] == [
+        "pseudo-fidelity", "inversion-fidelity"]
+    # what each field names still moves the hash
+    assert hash_of(listed) != hash_of(with_changes(raw, outputs={"metrics": ["pseudo-fidelity"]}))
+    assert hash_of(raw) != hash_of(with_changes(raw, sequence={"tau": 0.51}))
+    assert hash_of(raw) != hash_of(with_changes(raw, sequence={"wrapper_phase": 0.0}))
+    assert hash_of(raw) != hash_of(with_changes(raw, outputs={"fit_observable": "Sz"}))
+
+
+def test_loaded_data_hold_no_null_default():
+    for name in PRESETS:
+        cfg = ExperimentConfig.from_dict(with_changes(
+            get_preset(name), sequence={"wrapper_phase": None, "closing_rule": None},
+            outputs={"observables": None, "fit_observable": None}))
+        seq, outputs = cfg.data["sequence"], cfg.data["outputs"]
+        assert None not in (seq["wrapper_phase"], seq["closing_rule"], outputs["observables"],
+                            outputs["fit_observable"]), name
+        assert outputs["fit_observable"] == outputs["observables"][-1]
+        preset = ExperimentConfig.from_dict(get_preset(name)).data  # sets only fit_observable
+        assert seq == preset["sequence"]
+        assert outputs["observables"] == preset["outputs"]["observables"]
 
 
 def test_hash_changes_with_meaning():
@@ -123,11 +184,21 @@ def test_conflicting_fixed_value_rejected():
 def test_tau_range_validation():
     raw = nv_minimal()
     raw["sequence"]["tau_range"] = [0.4, 0.3, 11]
-    with pytest.raises(ConfigError, match="tau_range"):
+    with pytest.raises(ConfigError, match="tau_range: upper bound not above lower bound"):
         ExperimentConfig.from_dict(raw)
     raw["sequence"]["tau_range"] = [0.3, 0.4, 11.5]
-    with pytest.raises(ConfigError, match="integer points"):
+    with pytest.raises(ConfigError, match=r"tau_range.2: 11.5 is not of type 'integer'"):
         ExperimentConfig.from_dict(raw)
+    raw["sequence"]["tau_range"] = [0.0, 0.4, 1]
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert err.value.problems == [
+        "sequence.tau_range.0: 0.0 is less than or equal to the minimum of 0",
+        "sequence.tau_range.2: 1 is less than the minimum of 2"]
+    # an integral float counts as integer points, as n: 8.0 does
+    raw["sequence"]["tau_range"] = [0.3, 0.4, 11.0]
+    tau_range = ExperimentConfig.from_dict(raw).data["sequence"]["tau_range"]
+    assert tau_range == [0.3, 0.4, 11] and type(tau_range[2]) is int
 
 
 def test_nv_requires_explicit_drive():
@@ -269,17 +340,17 @@ def test_presets_all_validate():
 # canonical hashes of the presets; a normalization change that moves one
 # must edit this table on purpose
 PRESET_HASHES = {
-    "coupling-scaling": "405fb03d7e1706c644cc79e80385527c3fbbf5296cc3c4483dc4ec79f671627b",
-    "cpmg-spectrum": "a2b58c047de41b042eb3c49a8a34e99a6ab9a2253ac58b5938cf7c6263a2c307",
-    "ddgate": "88ad4a5bb1764b8b0044188fedc1e67a244911adbe82c0f3f496ce95ba9d1591",
-    "ddgate-tomo": "3bd28486fe1a5bf6dd3c91b0c020003cc739f7c5640f6a3509bd123ba34a9f37",
-    "gate-resonance": "c7ea1b103cf3c1f950c6932723292ff55bf85f2f6f4a11b0ab5e9021dc489c30",
-    "nv-ddgate": "2f3b198347608040130a16c2d813d322fcbe4e4bc13607f810004e9cd6de75e9",
-    "nv-polarize": "14ca4b59659ac54e506494145c21508587089da03f8245d19e813f003c93ad92",
-    "nv-xyn-spectrum": "46a48726c3a6026f6bb1ef93912669ccae9834542e0fd11e7de18b16f664cefb",
-    "pulse-error-map": "6a7fae657242bd6e25cf13be152fff9a27061faca61ffcb99d5e9b3939ac1fb5",
-    "three-qubit-q1": "2620d010090365a5fef40c1767c026afd08ff0d5dd568c7ee9a5a0f30ae4033e",
-    "three-qubit-q2": "2078a499d7890dce0610ef8c21c5e299ae6f1667083419ac6711cf81bf5b6b53",
+    "coupling-scaling": "ef517d43e028686fc3bd1ea19efd7529f49126016d00fcdcbe05c646094d7b13",
+    "cpmg-spectrum": "718f00a17a8f9e729e102887a73fe7ebf325138387b80fdf1a1ed8f46e48d969",
+    "ddgate": "8d31aa8702995e7bb6c4ce881aaf114b51ad165ee05f66b8bedc8f077363d491",
+    "ddgate-tomo": "8ec03e0eac00637d2bf2db7380079c72cf925960092acf7ec9225606c4058a11",
+    "gate-resonance": "84f5090bb888ae6ad05fed62727629540fd05fb41edbdcfae175055ccad9e064",
+    "nv-ddgate": "2ab8a187902f40a1a1d4dc925aadcc1e6a6faec84c459899f12f245bd6ca3ab6",
+    "nv-polarize": "ed96bead79dae7c38a889603d9666869291e253f2f2f6c7eff97708bf7dabf16",
+    "nv-xyn-spectrum": "dda0ae758c23465373b50139ae96a4f9c1451b42fd3f5902bb7fa8f3d29928bd",
+    "pulse-error-map": "8a807fb6169310e0fb2a960f7beb5b1d751104cd0b3b73c45679ad87c4c3de4e",
+    "three-qubit-q1": "12b509b8afef4d15382ddd45540712dd1cec8ad80128de9edc68eaf5390fd46a",
+    "three-qubit-q2": "abb3ab50fddef9e03501b9f3fdf3d9d6079c2fbb85cb2230c422ae834cdf3b6d",
 }
 
 

@@ -172,12 +172,11 @@ def test_sweep_n_equals_per_n_sequences(family, tau, factors):
     assert np.max(np.abs(sweep.states - states)) <= 1e-13
 
 
-@pytest.mark.parametrize("carrier_reset", [False, True])
-def test_sweep_n_equals_per_n_sequences_on_the_nv_center(carrier_reset):
+def test_sweep_n_equals_per_n_sequences_on_the_nv_center():
     system = nv_system(NvParams(b0=32.0, theta0=math.radians(2.9)))
     t_pi = 0.01285
     pulse = DrivePulse(27.5683, 1975.6682, 0.0, t_pi)
-    cfg = SimConfig(dt=t_pi / 512.0, carrier_reset=carrier_reset)
+    cfg = SimConfig(dt=t_pi / 512.0)
     n_values = [4, 1, 6, 4]
     cache = PropagatorCache(system)
     sweep = sweep_n(system, "xyn", n_values, 0.364, pulse, cfg, cache=cache)
@@ -341,9 +340,8 @@ def test_sweep_tau_equals_per_tau_sequences(family, n, factors):
     assert_sweep_tau_matches_per_tau(GENERIC, family, n, taus, PI_PULSE, CFG, factors)
 
 
-@pytest.mark.parametrize("carrier_reset", [False, True])
-def test_sweep_tau_equals_per_tau_sequences_on_the_nv_center(carrier_reset):
-    cfg = SimConfig(dt=NV_PI.duration / 512.0, carrier_reset=carrier_reset)
+def test_sweep_tau_equals_per_tau_sequences_on_the_nv_center():
+    cfg = SimConfig(dt=NV_PI.duration / 512.0)
     assert_sweep_tau_matches_per_tau(NV, "xyn", 8, [0.364, 0.2, 0.41, 0.3655], NV_PI, cfg)
 
 
@@ -983,13 +981,10 @@ def element_keys(cache, seq, cfg):
     return keys
 
 
-@pytest.mark.parametrize("carrier_reset", [False, True], ids=["clock", "reset"])
 @pytest.mark.parametrize("system, pulse, tau", [
     (GENERIC, PI_PULSE, 0.5), (NV, NV_PI, 0.364)], ids=["generic", "nv"])
-def test_a_walk_keys_each_lookup_as_the_element_loop_does(monkeypatch, system, pulse, tau,
-                                                          carrier_reset):
-    cfg = SimConfig(dt=pulse.duration / (100 if system is GENERIC else 512),
-                    carrier_reset=carrier_reset)
+def test_a_walk_keys_each_lookup_as_the_element_loop_does(monkeypatch, system, pulse, tau):
+    cfg = SimConfig(dt=pulse.duration / (100 if system is GENERIC else 512))
     walks, cache = walked_keys(monkeypatch), PropagatorCache(system)
     # an N walk of error cells; the last cell's pulses overlap, and it is not keyed
     cells = [(1.1, 0.99), (1.0, 1.0), (0.8, 1.02), (tau / pulse.duration, 1.0)]

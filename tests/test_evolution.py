@@ -105,24 +105,6 @@ def test_free_evolution_is_exact():
     assert np.max(np.abs(cache.free(0.37) - ref.mat)) < 1e-12
 
 
-def test_carrier_reset_matches_global_clock_on_commensurate_grid():
-    # every pulse start lands on an integer number of carrier periods
-    # with these timings, so resetting the clock changes nothing
-    sys = generic_system(GENERIC)
-    seq = compile_cpmg(4, 0.48, DrivePulse(6.25, 50.0, 0.0, 0.08))
-    keep = apply_sequence(sys, seq, SimConfig(dt=0.001))
-    reset = apply_sequence(sys, seq, SimConfig(dt=0.001, carrier_reset=True))
-    assert np.max(np.abs(keep.rho_final.mat - reset.rho_final.mat)) < 1e-9
-
-
-def test_carrier_reset_differs_off_the_commensurate_grid():
-    sys = generic_system(GENERIC)
-    seq = compile_cpmg(4, 0.5, PI_PULSE)
-    keep = apply_sequence(sys, seq, SimConfig(dt=0.001))
-    reset = apply_sequence(sys, seq, SimConfig(dt=0.001, carrier_reset=True))
-    assert np.max(np.abs(keep.rho_final.mat - reset.rho_final.mat)) > 1e-3
-
-
 def test_wrapper_pair_with_zero_net_rotation_restores_the_pole():
     # a half-pi opener and a counter-rotating closer, timed so both
     # start at integer carrier periods, bring |0> back to the pole
