@@ -20,6 +20,10 @@ from .algebra import DensityMatrix, Operator
 # an evolved state stays orders of magnitude below it
 _RANK_RTOL = 1e-12
 
+# the fewest sweep points an oscillation fit and a resonance search take
+FIT_MIN_POINTS = 6
+RESONANCE_MIN_POINTS = 3
+
 _PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -277,8 +281,9 @@ def pseudo_fidelities(n, ys, value_range) -> list:
         y = np.asarray(y, dtype=float)
         if rng <= 0:
             results.append(ValueError(f"invalid observable range {value_range}"))
-        elif n.size < 6:
-            results.append(ValueError("need at least 6 points to fit an oscillation"))
+        elif n.size < FIT_MIN_POINTS:
+            results.append(ValueError(
+                f"need at least {FIT_MIN_POINTS} points to fit an oscillation"))
         elif not np.isfinite(y).all():
             results.append(ValueError("trace has non-finite values"))
         else:
@@ -334,8 +339,8 @@ def find_resonance(sweep: SweepResult, label: str) -> float:
     """
     x = np.asarray(sweep.values, dtype=float)
     y = np.asarray(sweep.trace(label), dtype=float)
-    if x.size < 3:
-        raise ValueError("need at least 3 sweep points")
+    if x.size < RESONANCE_MIN_POINTS:
+        raise ValueError(f"need at least {RESONANCE_MIN_POINTS} sweep points")
     dev = np.abs(y - np.median(y))
     idx = int(np.argmax(dev))
     if idx == 0 or idx == x.size - 1:

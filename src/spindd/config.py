@@ -7,12 +7,13 @@ and default.  Loading checks a JSON schema (a small walker over the
 keywords ``SCHEMA`` uses, with JSON Schema's semantics except that nan
 and infinities are not numbers), then the rules across fields, the
 ``outputs`` section's included, and reports every fault it finds.  The
-walker also spells each number as its schema type, and loading resolves
+same walk spells each number as its schema type, and loading resolves
 every default to its value: the model's wrapper phase, the family's
-closing rule, the register's observables and the fit observable.  Two
-configs with the same meaning so normalize to the same dictionary; the
-canonical SHA-256 hash is taken over that form without ``description``,
-which no output reads.
+closing rule, the register's observables and the fit observable.  Each
+field has one type, so leaving a field out is the one way to ask for its
+default.  Two configs with the same meaning so normalize to the same
+dictionary; the canonical SHA-256 hash is taken over that form without
+``description``, which no output reads.
 
 Exactly one of ``sequence.n_range`` (pulse-number sweep at fixed
 ``tau``) and ``sequence.tau_range`` (spacing sweep at fixed ``n``) must
@@ -34,12 +35,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .hamiltonians import (WRAPPER_PHASES, GenericSystemParams, NvParams, TargetParams,
-                           generic_system, nv_system, observable_labels)
-from .sequences import DrivePulse, SimConfig, family_rule
+from .analysis import FIT_MIN_POINTS, RESONANCE_MIN_POINTS
+from .hamiltonians import (GenericSystemParams, NvParams, TargetParams, generic_system, nv_system,
+                           observable_labels)
+from .sequences import WRAPPER_PHASES, DrivePulse, SimConfig, family_rule
 
 # metrics read off an N sweep: its oscillation fit or its state at some N
 _N_METRICS = ["pseudo-fidelity", "inversion-fidelity", "concurrence", "polarization"]
+FIT_METRICS = {"pseudo-fidelity", "inversion-fidelity", "concurrence"}  # the ones that fit
 _METRICS = ["resonance", *_N_METRICS]  # the order a loaded config lists its metrics in
 
 _NUMBER = {"type": "number"}
@@ -117,10 +120,8 @@ SCHEMA = {
                 "t_pi": _POSITIVE,
                 "omega1": _POSITIVE,
                 "carrier": _POSITIVE,
-                "length_factor": _POSITIVE,
-                "freq_factor": _POSITIVE,
-                "wrapper_phase": {"type": ["number", "null"]},
-                "closing_rule": {"enum": ["plain", "xy8-parity", None]},
+                "wrapper_phase": _NUMBER,
+                "closing_rule": {"enum": ["plain", "xy8-parity"]},
             },
         },
         "sim": {
@@ -135,10 +136,9 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "observables": {"type": ["array", "null"],
-                                "items": {"type": "string"}, "minItems": 1},
+                "observables": {"type": "array", "items": {"type": "string"}, "minItems": 1},
                 "metrics": {"type": "array", "items": {"enum": _METRICS}},
-                "fit_observable": {"type": ["string", "null"]},
+                "fit_observable": {"type": "string"},
             },
         },
         "errmap": {
@@ -178,8 +178,6 @@ _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
     "number": _is_number,
     # an integral float is an integer
     "integer": lambda v: _is_number(v) and (isinstance(v, int) or float(v).is_integer()),
@@ -200,15 +198,13 @@ def _walk(value, schema: dict, path: tuple, out: list):
 
     for key, rule in schema.items():
         if key == "type":
-            names = [rule] if isinstance(rule, str) else rule
-            passed = [name for name in names if _TYPES[name](value)]
-            if not passed:
+            if not _TYPES[rule](value):
                 fail(f"{value!r} is not a finite number"
                      if isinstance(value, float) and not math.isfinite(value)
-                     else f"{value!r} is not of type {', '.join(map(repr, names))}")
-            elif "integer" in passed:
+                     else f"{value!r} is not of type {rule!r}")
+            elif rule == "integer":
                 spelled = int(value)
-            elif "number" in passed:
+            elif rule == "number":
                 spelled = float(value)
         elif key == "enum":
             if value not in rule:
@@ -249,12 +245,13 @@ def _walk(value, schema: dict, path: tuple, out: list):
     return spelled
 
 
-def _schema_problems(raw: dict) -> list:
-    """``path: message`` for each schema violation, sorted by path."""
+def _schema_problems(raw: dict) -> tuple:
+    """``raw`` spelled as ``SCHEMA`` types it, and ``path: message`` for
+    each schema violation, sorted by path: one walk of the schema."""
     found = []
-    _walk(raw, SCHEMA, (), found)
-    found.sort(key=lambda item: item[0])
-    return [f"{'.'.join(map(str, path)) or '<root>'}: {message}" for path, message in found]
+    spelled = _walk(raw, SCHEMA, (), found)
+    return spelled, [f"{'.'.join(map(str, path)) or '<root>'}: {message}"
+                     for path, message in sorted(found, key=lambda item: item[0])]
 
 
 def coupling_label(azx: float) -> str:
@@ -263,7 +260,7 @@ def coupling_label(azx: float) -> str:
 
 
 def _semantic_problems(raw: dict) -> list:
-    """The rules across fields of a config that passed the schema."""
+    """The rules across fields of a config that passed the schema, read off its spelled copy."""
     problems = []
     system, seq = raw["system"], raw["sequence"]
     model = system["model"]
@@ -283,7 +280,7 @@ def _semantic_problems(raw: dict) -> list:
                 problems.append(f"system.targets.{i}: give either azx or coupling, not both")
         if "carrier" not in seq and "omega00" in system:  # the default must pass its rule
             found, rule = [], SCHEMA["properties"]["sequence"]["properties"]["carrier"]
-            _walk(float(system["omega00"]), rule, (), found)
+            _walk(system["omega00"], rule, (), found)
             problems += [f"sequence.carrier: {message} (its default, system.omega00)"
                          for _, message in found]
     elif model == "nv":
@@ -308,15 +305,26 @@ def _semantic_problems(raw: dict) -> list:
         problems.append("sequence.n: conflicts with n_range")
     if has_tau_range and "tau" in seq:
         problems.append("sequence.tau: conflicts with tau_range")
-    if has_n_range and seq["n_range"][1] < seq["n_range"][0]:
-        problems.append("sequence.n_range: upper bound below lower bound")
-    if has_tau_range and seq["tau_range"][1] <= seq["tau_range"][0]:
-        problems.append("sequence.tau_range: upper bound not above lower bound")
+    outputs = raw.get("outputs", {})
+    metrics = outputs.get("metrics", [])
+    fits = {"errmap", "coupling_scan"} & set(raw) or FIT_METRICS & set(metrics)
+    if has_n_range:
+        lo, hi, *step = seq["n_range"]
+        points = len(range(lo, hi + 1, *step))
+        if hi < lo:
+            problems.append("sequence.n_range: upper bound below lower bound")
+        elif fits and points < FIT_MIN_POINTS:
+            problems.append(f"sequence.n_range: {points} points; a fit needs {FIT_MIN_POINTS}")
+    if has_tau_range:
+        lo, hi, points = seq["tau_range"]
+        if hi <= lo:
+            problems.append("sequence.tau_range: upper bound not above lower bound")
+        elif "resonance" in metrics and points < RESONANCE_MIN_POINTS:
+            problems.append(f"sequence.tau_range: {points} points; resonance needs "
+                            f"{RESONANCE_MIN_POINTS}")
 
     if "errmap" in raw and not has_n_range:
         problems.append("errmap: requires an n_range sweep to fit pseudo-fidelities")
-    outputs = raw.get("outputs", {})
-    metrics = outputs.get("metrics", [])
     if "errmap" in raw and any(name != "pseudo-fidelity" for name in metrics):
         problems.append("outputs.metrics: an errmap computes only pseudo-fidelity")
     if has_tau_range and any(name in _N_METRICS for name in metrics):
@@ -344,11 +352,10 @@ def _semantic_problems(raw: dict) -> list:
     targets = 1 if model == "nv" else len(system.get("targets", []))
     if targets:
         labels = observable_labels(targets)
-        missing = [label for label in outputs.get("observables") or [] if label not in labels]
+        missing = [label for label in outputs.get("observables", []) if label not in labels]
         if missing:
             problems.append(f"outputs.observables: unknown {missing}; have {labels}")
-        fit = outputs.get("fit_observable")
-        fit = labels[-1] if fit is None else fit
+        fit = outputs.get("fit_observable", labels[-1])
         if fit not in labels:
             problems.append(f"outputs.fit_observable: unknown {fit!r}")
         elif fit == labels[0] and {"inversion-fidelity", "polarization"} & set(metrics):
@@ -358,9 +365,9 @@ def _semantic_problems(raw: dict) -> list:
     return problems
 
 
-def _normalize(raw: dict) -> dict:
-    """``raw`` spelled as ``SCHEMA`` types it, with every default resolved to its value."""
-    cfg = _walk(raw, SCHEMA, (), [])
+def _normalize(cfg: dict) -> dict:
+    """``cfg``, a spelled copy that passed every rule, with every default
+    resolved to its value in place."""
     cfg.setdefault("name", "run")
     cfg.setdefault("description", "")
     cfg.setdefault("initial_state", "polarized")
@@ -376,20 +383,15 @@ def _normalize(raw: dict) -> dict:
     else:
         for key, value in _NV_DEFAULTS.items():
             system.setdefault(key, value)
-    seq.setdefault("length_factor", 1.0)
-    seq.setdefault("freq_factor", 1.0)
-    if seq.get("wrapper_phase") is None:
-        seq["wrapper_phase"] = WRAPPER_PHASES[model]
+    seq.setdefault("wrapper_phase", WRAPPER_PHASES[model])
     seq["closing_rule"] = family_rule(seq["family"], seq.get("closing_rule"))
     if len(seq.get("n_range", ())) == 2:
         seq["n_range"].append(1)
 
     outputs = cfg.setdefault("outputs", {})
     labels = observable_labels(len(system["targets"]) if model == "generic" else 1)
-    if outputs.get("observables") is None:
-        outputs["observables"] = labels
-    if outputs.get("fit_observable") is None:
-        outputs["fit_observable"] = labels[-1]
+    outputs.setdefault("observables", labels)
+    outputs.setdefault("fit_observable", labels[-1])
     outputs["metrics"] = [name for name in _METRICS if name in outputs.get("metrics", [])]
     return cfg
 
@@ -404,10 +406,11 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(["<root>: expected a mapping"])
-        problems = _schema_problems(raw) or _semantic_problems(raw)
+        cfg, problems = _schema_problems(raw)
+        problems = problems or _semantic_problems(cfg)
         if problems:
             raise ConfigError(problems)
-        return cls(_normalize(raw))
+        return cls(_normalize(cfg))
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":

@@ -34,19 +34,14 @@ from .algebra import (
     partial_trace,
     spin_ops,
 )
-from .sequences import DrivePulse
+from .sequences import WRAPPER_PHASES, DrivePulse
 
 __all__ = [
     "TargetParams", "GenericSystemParams", "NvParams", "Observable",
     "SpinSystem", "DrivePulse", "generic_h0", "drive_h1", "nv_h0",
     "nv_rotated_tensor", "transition_frequency", "calibrate_rabi",
-    "generic_system", "nv_system", "polarization_target", "WRAPPER_PHASES",
-    "observable_labels",
+    "generic_system", "nv_system", "polarization_target", "observable_labels",
 ]
-
-# the carrier phase of a y-axis wrapper pulse in each model's frame; see SpinSystem
-WRAPPER_PHASES = {"generic": math.pi / 2.0, "nv": 3.0 * math.pi / 2.0}
-
 
 @dataclass(frozen=True)
 class TargetParams:
@@ -134,7 +129,6 @@ class SpinSystem:
     drive_op: Operator
     rho0: DensityMatrix
     observables: tuple
-    time_unit: str = "arb"
     wrapper_phase: float = WRAPPER_PHASES["generic"]
 
     @property
@@ -416,5 +410,5 @@ def nv_system(params: NvParams, initial: str = "polarized") -> SpinSystem:
     """
     h0 = nv_h0(params)
     # basis order is m_S = +1, 0, -1: the monitored m_S = 0 level is 1
-    return _system(h0, 1, (_central_projector(h0.dims, 1), 0.0, 1.0), initial, time_unit="us",
+    return _system(h0, 1, (_central_projector(h0.dims, 1), 0.0, 1.0), initial,
                    wrapper_phase=WRAPPER_PHASES["nv"])

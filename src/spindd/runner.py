@@ -27,7 +27,7 @@ from . import __version__
 from .algebra import DensityMatrix, Operator, basis_dm, partial_trace
 from .analysis import (GateMetrics, concurrence, find_resonance, pseudo_fidelities,
                        pseudo_fidelity, state_fidelity, tpi_scaling)
-from .config import ConfigError, ExperimentConfig, coupling_label
+from .config import FIT_METRICS, ConfigError, ExperimentConfig, coupling_label
 from .evolution import sweep_n, sweep_n_cells, sweep_tau
 from .hamiltonians import polarization_target
 # unused here; benchmarks/spans.py patches these names on this module
@@ -59,8 +59,7 @@ def _fit_observable(cfg: ExperimentConfig, system):
 
 def _run_sweep(cfg, system, pulse, sim_cfg):
     seq = cfg.data["sequence"]
-    keys = ("wrapper_phase", "closing_rule", "length_factor", "freq_factor")
-    kwargs = {key: seq[key] for key in keys}
+    kwargs = {key: seq[key] for key in ("wrapper_phase", "closing_rule")}
     values = cfg.sweep_values()
     if cfg.sweep_axis == "n":
         return sweep_n(system, seq["family"], values, seq["tau"], pulse, sim_cfg, **kwargs)
@@ -81,7 +80,7 @@ def _compute_metrics(cfg, system, sweep, obs):
         return int(sweep.values[k]), state(k)
 
     names = cfg.data["outputs"]["metrics"]
-    if {"pseudo-fidelity", "inversion-fidelity", "concurrence"} & set(names):
+    if FIT_METRICS & set(names):
         f_tilde, n_pi = pseudo_fidelity(sweep, obs.label, (obs.lo, obs.hi))
 
     for name in names:
@@ -206,10 +205,9 @@ def errmap_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None 
     # and one call fits the whole map
     errors, traces = [], []
     for lf in length_factors:
-        row = [(lf * seq["length_factor"], ff * seq["freq_factor"]) for ff in freq_factors]
         for sweep in sweep_n_cells(system, seq["family"], cfg.sweep_values(), seq["tau"],
-                                   pulse, sim_cfg, row, seq["wrapper_phase"],
-                                   seq["closing_rule"]):
+                                   pulse, sim_cfg, [(lf, ff) for ff in freq_factors],
+                                   seq["wrapper_phase"], seq["closing_rule"]):
             walked = not isinstance(sweep, ValueError)
             errors.append(None if walked else sweep)
             if walked:

@@ -21,7 +21,7 @@ such a conjugated frame, because x pulses are phase-sign invariant.  The
 two-pulse blocks ``n // 2`` is odd, which keeps the sign of the central
 observable consistent across an N sweep of XY sequences.
 ``family_rule`` holds each family's default: plain for CPMG,
-xy8-parity for XY.
+xy8-parity for XY; ``WRAPPER_PHASES`` holds each model's wrapper phase.
 
 ``compile_sequence`` builds every sequence and is the one place that
 checks error factors; ``inject_errors`` recompiles.  The first ``2 k + 1``
@@ -37,7 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HALF_PI = math.pi / 2.0
+# the carrier phase of a y-axis wrapper pulse in each model's frame: the
+# conjugated NV frame negates it (see hamiltonians.SpinSystem)
+WRAPPER_PHASES = {"generic": math.pi / 2.0, "nv": 3.0 * math.pi / 2.0}
 
 
 @dataclass(frozen=True)
@@ -227,14 +229,14 @@ def compile_sequence(family, n, tau, pi_pulse, wrapper_phase, closing_rule=None,
 
 
 def compile_cpmg(n: int, tau: float, pi_pulse: DrivePulse,
-                 wrapper_phase: float = HALF_PI,
+                 wrapper_phase: float = WRAPPER_PHASES["generic"],
                  closing_rule: str | None = None) -> PulseSequence:
     """CPMG-n: all pi pulses along x, wrappers along ``wrapper_phase``."""
     return compile_sequence("cpmg", n, tau, pi_pulse, wrapper_phase, closing_rule)
 
 
 def compile_xyn(n: int, tau: float, pi_pulse: DrivePulse,
-                wrapper_phase: float = HALF_PI,
+                wrapper_phase: float = WRAPPER_PHASES["generic"],
                 closing_rule: str | None = None) -> PulseSequence:
     """XY-n: pi-pulse axes alternate between x and the wrapper axis.
 

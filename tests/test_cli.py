@@ -558,10 +558,10 @@ def outputs_faults(raw, system) -> set:
     metrics = outputs.get("metrics", [])
     if "resonance" in metrics:  # every base config is an N sweep
         faults.add("outputs.metrics: resonance needs a tau_range sweep")
-    missing = [label for label in outputs.get("observables") or [] if label not in labels]
+    missing = [label for label in outputs.get("observables", []) if label not in labels]
     if missing:
         faults.add(f"outputs.observables: unknown {missing}; have {labels}")
-    fit = outputs.get("fit_observable") or labels[-1]
+    fit = outputs.get("fit_observable", labels[-1])
     obs = next((o for o in system.observables if o.label == fit), None)
     if obs is None:
         faults.add(f"outputs.fit_observable: unknown {fit!r}")
@@ -583,10 +583,11 @@ def mutate_outputs(outputs, rng):
         "metrics": lambda: [rng.choice(metrics) for _ in range(rng.randint(0, 3))],
     }
     for key in rng.sample(list(choices), rng.randint(1, 3)):
-        if rng.random() < 0.2:
+        value = None if rng.random() < 0.2 else choices[key]()
+        if value is None:  # a drawn None asks for the default: the key is left out
             outputs.pop(key, None)
         else:
-            outputs[key] = choices[key]()
+            outputs[key] = value
 
 
 def test_validate_exits_2_exactly_where_run_does_listing_every_outputs_fault(
@@ -673,3 +674,65 @@ def test_a_config_that_sets_the_retired_carrier_reset_is_exit_2_from_both_verbs(
         "  - sim: Additional properties are not allowed ('carrier_reset' was unexpected)"]
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("section, change, line", [
+    ("sequence", {"length_factor": 1.1},
+     "sequence: Additional properties are not allowed ('length_factor' was unexpected)"),
+    ("sequence", {"freq_factor": 0.99},
+     "sequence: Additional properties are not allowed ('freq_factor' was unexpected)"),
+    ("sequence", {"wrapper_phase": None}, "sequence.wrapper_phase: None is not of type 'number'"),
+    ("sequence", {"closing_rule": None},
+     "sequence.closing_rule: None is not one of ['plain', 'xy8-parity']"),
+    ("outputs", {"observables": None}, "outputs.observables: None is not of type 'array'"),
+    ("outputs", {"fit_observable": None}, "outputs.fit_observable: None is not of type 'string'"),
+], ids=["length-factor", "freq-factor", "null-wrapper", "null-closing", "null-observables",
+        "null-fit-observable"])
+def test_a_retired_input_is_exit_2_from_both_verbs(section, change, line, tmp_path, capsys):
+    # the error factors live only in an errmap grid, and a default is asked for by leaving
+    # its field out
+    raw = copy.deepcopy(SMALL)
+    raw[section].update(change)
+    path = write_config(tmp_path, raw)
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid config:", f"  - {line}"]
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb, preset, section, value, line", [
+    ("run", "ddgate", "n_range", [1, 5], "sequence.n_range: 5 points; a fit needs 6"),
+    ("run", "ddgate", "n_range", [1, 40, 10], "sequence.n_range: 4 points; a fit needs 6"),
+    ("run", "coupling-scaling", "n_range", [1, 5],
+     "sequence.n_range: 5 points; a fit needs 6"),
+    ("errmap", "pulse-error-map", "n_range", [1, 5],
+     "sequence.n_range: 5 points; a fit needs 6"),
+    ("run", "gate-resonance", "tau_range", [0.4, 0.6, 2],
+     "sequence.tau_range: 2 points; resonance needs 3"),
+], ids=["ddgate-5", "ddgate-step-10", "coupling-scan-5", "errmap-5", "resonance-2"])
+def test_a_sweep_too_short_for_its_fit_is_exit_2_from_both_verbs(
+        verb, preset, section, value, line, tmp_path, capsys, monkeypatch):
+    refuse_to_sweep(monkeypatch)
+    raw = get_preset(preset)
+    raw["sequence"][section] = value
+    path = write_config(tmp_path, raw)
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid config:", f"  - {line}"]
+    assert main([verb, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("preset, section, value", [
+    ("ddgate", "n_range", [1, 6]), ("ddgate", "n_range", [1, 51, 10]),
+    ("nv-polarize", "n_range", [1, 3]), ("gate-resonance", "tau_range", [0.4, 0.6, 3]),
+], ids=["ddgate-6", "ddgate-step-10", "polarization-3", "resonance-3"])
+def test_a_sweep_long_enough_for_its_metrics_validates(preset, section, value, tmp_path, capsys):
+    # polarization reads its peak off the trace and fits nothing
+    raw = get_preset(preset)
+    raw["sequence"][section] = value
+    assert main(["validate", "--config", str(write_config(tmp_path, raw))]) == 0
+    assert capsys.readouterr().out.startswith(f"OK {preset} ")

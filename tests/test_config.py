@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from spindd import config
 from spindd.config import SCHEMA, ConfigError, ExperimentConfig, _schema_problems
 from spindd.presets import PRESETS, get_preset, list_presets
 from spindd.sequences import DrivePulse
@@ -54,7 +55,8 @@ def test_defaults_fill_in():
     # generic model: carrier tracks the central splitting, omega1 the pi time
     assert seq["carrier"] == 50.0
     assert seq["omega1"] == pytest.approx(5.0)
-    assert seq["length_factor"] == 1.0 and seq["freq_factor"] == 1.0
+    # the error factors live only in an errmap grid
+    assert "length_factor" not in seq and "freq_factor" not in seq
     # the generic model's y-axis wrapper phase and the CPMG family's closing rule
     assert seq["wrapper_phase"] == math.pi / 2 and seq["closing_rule"] == "plain"
     assert cfg.data["name"] == "run"
@@ -104,14 +106,11 @@ def with_changes(raw, **sections):
 
 @pytest.mark.parametrize("base, sequence, outputs", [
     (minimal, {"wrapper_phase": math.pi / 2}, {}),
-    (minimal, {"wrapper_phase": None, "closing_rule": None}, {}),
     (minimal, {"closing_rule": "plain"}, {}),
     (minimal, {}, {"observables": ["Sz", "Iz"], "fit_observable": "Iz"}),
-    (minimal, {}, {"observables": None, "fit_observable": None, "metrics": []}),
     (nv_minimal, {"wrapper_phase": 3 * math.pi / 2, "closing_rule": "xy8-parity"}, {}),
     (nv_minimal, {}, {"observables": ["Sz", "Iz"], "fit_observable": "Iz"}),
-], ids=["generic-wrapper", "nulls", "cpmg-rule", "generic-outputs", "null-outputs",
-        "nv-sequence", "nv-outputs"])
+], ids=["generic-wrapper", "cpmg-rule", "generic-outputs", "nv-sequence", "nv-outputs"])
 def test_an_explicit_default_hashes_as_the_omitted_field(base, sequence, outputs):
     assert hash_of(with_changes(base(), sequence=sequence, outputs=outputs)) == hash_of(base())
 
@@ -134,9 +133,11 @@ def test_the_hash_ignores_the_description_and_the_metric_order():
 
 def test_loaded_data_hold_no_null_default():
     for name in PRESETS:
-        cfg = ExperimentConfig.from_dict(with_changes(
-            get_preset(name), sequence={"wrapper_phase": None, "closing_rule": None},
-            outputs={"observables": None, "fit_observable": None}))
+        raw = get_preset(name)
+        for section, key in [("sequence", "wrapper_phase"), ("sequence", "closing_rule"),
+                             ("outputs", "observables"), ("outputs", "fit_observable")]:
+            raw[section].pop(key, None)
+        cfg = ExperimentConfig.from_dict(raw)
         seq, outputs = cfg.data["sequence"], cfg.data["outputs"]
         assert None not in (seq["wrapper_phase"], seq["closing_rule"], outputs["observables"],
                             outputs["fit_observable"]), name
@@ -144,6 +145,19 @@ def test_loaded_data_hold_no_null_default():
         preset = ExperimentConfig.from_dict(get_preset(name)).data  # sets only fit_observable
         assert seq == preset["sequence"]
         assert outputs["observables"] == preset["outputs"]["observables"]
+
+
+def test_a_load_walks_the_schema_once(monkeypatch):
+    walk, roots = config._walk, []
+
+    def counted(value, schema, path, out):
+        roots.extend([path] if schema is SCHEMA else [])
+        return walk(value, schema, path, out)
+
+    monkeypatch.setattr(config, "_walk", counted)
+    for name in PRESETS:
+        ExperimentConfig.from_dict(get_preset(name))
+    assert roots == [()] * len(PRESETS)
 
 
 def test_hash_changes_with_meaning():
@@ -340,17 +354,17 @@ def test_presets_all_validate():
 # canonical hashes of the presets; a normalization change that moves one
 # must edit this table on purpose
 PRESET_HASHES = {
-    "coupling-scaling": "ef517d43e028686fc3bd1ea19efd7529f49126016d00fcdcbe05c646094d7b13",
-    "cpmg-spectrum": "718f00a17a8f9e729e102887a73fe7ebf325138387b80fdf1a1ed8f46e48d969",
-    "ddgate": "8d31aa8702995e7bb6c4ce881aaf114b51ad165ee05f66b8bedc8f077363d491",
-    "ddgate-tomo": "8ec03e0eac00637d2bf2db7380079c72cf925960092acf7ec9225606c4058a11",
-    "gate-resonance": "84f5090bb888ae6ad05fed62727629540fd05fb41edbdcfae175055ccad9e064",
-    "nv-ddgate": "2ab8a187902f40a1a1d4dc925aadcc1e6a6faec84c459899f12f245bd6ca3ab6",
-    "nv-polarize": "ed96bead79dae7c38a889603d9666869291e253f2f2f6c7eff97708bf7dabf16",
-    "nv-xyn-spectrum": "dda0ae758c23465373b50139ae96a4f9c1451b42fd3f5902bb7fa8f3d29928bd",
-    "pulse-error-map": "8a807fb6169310e0fb2a960f7beb5b1d751104cd0b3b73c45679ad87c4c3de4e",
-    "three-qubit-q1": "12b509b8afef4d15382ddd45540712dd1cec8ad80128de9edc68eaf5390fd46a",
-    "three-qubit-q2": "abb3ab50fddef9e03501b9f3fdf3d9d6079c2fbb85cb2230c422ae834cdf3b6d",
+    "coupling-scaling": "f5e126153b18a3991756d31a1dab0ba1752614fb88ddce6b7f67d4d1f4d24b1e",
+    "cpmg-spectrum": "062c8915142ae9374c2399402929fe54cbee941c88c736af01cbff0641928acf",
+    "ddgate": "d2146d4dd248f672b47d13c661dd6139f7903a586800b4a53ba393d9cc4028f4",
+    "ddgate-tomo": "1a0c797a9698ee59d939deb90b049aa4654e9f8ad79839d990c67d8afa8194b1",
+    "gate-resonance": "7d26a8410202bfa139fed105e74bc595df96615a4b99e097d4dbc7d03697c64f",
+    "nv-ddgate": "185be1298d2c00659562629929551ac69bfc72febac0e7cc078ff8d9da78565a",
+    "nv-polarize": "ff8bf60f7c095e2901ca7123a7384f61a64fb07d9a7154700dc3a660d20cf93b",
+    "nv-xyn-spectrum": "3999a69bacb21bcf346f34666c31637bd2a990a40d3693d359bdcb2b87107e88",
+    "pulse-error-map": "685573da5413098d7698c3336b9b2ee2cdee57183a66a09ed2fed84800d20f1e",
+    "three-qubit-q1": "7aff2a5ed2751ec4f0011ca66ac1d690b7d1cfc9dc6ac98cd3c4dc2dbfcdda58",
+    "three-qubit-q2": "1a5d441ed1ce001db13f731e732aed2e07d496d89b4565b12b0ff1b377776d50",
 }
 
 
@@ -419,7 +433,7 @@ def test_walker_reports_the_paths_jsonschema_reports():
             mutate(raw, rng)
         errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
         expected = [".".join(map(str, e.absolute_path)) or "<root>" for e in errors]
-        got = [problem.split(": ", 1)[0] for problem in _schema_problems(raw)]
+        got = [problem.split(": ", 1)[0] for problem in _schema_problems(raw)[1]]
         assert got == expected, raw
         flagged += bool(expected)
     assert flagged > 200

@@ -43,17 +43,6 @@ CFG = SimConfig(dt=0.001)
 
 # ---------------------------------------------------------------- golden outputs
 
-def golden_config(name):
-    if name != "errmap-cell":
-        return ExperimentConfig.from_dict(get_preset(name))
-    raw = get_preset("pulse-error-map")
-    del raw["errmap"]
-    raw["name"] = "errmap-cell"
-    raw["sequence"].update(length_factor=1.1, freq_factor=0.99)
-    raw["outputs"]["metrics"] = ["pseudo-fidelity"]
-    return ExperimentConfig.from_dict(raw)
-
-
 def read_table(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -72,10 +61,9 @@ def numbers(tree, prefix=""):
     return {}
 
 
-@pytest.mark.parametrize("name", ["ddgate", "nv-polarize", "nv-ddgate", "errmap-cell",
-                                  "nv-xyn-spectrum"])
+@pytest.mark.parametrize("name", ["ddgate", "nv-polarize", "nv-ddgate", "nv-xyn-spectrum"])
 def test_run_matches_golden_outputs(name, tmp_path):
-    manifest = run_experiment(golden_config(name), tmp_path)
+    manifest = run_experiment(ExperimentConfig.from_dict(get_preset(name)), tmp_path)
     header, table = read_table(tmp_path / f"{name}.csv")
     gold_header, gold = read_table(GOLDEN / f"{name}.csv")
     assert header == gold_header
@@ -103,6 +91,28 @@ def test_inversion_fidelity_reads_the_state_at_a_swept_n(n_range, tmp_path):
     reduced = partial_trace(apply_sequence(system, seq, cfg.sim_config()).rho_final, {1})
     expected = state_fidelity(reduced, basis_dm(reduced.dims, (1,)))
     assert manifest["metrics"]["state_fidelity"] == pytest.approx(expected, abs=1e-13)
+
+
+def test_an_errmap_cell_matches_golden_outputs():
+    # the pulse-error-map preset's N sweep and fit at the cell (1.1, 0.99)
+    cfg = ExperimentConfig.from_dict(get_preset("pulse-error-map"))
+    seq, system = cfg.data["sequence"], cfg.build_system()
+    (sweep,) = evolution.sweep_n_cells(system, seq["family"], cfg.sweep_values(), seq["tau"],
+                                       cfg.build_pulse(), cfg.sim_config(), [(1.1, 0.99)],
+                                       seq["wrapper_phase"], seq["closing_rule"])
+    gold_header, gold = read_table(GOLDEN / "errmap-cell.csv")
+    assert gold_header == ["n", "Sz", "Iz"]
+    assert np.array_equal(sweep.values, gold[:, 0])
+    table = np.column_stack([sweep.trace(label) for label in gold_header[1:]])
+    assert np.max(np.abs(table - gold[:, 1:])) <= 1e-10
+
+    obs = next(obs for obs in system.observables
+               if obs.label == cfg.data["outputs"]["fit_observable"])
+    f_tilde, n_pi = pseudo_fidelity(sweep, obs.label, (obs.lo, obs.hi))
+    gold = json.loads((GOLDEN / "errmap-cell-metrics.json").read_text())["metrics"]
+    assert f_tilde == pytest.approx(gold["f_tilde"], abs=1e-10)
+    assert n_pi == pytest.approx(gold["n_pi"], abs=1e-10)
+    assert n_pi * seq["tau"] == pytest.approx(gold["t_pi"], abs=1e-10)
 
 
 def test_errmap_cell_matches_golden_f_tilde(tmp_path):
@@ -809,9 +819,8 @@ def test_a_walk_within_2m_phases_builds_each_phase_exactly(monkeypatch, name):
     cfg, system, pulse, sim = preset_inputs(name)
     seq = cfg.data["sequence"]
     grid = cfg.data.get("errmap")
-    cells = [(seq["length_factor"], seq["freq_factor"])] if grid is None else [
-        (grid["length_factors"][0] * seq["length_factor"], ff * seq["freq_factor"])
-        for ff in grid["freq_factors"]]  # one row of the error map
+    cells = [(1.0, 1.0)] if grid is None else [
+        (grid["length_factors"][0], ff) for ff in grid["freq_factors"]]  # one row of the error map
     builds, requests = counting_builds(monkeypatch), logged_requests(monkeypatch)
     cache = PropagatorCache(system)
     results = evolution.sweep_n_cells(system, seq["family"], cfg.sweep_values(), seq["tau"],
@@ -941,8 +950,7 @@ def walk_preset(name):
     cfg, system, pulse, sim = preset_inputs(name)
     seq, grid = cfg.data["sequence"], cfg.data.get("errmap")
     if grid is not None:
-        cells = [(grid["length_factors"][0] * seq["length_factor"], ff * seq["freq_factor"])
-                 for ff in grid["freq_factors"]]
+        cells = [(grid["length_factors"][0], ff) for ff in grid["freq_factors"]]
         evolution.sweep_n_cells(system, seq["family"], cfg.sweep_values(), seq["tau"], pulse,
                                 sim, cells)
     elif cfg.sweep_axis == "n":

@@ -201,7 +201,6 @@ def test_transition_frequency_rejects_mixed_states():
 def test_nv_system_layout():
     sys = nv_system(NV)
     assert sys.dims == (3, 2)
-    assert sys.time_unit == "us"
     assert sys.wrapper_phase == pytest.approx(3.0 * math.pi / 2.0)
     labels = {o.label: o for o in sys.observables}
     assert set(labels) == {"Sz", "Iz"}

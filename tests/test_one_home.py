@@ -6,13 +6,15 @@ grid: every other config rule is checked when the config loads, so
 ``validate`` and ``run`` agree.  Every key of ``config.SCHEMA`` is a
 property name or a keyword that ``config._walk`` supports, so an
 unsupported keyword fails here rather than when a config first reaches
-it.
+it.  Every ``type`` in ``SCHEMA`` is one name that ``config._TYPES``
+checks, and every name there is one that ``SCHEMA`` uses, so a field has
+one spelling and the walker no dead type.
 """
 
 import ast
 from pathlib import Path
 
-from spindd.config import SCHEMA
+from spindd.config import _TYPES, SCHEMA
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spindd"
 
@@ -59,3 +61,12 @@ def test_every_schema_keyword_is_one_the_walker_supports():
     assert [(path, key) for path, key, _ in keywords if key not in supported] == []
     # the walker reads additionalProperties only as False
     assert {rule for _, key, rule in keywords if key == "additionalProperties"} == {False}
+
+
+def test_every_schema_type_is_one_name_the_walker_checks_and_uses():
+    types = [(path, rule) for path, key, rule in schema_keywords(SCHEMA) if key == "type"]
+    assert ("<root>.outputs.observables", "array") in types
+    assert [(path, rule) for path, rule in types if not isinstance(rule, str)] == []
+    assert {rule for _, rule in types} == set(_TYPES)
+    enums = [rule for _, key, rule in schema_keywords(SCHEMA) if key == "enum"]
+    assert [rule for rule in enums if None in rule] == []
