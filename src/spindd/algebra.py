@@ -176,14 +176,14 @@ def state_errors(stacks) -> list:
     scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1.0)
     # "not within" so that a nan entry fails here, before eigvalsh
     hermitian = (np.abs(mats - adj).max(axis=(1, 2)) <= DM_HERM_TOL * scale).reshape(g, n)
-    errors = []
-    for traces, ok in zip(tr, hermitian):
-        bad = np.flatnonzero(np.abs(traces - 1.0) > DM_TRACE_TOL)
-        if bad.size:
-            trace = complex(traces[bad[0]])
-            errors.append(ValueError(f"density matrix trace {trace} deviates from 1"))
+    off = np.abs(tr - 1.0) > DM_TRACE_TOL
+    errors = [None] * g
+    for r in np.flatnonzero(off.any(axis=1) | ~hermitian.all(axis=1)).tolist():
+        if off[r].any():
+            trace = complex(tr[r, off[r].argmax()])
+            errors[r] = ValueError(f"density matrix trace {trace} deviates from 1")
         else:
-            errors.append(None if ok.all() else ValueError("density matrix is not Hermitian"))
+            errors[r] = ValueError("density matrix is not Hermitian")
     live = [j for j, error in enumerate(errors) if error is None]
     herm = 0.5 * (mats + adj).reshape(g, n, d, d)[live]
     try:  # certificate: every live state is a Cholesky-positive shift above the floor

@@ -17,17 +17,18 @@ the taus of a tau sweep, or the error cells of N sweeps at one tau.  Each
 cell walks the pi train of its largest N once and closes it at each
 wanted N with the closing tail of its class, in an order of lookups that
 is the same for every cell.  The walk times and keys the lookups of all
-its cells at once, in array passes (see ``_lookups``): starts are running
-sums of snapped durations, which ``np.cumsum`` adds in the order of
-``apply_sequence``'s clock, raw carrier cycles are one array expression,
-and each distinct raw value and pulse shape is rounded once.  One
-``PropagatorCache.plan`` builds every pulse entry the cells lack, and one
-batched product every free propagator.  The distinct entries form a
-``(K, d, d)`` table, row 0 the identity, and the lookups a ``(cells, L)``
-index array; every cell advances by one batched product per position, its
-factors gathered a chunk of positions at a time, and the states of all
-wanted N come from one product over the closed propagators after the walk.
-``apply_sequence`` stays the per-element reference.
+the cells of one length factor at once, in array passes (see
+``_lookups``): starts are running sums of snapped durations, which
+``np.cumsum`` adds in the order of ``apply_sequence``'s clock, raw carrier
+cycles are one array expression, and each distinct raw value and pulse
+shape is rounded once.  One ``PropagatorCache.plan`` per length factor
+builds every pulse entry its cells lack, and one batched product the free
+propagators they lack.  The distinct entries form a ``(K, d, d)`` table,
+row 0 the identity, and the lookups a ``(cells, L)`` index array; every
+cell advances by one batched product per position, its factors gathered
+a chunk of positions at a time, and each closed propagator becomes its
+state in place after the walk.  ``apply_sequence`` stays the per-element
+reference.
 
 Many phases of one pulse shape are read off a trigonometric interpolant
 in the phase.  The Trotter product ``U(phi)`` is a Laurent series in
@@ -75,9 +76,18 @@ _PHASE_TOL = 1e-15
 # a power of two, so that the blocks are subtrees of the steps' reduction
 _BLOCK = 32
 
-# complex entries per stack of exact builds and per gathered chunk of a
-# walk's factors (256 kB), so that neither grows with the stack it serves
-_CHUNK = 2 ** 14
+# bytes per stack of exact builds (256 kB), so that none grows with the
+# rows it serves; each stack that spans a walk's cells beside its states
+# takes a quarter (see _quarter)
+_CHUNK = 2 ** 18
+
+
+def _quarter(nbytes: int) -> int:
+    """How many items of ``nbytes`` bytes fit a quarter of ``_CHUNK``, at least
+    one: the share of a walk's gathered factors, state transforms and state
+    checks, so that a check, which holds about six copies of its group, stays
+    near the exact stacks' bound while the walk holds its states."""
+    return max(1, _CHUNK // (4 * nbytes))
 
 
 def _node_count(y: float) -> int:
@@ -137,8 +147,9 @@ def _chebyshev(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _step_coefficients(h0: Operator, drive_op: Operator, omega1: float, dt: float) -> tuple:
-    """``y`` and the ``(K, d^2)`` Chebyshev coefficient matrices of one
-    Trotter step in the carrier amplitude (see ``pulse_propagator``)."""
+    """``y`` and the ``(K, 4 d^2)`` Chebyshev coefficient matrices of one
+    Trotter step in the carrier amplitude (see ``pulse_propagator``), each
+    ``c_m`` as the real ``2d x 2d`` matrix ``[[Re c_m, -Im c_m], [Im c_m, Re c_m]]``."""
     y = float(np.pi * dt * omega1 * np.linalg.norm(drive_op.mat, 2))
     k = _node_count(y)
     theta = np.pi * (np.arange(k) + 0.5) / k
@@ -148,7 +159,8 @@ def _step_coefficients(h0: Operator, drive_op: Operator, omega1: float, dt: floa
     # c_m = (2 / K) sum_j U(x_j) T_m(x_j), halved for m = 0
     transform = (2.0 / k) * _chebyshev(np.cos(theta), k)
     transform[0] *= 0.5
-    return y, transform @ u_nodes
+    c = (transform @ u_nodes).reshape(nodes.shape)
+    return y, np.block([[c.real, -c.imag], [c.imag, c.real]]).reshape(k, -1)
 
 
 def _step_count(h0: Operator, pulse: DrivePulse, drive_op: Operator, dt: float) -> int:
@@ -177,23 +189,26 @@ def _amplitudes(rows: np.ndarray, nsteps: int, dt: float) -> np.ndarray:
 
 def _trotter(x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """The ``(S, d, d)`` Trotter products of pulses with ``(S, nsteps)`` carrier
-    amplitudes ``x`` and ``(K, d^2)`` step coefficients: one Chebyshev
-    evaluation, then one pairwise reduction of the ``(S, nsteps, d, d)``
-    stack.  Each row is a ``(nsteps, K) @ (K, d^2)`` product of its own, so
-    it is the same bits whatever else the stack holds."""
+    amplitudes ``x`` and ``(K, 4 d^2)`` real step coefficients: one Chebyshev
+    evaluation, then one pairwise reduction of the real ``(S, nsteps, 2d, 2d)``
+    stack, whose products are those of the complex steps.  Each row is a
+    ``(nsteps, K) @ (K, 4 d^2)`` product of its own, so it is the same bits
+    whatever else the stack holds."""
     s, n = x.shape
-    d = math.isqrt(coefficients.shape[1])
-    us = _chebyshev(x, len(coefficients)).transpose(1, 2, 0) @ coefficients
-    return _reduce(us.reshape(s, n, d, d))
+    d = math.isqrt(coefficients.shape[1]) // 2
+    # the steps are handed over unnamed, so that the reduction frees them
+    r = _reduce((_chebyshev(x, len(coefficients)).transpose(1, 2, 0) @ coefficients)
+                .reshape(s, n, 2 * d, 2 * d))
+    return r[:, :d, :d] + 1j * r[:, d:, :d]
 
 
 def _exact(rows: np.ndarray, nsteps: int, coefficients: np.ndarray, dt: float) -> np.ndarray:
     """The ``(S, d, d)`` exact builds of checked ``(S, 4)`` rows ``(omega1,
     omegap, phase, t_start)`` of ``nsteps`` steps each, in stacks of at most
-    ``_CHUNK`` complex step entries."""
-    d = math.isqrt(coefficients.shape[1])
+    ``_CHUNK`` bytes of real step entries."""
+    d = math.isqrt(coefficients.shape[1]) // 2
     out = np.empty((len(rows), d, d), dtype=complex)
-    size = max(1, _CHUNK // (nsteps * d * d))
+    size = max(1, _CHUNK // (nsteps * coefficients[0].nbytes))
     for lo in range(0, len(rows), size):
         out[lo:lo + size] = _trotter(_amplitudes(rows[lo:lo + size], nsteps, dt), coefficients)
     return out
@@ -214,9 +229,11 @@ def pulse_propagator(h0: Operator, pulse: DrivePulse, drive_op: Operator,
     is computed exactly (one batched ``eigh``) at the K Chebyshev nodes
     ``x_j = cos(pi (j + 1/2) / K)``, turned into Chebyshev coefficient
     matrices by the discrete cosine transform, and evaluated at every
-    step as ``sum_m T_m(x) c_m``.  With ``y = pi dt omega1 |drive_op|_2``,
-    K is the smallest node count with ``2 y^K / K! <= 1e-17``.  This is
-    ``_trotter`` on one row.
+    step as ``sum_m T_m(x) c_m``, and the steps are multiplied as the real
+    ``2d x 2d`` matrices ``[[Re, -Im], [Im, Re]]``, whose products are those
+    of the complex ones at the same error bound.  With ``y = pi dt omega1
+    |drive_op|_2``, K is the smallest node count with ``2 y^K / K! <= 1e-17``.
+    This is ``_trotter`` on one row.
     """
     nsteps = _step_count(h0, pulse, drive_op, dt)
     coefficients = _step_coefficients(h0, drive_op, pulse.omega1, dt)[1]
@@ -297,8 +314,9 @@ class PropagatorCache:
       as subtrees of the steps' pairwise product (measured: within 2.3e-14).
 
     Every exact build of a plan is a row of one stack per step count and
-    amplitude, built by ``_trotter`` in chunks of ``_CHUNK`` complex step
-    entries after every shape of the plan ran ``pulse_propagator``'s checks.
+    amplitude, built by ``_trotter`` in chunks of at most ``_CHUNK`` bytes of
+    real step entries after every shape of the plan ran ``pulse_propagator``'s
+    checks.
     Every product is batched so that each row is its own, and an entry is
     the same bits whatever else its stack holds.
     """
@@ -506,11 +524,28 @@ def _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell)
         el for seq in seqs.values() for el in seq.elements[-2:])
 
 
-def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
-    """Time and key the lookups of cells ``elements``, cell -> its ``_cell``
-    elements, all at once, and plan the entries they lack.  A cell looks up
-    its train in time order, with the closing gap at element ``closes[2 N]``
+def _layout(top: int, closes: dict) -> tuple:
+    """Where a cell's lookups read its ``_cell`` elements: its ``top`` train
+    elements in time order, with the closing gap at element ``closes[2 N]``
     and the wrapper after it following train element 2 N, the N-th pi pulse.
+    Returns per lookup the element it reads; where the train's elements sit;
+    and each closing wrapper with its pi pulse and closing gap."""
+    src, train_at, wrap_at, pis, gaps = [], [], [], [], []
+    for i in range(top):
+        train_at.append(len(src))
+        src.append(i)
+        if i in closes:
+            wrap_at.append(len(src) + 1)
+            pis.append(i)
+            gaps.append(closes[i])
+            src += [closes[i], closes[i] + 1]
+    return src, train_at, wrap_at, pis, gaps
+
+
+def _lookups(cache, elements: dict, layout: tuple, cfg, errors: list) -> tuple:
+    """Time and key the lookups of cells ``elements``, cell -> its ``_cell``
+    elements, all at once, in the ``_layout`` of their walk, and plan the
+    entries they lack.
 
     Returns the keys of table rows 1, 2, ...: each distinct pulse key in
     first-lookup order, cell after cell (None where its build failed), then
@@ -534,17 +569,7 @@ def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
             rows.append((0, el.duration, 0.0, 0.0, 0))
     pulses, span, omegap, phase, shape_of = np.array(rows).T
     unbuildable = (pulses == 0) & cache._unbuildable(span[:, None])  # per delay object
-    # per lookup the element it reads; where the train's elements sit, and
-    # each closing wrapper with its pi pulse and closing gap
-    src, train_at, wrap_at, pis, gaps = [], [], [], [], []
-    for i in range(max(closes) + 1):
-        train_at.append(len(src))
-        src.append(i)
-        if i in closes:
-            wrap_at.append(len(src) + 1)
-            pis.append(i)
-            gaps.append(closes[i])
-            src += [closes[i], closes[i] + 1]
+    src, train_at, wrap_at, pis, gaps = layout
     obj = codes[:, src]
     starts = np.zeros(obj.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # a lookup with a nan raw fails its cell
@@ -596,51 +621,70 @@ def _lookups(cache, elements: dict, closes: dict, cfg, errors: list) -> tuple:
 def _walk(system, family, n_values, pulse, cfg, cells, wrapper_phase, closing_rule,
           cache) -> tuple:
     """Final states of the N sweeps of ``cells``, each ``(tau, length_factor,
-    freq_factor)``, walked together: a ``(cells, len(n_values), d, d)``
-    stack, and per cell None or the ``ValueError`` that its checks, the
-    cache's system or a build raised; a failed cell's states are undefined."""
+    freq_factor)``, walked together with one plan per length factor: a
+    ``(cells, len(n_values), d, d)`` stack, and per cell None or the
+    ``ValueError`` that its checks, the cache's system or a build raised; a
+    failed cell's states are undefined."""
     wrapper_phase = system.wrapper_phase if wrapper_phase is None else wrapper_phase
     cache = cache or PropagatorCache(system)
-    firsts = {}  # closing class -> its first N
-    for n in n_values.tolist():
+    firsts, wanted = {}, {}  # closing class -> its first N; N -> its places in n_values
+    for k, n in enumerate(n_values.tolist()):
         firsts.setdefault(closing_class(n), n)
-    wanted = {n: k for k, n in enumerate(sorted(set(n_values.tolist())))}
-    errors, elements = [None] * len(cells), {}
+        wanted.setdefault(n, []).append(k)
+    top = 2 * max(wanted, default=0) + 1  # the train's elements; each class's closers follow
+    slots = {c: top + 2 * k for k, c in enumerate(firsts)}
+    closes = {2 * n: slots[closing_class(n)] for n in wanted}
+    # one plan per length factor, over the cells that share it, in cell order:
+    # a group's cells are opened, timed and keyed on their own, onto table rows
+    # of their own, so that neither their elements nor their lookups span the map
+    errors, groups, keys = [None] * len(cells), {}, []
     for j, cell in enumerate(cells):
-        try:
-            els = _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule, cell)
-            if cache.system is not system:
-                raise ValueError("cache was built for a different system")
-            elements[j] = els
-        except ValueError as exc:
-            errors[j] = exc
+        groups.setdefault(cell[1], []).append(j)
+    layout = _layout(top, closes)
+    index = np.zeros((len(cells), len(layout[0])), dtype=np.intp)
+    for group in groups.values():
+        elements = {}
+        for j in group:
+            try:
+                els = _cell(family, wanted, firsts, pulse, cfg, wrapper_phase, closing_rule,
+                            cells[j])
+                if cache.system is not system:
+                    raise ValueError("cache was built for a different system")
+                elements[j] = els
+            except ValueError as exc:
+                errors[j] = exc
+        if elements:
+            got, rows = _lookups(cache, elements, layout, cfg, errors)
+            index[list(elements)] = np.where(rows > 0, rows + len(keys), 0)
+            keys += got
     d = system.h0.shape[0]
-    closed = np.empty((len(cells), len(wanted), d, d), dtype=complex)
-    order = [wanted[n] for n in n_values.tolist()]
-    if elements:
-        top = 2 * max(wanted) + 1  # the train's elements; each class's closers follow
-        slots = {c: top + 2 * k for k, c in enumerate(firsts)}
-        closes = {2 * n: slots[closing_class(n)] for n in wanted}
-        keys, rows = _lookups(cache, elements, closes, cfg, errors)
     if all(error is not None for error in errors):
-        return closed[:, order], errors
-    index = np.zeros((len(cells), rows.shape[1]), dtype=np.intp)
-    index[list(elements)] = rows
+        return np.empty((len(cells), len(n_values), d, d), dtype=complex), errors
     eye = np.eye(d, dtype=complex)
     table = np.array([eye] + [eye if key is None else cache.free(key) if isinstance(key, float)
                               else cache._pulses[key] for key in keys])
     del cache  # one this walk made is freed here, so its entries are not held twice
-    # the (cells, d, d) factors of one position after another, gathered a chunk at a time
-    size = max(1, _CHUNK // (len(cells) * d * d))
-    factors = (f for lo in range(0, index.shape[1], size) for f in table[index[:, lo:lo + size].T])
+    # each closed propagator, turned into its state in place after the walk
+    states = np.empty((len(cells), len(n_values), d, d), dtype=complex)
+    # the (cells, d, d) factors of one position after another, gathered a chunk
+    # at a time, each chunk freed before the next is gathered
+    size = _quarter(len(cells) * table[0].nbytes)
+    factors = itertools.chain.from_iterable(table[index[:, lo:lo + size].T]
+                                            for lo in range(0, index.shape[1], size))
     u, spare = np.array([eye] * len(cells)), np.empty((len(cells), d, d), dtype=complex)
     for i in range(top):
         u, spare = np.matmul(next(factors), u, out=spare), u
         if i in closes:
             gap = next(factors) @ u  # closing gap, then closing wrapper
-            closed[:, wanted[i // 2]] = next(factors) @ gap
-    states = closed @ system.rho0.mat @ closed.conj().swapaxes(-1, -2)
-    return states[:, order], errors
+            closed = next(factors) @ gap
+            for k in wanted[i // 2]:
+                states[:, k] = closed
+    del factors, table, index  # the last chunk with them
+    size = _quarter(states[0].nbytes)
+    for lo in range(0, len(cells), size):
+        closed = states[lo:lo + size]
+        np.matmul(closed @ system.rho0.mat, closed.conj().swapaxes(-1, -2), out=closed)
+    return states, errors
 
 
 def _sweep_result(system, axis: str, values, rhos) -> SweepResult:
@@ -682,11 +726,14 @@ def sweep_n_cells(system, family: str, n_values, tau: float, pulse: DrivePulse,
     states, results = _walk(system, family, n_values, pulse, cfg,
                             [(tau, lf, ff) for lf, ff in cells], wrapper_phase, closing_rule, cache)
     live = [j for j, error in enumerate(results) if error is None]
-    for j, error in zip(live, state_errors(states[live])):
-        try:
-            results[j] = error or _sweep_result(system, "n", n_values, states[j])
-        except ValueError as exc:
-            results[j] = exc
+    size = _quarter(states[0].nbytes) if live else 1
+    for lo in range(0, len(live), size):
+        group = live[lo:lo + size]
+        for j, error in zip(group, state_errors(states[group])):
+            try:
+                results[j] = error or _sweep_result(system, "n", n_values, states[j])
+            except ValueError as exc:
+                results[j] = exc
     return results
 
 

@@ -3,7 +3,8 @@
 CSV values are written with 12 significant digits and newline-terminated
 rows, so identical configs produce byte-identical files.  The manifest
 records the canonical config hash, the settings actually used
-(``effective``), the package version, wall-clock time, a checksum for
+(``effective``: the step ``dt`` and the numpy and Python versions that
+computed it), the package version, wall-clock time, a checksum for
 every emitted file and the computed metric summary.  A loaded config has
 passed every config rule, its ``outputs`` section's included, and holds
 each default's value, so a verb raises ``ConfigError`` only for an
@@ -17,6 +18,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -129,7 +131,8 @@ def _manifest(cfg, verb, out_dir, files, metrics, extras, sim_cfg, wall_clock):
         "name": cfg.name,
         "verb": verb,
         "config_hash": cfg.config_hash(),
-        "effective": {"dt": sim_cfg.dt},
+        "effective": {"dt": sim_cfg.dt, "numpy": np.__version__,
+                      "python": ".".join(map(str, sys.version_info[:3]))},
         "version": __version__,
         "wall_clock_s": round(wall_clock, 3),
         "axis": cfg.sweep_axis,
@@ -200,19 +203,19 @@ def errmap_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None 
     seq = cfg.data["sequence"]
     length_factors, freq_factors = grid["length_factors"], grid["freq_factors"]
 
-    # one walk per row: its cells share every delay, and so one cache.  A
-    # cell keeps its walk's error or a copy of its fit trace, not its states,
-    # and one call fits the whole map
+    # one walk over the whole map, which plans each row's entries on their
+    # own.  A cell keeps its walk's error or a copy of its fit trace, not its
+    # states, and one call fits the whole map
     errors, traces = [], []
-    for lf in length_factors:
-        for sweep in sweep_n_cells(system, seq["family"], cfg.sweep_values(), seq["tau"],
-                                   pulse, sim_cfg, [(lf, ff) for ff in freq_factors],
-                                   seq["wrapper_phase"], seq["closing_rule"]):
-            walked = not isinstance(sweep, ValueError)
-            errors.append(None if walked else sweep)
-            if walked:
-                n = sweep.values
-                traces.append(sweep.trace(obs.label).copy())
+    for sweep in sweep_n_cells(system, seq["family"], cfg.sweep_values(), seq["tau"], pulse,
+                               sim_cfg, list(itertools.product(length_factors, freq_factors)),
+                               seq["wrapper_phase"], seq["closing_rule"]):
+        walked = not isinstance(sweep, ValueError)
+        errors.append(None if walked else sweep)
+        if walked:
+            n = sweep.values
+            traces.append(sweep.trace(obs.label).copy())
+    del sweep  # it holds a view of every cell's states
     fits = iter(pseudo_fidelities(n, traces, (obs.lo, obs.hi)) if traces else [])
 
     failures, values = [], []

@@ -115,28 +115,28 @@ def test_every_preset_runs_with_finite_metrics(name, tmp_path):
 # build may round a product differently and move these
 PRESET_CSV_SHA256 = {
     "coupling-scaling-azx0.05.csv":
-        "109c9be9fe17abf176b7a55ade0e35a96f66dc0f2be767f4da34b336f2418dcf",
+        "d2c71faaed13e337fc031d7e3407f490982f48876c391fabbf508a8130a5afb3",
     "coupling-scaling-azx0.1.csv":
-        "a42a7d6b49b85a765b2c495389ce123783e6ffa708dffbb1f095aa29c27e7e7d",
+        "c6ebc957295da53cdd8f5ae01c49370e65461726a446bab984d6c430bd236502",
     "coupling-scaling-azx0.15.csv":
-        "ab923e5f27c0c175c7d963811a098fa3fe8a08c933497e8b89707d61b28db4d6",
+        "ea5d8cebd098b9d0c288f7103143ac00be5f5eec8e140ca12131ae661782d359",
     "coupling-scaling-azx0.2.csv":
-        "52cf827743ad059e4375ffc674fa899e2037441e2c98be9feaac1bd51483a372",
+        "677f3de244a2196898598e9322705fdf295ec87d64179db2e479eb7fc96aea29",
     "coupling-scaling-azx0.25.csv":
-        "0157d1b64ab11154d32068f7f72e4107e03aed022b36bee9503d571f5c75c0ed",
+        "ae4aed0bc4c96c669e26ce5eab6072135e91139868ac1ebe45a61b863291de52",
     "coupling-scaling-azx0.35.csv":
-        "68aeb691a1e35d3ae16af49e33c33fd70e0f82455806334f77946e9d97adba12",
-    "cpmg-spectrum.csv": "6a1fb41c679c97b7d12ae62c54e379044fadbf37a510c355d83ad38b1d8eec38",
+        "e77e80a711fb587fcd323d888585814776a754c34361d05df98c75c55e03412a",
+    "cpmg-spectrum.csv": "8718f37dff80405deee29c8507a67d84f4b0860415f2f97d5caf9d999adbc89a",
     "ddgate-tomo.csv": "9b51a18b22ecc932136e408cda5f845592ebe8f4b45c5f62d16728eced978e6e",
     "ddgate.csv": "9b51a18b22ecc932136e408cda5f845592ebe8f4b45c5f62d16728eced978e6e",
-    "gate-resonance.csv": "3f2839a3d0421933845782fbf3d7c57f9c62ff6cbe4c5df613ef9681c1cda98f",
-    "nv-ddgate.csv": "600d498a9ca8ed548c90be70df6ba0785c7f6df3221fcd6ded2363cc3785e2c6",
-    "nv-polarize.csv": "35af8948a34d1df85c5ad2608806758f7e1142d63983a13905ca7771a65a850f",
-    "nv-xyn-spectrum.csv": "aea7e732c629d13741906bd078c454b27737e11fe13e022335f051326dfd8748",
+    "gate-resonance.csv": "4a39ecb6bedd1d8358fdbde47e4952d88585de036add5074e8306cc7f8c862bf",
+    "nv-ddgate.csv": "a766a8350d0b29999e36cf322dff586b5f7eaabcb8a4919fd6b999e9b5c20c5e",
+    "nv-polarize.csv": "10d55481c5c9ba732d3a4ef5281dad8f75c7944df8905642fec67a183120c630",
+    "nv-xyn-spectrum.csv": "f82f2c654d24a2c855b82c88140350cef15c0218a2dd7ec5e2810806c4e6f7dc",
     "pulse-error-map-errmap.csv":
-        "c56c519079f4c6036f27d30bf17f9a8e75f78ffffe9e3cdea14612c83154c276",
-    "three-qubit-q1.csv": "3a139c8a80c453e470e5437a087a6f3c60a3bcb394249fd373359c7c86d8b8b4",
-    "three-qubit-q2.csv": "92d249965a855301e4393e4030fffa77d2ad5ed40195ad4595912a1f019adeb3",
+        "0e489b747dfb43f701ea61a3db08cc03a08f44f888b5d4380118fd2d4984d430",
+    "three-qubit-q1.csv": "8280bbcae5585d939bcf51717071cd0870bb4e0fc06411289345192a3f82a7ee",
+    "three-qubit-q2.csv": "13094e8f2ac099157374307c76bf995d3e1b4a49070524d82a194f05e0b5ad83",
 }
 
 
@@ -522,9 +522,27 @@ def test_dt_override_is_recorded_in_the_manifest(tmp_path):
     proc = run_cli("run", "--config", str(path), "--out", str(out), "--dt", "0.0005")
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((out / "tiny-manifest.json").read_text())
-    assert manifest["effective"] == {"dt": 0.0005}
+    assert manifest["effective"] == {"dt": 0.0005, "numpy": np.__version__, "python": PYTHON}
     # the hash stays the hash of the config, which does not change
     assert manifest["config_hash"] == ExperimentConfig.from_dict(SMALL).config_hash()
+
+
+PYTHON = ".".join(map(str, sys.version_info[:3]))
+
+
+def test_the_manifest_records_the_numeric_stack_and_reruns_write_the_same_bytes(tmp_path):
+    # the byte pins belong to a numpy and Python build, so the manifest names both
+    manifests = []
+    for side in ("first", "second"):
+        assert main(["run", "--config", "ddgate", "--out", str(tmp_path / side)]) == 0
+        manifests.append(json.loads((tmp_path / side / "ddgate-manifest.json").read_text()))
+    first, second = manifests
+    assert first["effective"] == {"dt": 0.001, "numpy": np.__version__, "python": PYTHON}
+    assert second["effective"] == first["effective"]
+    assert [entry["sha256"] for entry in second["outputs"]] == \
+        [entry["sha256"] for entry in first["outputs"]]
+    assert (tmp_path / "first" / "ddgate.csv").read_bytes() == \
+        (tmp_path / "second" / "ddgate.csv").read_bytes()
 
 
 def test_run_preset_by_name(tmp_path):

@@ -8,8 +8,10 @@ whose every pulse phase was built exactly; see ``golden/README``.
 """
 
 import csv
+import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -356,13 +358,14 @@ def test_sweep_tau_equals_per_tau_sequences_on_the_nv_center():
 
 
 def walked_keys(monkeypatch):
-    """Per walk, per cell that it keyed, the key of each lookup in walk order
-    as its index reads it: a pulse key, a delay's duration, or None (an empty
-    delay, or every lookup of a cell that failed)."""
+    """Per ``_lookups`` call, one per length factor of a walk, per cell that it
+    keyed, the key of each lookup in walk order as its index reads it: a pulse
+    key, a delay's duration, or None (an empty delay, or every lookup of a cell
+    that failed)."""
     walks, lookups = [], evolution._lookups
 
-    def logged(cache, elements, closes, cfg, errors):
-        keys, index = lookups(cache, elements, closes, cfg, errors)
+    def logged(cache, elements, layout, cfg, errors):
+        keys, index = lookups(cache, elements, layout, cfg, errors)
         rows = [None, *keys]
         walks.append({j: [rows[r] for r in row] for j, row in zip(elements, index.tolist())})
         return keys, index
@@ -566,18 +569,24 @@ def test_pulse_cache_wraps_a_full_cycle_to_zero(monkeypatch):
 
 # ---------------------------------------------------------------- step product
 
-def eigh_step_product(system, pulse, t_start, dt):
-    """Pulse propagator with one ``eigh`` per Trotter step, multiplied in a loop."""
-    steps = int(round(pulse.duration / dt))
-    t_mid = t_start + (np.arange(steps) + 0.5) * dt
-    coeff = pulse.omega1 * np.cos(2.0 * np.pi * pulse.omegap * t_mid + pulse.phase)
-    h = system.h0.mat[None] + coeff[:, None, None] * system.drive_op.mat[None]
+def eigh_amplitude_product(system, omega1, x, dt):
+    """Product of the Trotter steps of carrier amplitudes ``x``, in complex
+    arithmetic, with one ``eigh`` per step, multiplied in a loop."""
+    h = system.h0.mat[None] + (omega1 * x)[:, None, None] * system.drive_op.mat[None]
     w, v = np.linalg.eigh(h)
     step_us = (v * np.exp(-2j * np.pi * dt * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
     u = np.eye(system.h0.shape[0], dtype=complex)
     for step in step_us:
         u = step @ u
     return u
+
+
+def eigh_step_product(system, pulse, t_start, dt):
+    """Pulse propagator with one ``eigh`` per Trotter step, multiplied in a loop."""
+    steps = int(round(pulse.duration / dt))
+    t_mid = t_start + (np.arange(steps) + 0.5) * dt
+    x = np.cos(2.0 * np.pi * pulse.omegap * t_mid + pulse.phase)
+    return eigh_amplitude_product(system, pulse.omega1, x, dt)
 
 
 @pytest.mark.parametrize("duration", [0.001, 0.051, 0.1, 0.101, 0.128])
@@ -612,6 +621,33 @@ def test_chebyshev_steps_match_the_per_step_eigh_product(system, pulse, dt):
     got = pulse_propagator(system.h0, pulse, system.drive_op, t_start, dt).mat
     assert np.max(np.abs(got - ref)) <= 1e-12
     assert np.max(np.abs(got.conj().T @ got - np.eye(len(got)))) <= 1e-12
+
+
+@pytest.mark.parametrize("system, omega1, dt, nsteps, bound", [
+    (GENERIC, 5.0, 0.001, 100, 1e-13),              # d = 4; measured 6.4e-14
+    (NV, 27.5683, 0.01285 / 512, 512, 4.5e-13),     # d = 6; measured 2.8e-13
+], ids=["generic", "nv"])
+def test_the_real_kernel_is_the_complex_step_product(system, omega1, dt, nsteps, bound):
+    # three rows of seeded amplitudes, every step a new point of [-1, 1]; the
+    # complex kernel the real one replaced measured the same deviations, and
+    # each bound is about 1.5 times its measurement
+    x = np.random.default_rng(11).uniform(-1.0, 1.0, (3, nsteps))
+    coefficients = evolution._step_coefficients(system.h0, system.drive_op, omega1, dt)[1]
+    d = system.h0.shape[0]
+    c = coefficients.reshape(-1, 2 * d, 2 * d)  # each c_m as [[Re, -Im], [Im, Re]]
+    assert np.array_equal(c[:, :d, :d], c[:, d:, d:])
+    assert np.array_equal(c[:, :d, d:], -c[:, d:, :d])
+    for u, row in zip(evolution._trotter(x, coefficients), x):
+        assert np.max(np.abs(u - eigh_amplitude_product(system, omega1, row, dt))) <= bound
+
+
+def test_a_fine_step_pi_pulse_stays_unitary():
+    # the ddgate pi pulse in 10^4 steps of 1e-5: max|U^H U - 1| measured 4.58e-12
+    # here and 4.27e-12 with the complex kernel, whose 1.25 times is the bound
+    cfg = ExperimentConfig.from_dict(get_preset("ddgate"))
+    system, pulse = cfg.build_system(), cfg.build_pulse()
+    u = pulse_propagator(system.h0, pulse, system.drive_op, 0.0, 1e-5).mat
+    assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1.25 * 4.27e-12
 
 
 @pytest.mark.parametrize("y", [0.0043, 0.0157, 0.157, 0.9, 3.0])
@@ -1000,8 +1036,8 @@ def test_a_walk_keys_each_lookup_as_the_element_loop_does(monkeypatch, system, p
     results = evolution.sweep_n_cells(system, "xyn", n_values, tau, pulse, cfg, cells,
                                       cache=cache)
     assert [isinstance(result, ValueError) for result in results] == [False] * 3 + [True]
-    (rows,) = walks
-    assert list(rows) == [0, 1, 2]
+    rows = {j: row for walk in walks for j, row in walk.items()}  # one call per length factor
+    assert [list(walk) for walk in walks] == [[0], [1], [2]]
     for j, (lf, ff) in enumerate(cells[:3]):
         for n in n_values:
             seq = inject_errors(compile_xyn(n, tau, pulse, system.wrapper_phase), lf, ff)
@@ -1022,6 +1058,69 @@ def test_a_walk_keys_each_lookup_as_the_element_loop_does(monkeypatch, system, p
     built = evolution.eig_propagator(w, v.mat, first)
     assert np.array_equal(cache.free(second), built)
     assert not np.array_equal(evolution.eig_propagator(w, v.mat, second), built)
+
+
+# ---------------------------------------------------------------- one walk per map
+
+def counted_plans(monkeypatch):
+    """The ``dt`` of each ``PropagatorCache.plan`` call, in order."""
+    plans, plan = [], PropagatorCache.plan
+
+    def counted(self, requests, dt):
+        plans.append(dt)
+        return plan(self, requests, dt)
+
+    monkeypatch.setattr(PropagatorCache, "plan", counted)
+    return plans
+
+
+def test_the_map_walk_is_its_row_walks_bit_for_bit(monkeypatch):
+    # one walk over all 91 cells makes the plans that 13 walks of one length
+    # factor each made, so each cell's traces and states are the same bits
+    plans = counted_plans(monkeypatch)
+    cfg, system, pulse, sim = preset_inputs("pulse-error-map")
+    seq, grid = cfg.data["sequence"], cfg.data["errmap"]
+    args = (system, seq["family"], cfg.sweep_values(), seq["tau"], pulse, sim)
+    kwargs = {"wrapper_phase": seq["wrapper_phase"], "closing_rule": seq["closing_rule"]}
+    cells = list(itertools.product(grid["length_factors"], grid["freq_factors"]))
+    whole = evolution.sweep_n_cells(*args, cells, **kwargs)
+    assert len(whole) == 91 and len(plans) == len(grid["length_factors"]) == 13
+    rows = [sweep for lf in grid["length_factors"] for sweep in evolution.sweep_n_cells(
+        *args, [(lf, ff) for ff in grid["freq_factors"]], **kwargs)]
+    for walked, row in zip(whole, rows):
+        assert np.array_equal(walked.states, row.states)
+        assert walked.traces.keys() == row.traces.keys()
+        assert all(np.array_equal(walked.traces[k], row.traces[k]) for k in row.traces)
+
+
+def test_a_tau_sweep_plans_once(monkeypatch):
+    plans = counted_plans(monkeypatch)
+    sweep_tau(GENERIC, "xyn", 6, [0.5, 0.4937, 0.62, 0.45], PI_PULSE, CFG, length_factor=1.1)
+    assert plans == [CFG.dt]
+
+
+# ---------------------------------------------------------------- memory
+
+@pytest.mark.parametrize("name, bound_mb", [
+    ("pulse-error-map", 1.65),      # measured 1.49 MB
+    ("nv-xyn-spectrum", 3.1),       # measured 2.81 MB
+])
+def test_a_warm_pass_stays_within_its_measured_memory(name, bound_mb, tmp_path):
+    # the tracemalloc peak of a warm pass, with a margin of about 10 %: the
+    # error map's walk holds its (cells, N, d, d) states, and every other
+    # stack that spans its cells, lookups, gathered factors, state transforms
+    # and checks, stays a fraction of that, so none of them can grow back
+    # unseen (the row walks this one replaced peaked at 0.96 and 2.89 MB)
+    cfg = ExperimentConfig.from_dict(get_preset(name))
+    run = errmap_experiment if name == "pulse-error-map" else run_experiment
+    run(cfg, tmp_path / "cold")
+    tracemalloc.start()
+    try:
+        run(cfg, tmp_path / "warm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
 
 
 # ---------------------------------------------------------------- block route
@@ -1125,14 +1224,15 @@ def test_an_entry_does_not_depend_on_its_stack(system, pulse, other, dt, m, inte
 # ---------------------------------------------------------------- stacked builds
 
 @pytest.mark.parametrize("system, pulse, dt", [
-    (GENERIC, PI_PULSE, 0.001),                              # 100 steps, 10 rows per chunk
+    (GENERIC, PI_PULSE, 0.001),                              # 100 steps, 5 rows per chunk
     (NV, NV_PI, NV_DT),                                      # 512 steps, 1 row per chunk
-    (GENERIC, replace(PI_PULSE, duration=0.032), 0.001),     # one block, 32 rows per chunk
+    (GENERIC, replace(PI_PULSE, duration=0.032), 0.001),     # one block, 16 rows per chunk
     (GENERIC, replace(PI_PULSE, duration=0.001), 0.001),     # a one-step trailing build
 ], ids=["generic-pi", "nv-pi", "generic-block", "one-step"])
 def test_a_stacked_row_is_the_single_build(monkeypatch, system, pulse, dt):
-    nsteps, d = round(pulse.duration / dt), system.h0.shape[0]
-    per_chunk = max(1, evolution._CHUNK // (nsteps * d * d))
+    coefficients = evolution._step_coefficients(system.h0, system.drive_op, pulse.omega1, dt)[1]
+    nsteps = round(pulse.duration / dt)
+    per_chunk = max(1, evolution._CHUNK // (nsteps * coefficients[0].nbytes))
     # rows around a chunk boundary, each with its own carrier, phase and start
     rng = np.random.default_rng(17)
     rows = [(replace(pulse, omegap=pulse.omegap * rng.uniform(0.95, 1.05),
@@ -1145,7 +1245,6 @@ def test_a_stacked_row_is_the_single_build(monkeypatch, system, pulse, dt):
         return kernel(x, coefficients)
 
     monkeypatch.setattr(evolution, "_trotter", counted)
-    coefficients = evolution._step_coefficients(system.h0, system.drive_op, pulse.omega1, dt)[1]
     stack = np.array([(drive.omega1, drive.omegap, drive.phase, t_start)
                       for drive, t_start in rows])
     stacked = evolution._exact(stack, nsteps, coefficients, dt)

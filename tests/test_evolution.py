@@ -184,6 +184,9 @@ def test_sweep_n_layout():
     assert res.traces["Iz"].shape == (3,)
     with pytest.raises(ValueError, match="positive integers"):
         sweep_n(sys, "cpmg", [0, 2], 0.5, PI_PULSE, CFG)
+    with pytest.raises(ValueError, match="positive integers"):
+        sweep_n(sys, "cpmg", [], 0.5, PI_PULSE, CFG)
+    assert sweep_n_cells(sys, "cpmg", [1, 2], 0.5, PI_PULSE, CFG, []) == []
 
 
 def test_sweep_error_injection_changes_the_trace():
