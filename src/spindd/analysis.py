@@ -196,9 +196,29 @@ def _trig_tables(n: np.ndarray, periods: np.ndarray) -> tuple:
     cos, sin, cos^2, cos sin and sin^2 over n, and the entries 00 01 02 11 12 22
     of the inverse normal matrices of ``a + b cos + c sin``, as ``(6, P)``
     cofactors over the determinant.  A period aliasing on the N grid
-    (determinant not safely positive) gets nan, and so an infinite rms."""
-    arg = 2.0 * np.pi * n[None, :] / periods[:, None]
-    cos, sin = np.cos(arg), np.sin(arg)
+    (determinant not safely positive) gets nan, and so an infinite rms.
+
+    On an evenly spaced grid ``n0 + s k`` the phasors ``exp(2 pi i n / p)``
+    are filled by doubling, N rows ``[k, 2 k)`` being rows ``[0, k)`` times
+    ``w^k`` with ``w = exp(2 pi i s / p)`` squared at each level:
+    ``ceil(log2 m)`` products over contiguous rows of all periods, and no
+    libm trig on the table.  Products of unit-modulus factors round in
+    proportion to their count, so an entry stays within a few ``m`` ulp of
+    libm's.  Any other grid takes ``np.cos`` and ``np.sin`` of every entry."""
+    step = np.diff(n)
+    if step.size and (step == step[0]).all():
+        z = np.empty((n.size, periods.size), dtype=complex)
+        z[0] = np.exp(1j * (2.0 * np.pi * n[0] / periods))
+        w = np.exp(1j * (2.0 * np.pi * step[0] / periods))
+        k = 1
+        while k < n.size:
+            z[k:2 * k] = z[:min(k, n.size - k)] * w
+            w = w * w
+            k *= 2
+        cos, sin = np.ascontiguousarray(z.real.T), np.ascontiguousarray(z.imag.T)
+    else:
+        arg = 2.0 * np.pi * n[None, :] / periods[:, None]
+        cos, sin = np.cos(arg), np.sin(arg)
     m, c, s = float(n.size), cos.sum(axis=1), sin.sum(axis=1)
     cc, cs, ss = (np.einsum("ij,ij->i", u, v) for u, v in ((cos, cos), (cos, sin), (sin, sin)))
     inv = np.stack([cc * ss - cs * cs, s * cs - c * ss, c * cs - cc * s,

@@ -38,7 +38,8 @@ import numpy as np
 from .analysis import FIT_MIN_POINTS, RESONANCE_MIN_POINTS
 from .hamiltonians import (GenericSystemParams, NvParams, TargetParams, generic_system, nv_system,
                            observable_labels)
-from .sequences import WRAPPER_PHASES, DrivePulse, SimConfig, family_rule
+from .sequences import (WRAPPER_PHASES, DrivePulse, SimConfig, closing_halves, family_rule,
+                        pulse_gaps)
 
 # metrics read off an N sweep: its oscillation fit or its state at some N
 _N_METRICS = ["pseudo-fidelity", "inversion-fidelity", "concurrence", "polarization"]
@@ -310,11 +311,12 @@ def _semantic_problems(raw: dict) -> list:
     fits = {"errmap", "coupling_scan"} & set(raw) or FIT_METRICS & set(metrics)
     if has_n_range:
         lo, hi, *step = seq["n_range"]
-        points = len(range(lo, hi + 1, *step))
+        n_values = range(lo, hi + 1, *step)
         if hi < lo:
             problems.append("sequence.n_range: upper bound below lower bound")
-        elif fits and points < FIT_MIN_POINTS:
-            problems.append(f"sequence.n_range: {points} points; a fit needs {FIT_MIN_POINTS}")
+        elif fits and len(n_values) < FIT_MIN_POINTS:
+            problems.append(f"sequence.n_range: {len(n_values)} points; a fit needs "
+                            f"{FIT_MIN_POINTS}")
     if has_tau_range:
         lo, hi, points = seq["tau_range"]
         if hi <= lo:
@@ -322,6 +324,25 @@ def _semantic_problems(raw: dict) -> list:
         elif "resonance" in metrics and points < RESONANCE_MIN_POINTS:
             problems.append(f"sequence.tau_range: {points} points; resonance needs "
                             f"{RESONANCE_MIN_POINTS}")
+
+    # the nominal sequence's timing rules, as applying it checks them: the step
+    # per pi pulse, and the gaps at the smallest tau and at each closing class
+    # swept, which the first four N reach; error factors stay the cells' own
+    try:
+        SimConfig(raw["sim"]["dt"]).validate_pi(seq["t_pi"])
+    except ValueError as exc:
+        problems.append(f"sim.dt: {exc}")
+    swept = []
+    if has_n_range and "tau" in seq:
+        swept = [("sequence.tau", seq["tau"], n) for n in n_values[:4]]
+    elif has_tau_range and "n" in seq:
+        swept = [("sequence.tau_range", seq["tau_range"][0], seq["n"])]
+    rule = family_rule(seq["family"], seq.get("closing_rule"))
+    try:
+        for path, tau, n in swept:
+            pulse_gaps(tau, seq["t_pi"], closing_halves(n, rule))
+    except ValueError as exc:
+        problems.append(f"{path}: {exc}")
 
     if "errmap" in raw and not has_n_range:
         problems.append("errmap: requires an n_range sweep to fit pseudo-fidelities")

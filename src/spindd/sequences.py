@@ -130,7 +130,10 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     def validate_for(self, seq: PulseSequence):
-        t_pi = seq.base_pulse.duration * seq.error_length_factor
+        self.validate_pi(seq.base_pulse.duration * seq.error_length_factor)
+
+    def validate_pi(self, t_pi: float):
+        """Raises where ``dt`` does not resolve a pi pulse ``t_pi`` long."""
         if self.dt > t_pi / 20 + 1e-15:
             raise ValueError(
                 f"dt={self.dt} too coarse for pi duration {t_pi}: need dt <= t_pi/20"
@@ -152,7 +155,7 @@ def family_rule(family: str, closing_rule: str | None) -> str:
     return _DEFAULT_RULES[family] if closing_rule is None else closing_rule
 
 
-def _closing_halves(n: int, closing_rule: str) -> float:
+def closing_halves(n: int, closing_rule: str) -> float:
     """The closing wrapper's angle in half-pi rotations: 1, or 3 for 3 pi/2."""
     if closing_rule == "plain":
         return 1.0
@@ -172,7 +175,7 @@ def _axis_phases(family: str, n: int, wrapper_phase: float):
     return [0.0 if k % 2 == 0 else wrapper_phase for k in range(n)]
 
 
-def _gaps(tau: float, t_pi: float, halves: float) -> tuple:
+def pulse_gaps(tau: float, t_pi: float, halves: float) -> tuple:
     """The opening, closing and inter-pulse gaps of pi pulses ``t_pi`` long
     whose centers sit ``tau`` apart, closed by a wrapper of ``halves`` half-pi
     rotations; raises where one is negative."""
@@ -204,12 +207,12 @@ def compile_sequence(family, n, tau, pi_pulse, wrapper_phase, closing_rule=None,
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
 
-    halves = _closing_halves(n, closing_rule)
-    _gaps(tau, pi_pulse.duration, halves)  # the nominal sequence's gaps
+    halves = closing_halves(n, closing_rule)
+    pulse_gaps(tau, pi_pulse.duration, halves)  # the nominal sequence's gaps
     if length_factor <= 0 or freq_factor <= 0:
         raise ValueError("error factors must be positive")
     t_pi = pi_pulse.duration * length_factor
-    open_gap, close_gap, inner_gap = _gaps(tau, t_pi, halves)
+    open_gap, close_gap, inner_gap = pulse_gaps(tau, t_pi, halves)
 
     def driven(duration, axis):
         return DrivePulse(pi_pulse.omega1, pi_pulse.omegap * freq_factor, axis, duration)

@@ -754,3 +754,46 @@ def test_a_sweep_long_enough_for_its_metrics_validates(preset, section, value, t
     raw["sequence"][section] = value
     assert main(["validate", "--config", str(write_config(tmp_path, raw))]) == 0
     assert capsys.readouterr().out.startswith(f"OK {preset} ")
+
+
+@pytest.mark.parametrize("verb, preset, section, key, value, line", [
+    ("run", "ddgate", "sim", "dt", 0.037,
+     "sim.dt: dt=0.037 too coarse for pi duration 0.1: need dt <= t_pi/20"),
+    ("run", "ddgate", "sequence", "t_pi", 7.0,
+     "sequence.tau: opening gap is negative (-5): tau=0.5 too short for pulse length 7.0"),
+    # only the 3 pi/2 closer of N = 2, 3, 6, 7, ... leaves too short a closing gap
+    ("errmap", "pulse-error-map", "sequence", "t_pi", 0.25,
+     "sequence.tau: closing gap is negative (-0.0625): tau=0.5 too short for pulse length 0.25"),
+    ("run", "gate-resonance", "sequence", "tau_range", [0.1, 0.6, 101],
+     "sequence.tau_range: opening gap is negative (-0.025): tau=0.1 too short for pulse "
+     "length 0.1"),
+], ids=["ddgate-dt", "ddgate-t-pi", "errmap-closing-class", "smallest-tau"])
+def test_a_nominal_timing_fault_is_exit_2_from_both_verbs(
+        verb, preset, section, key, value, line, tmp_path, capsys, monkeypatch):
+    refuse_to_sweep(monkeypatch)
+    raw = get_preset(preset)
+    raw[section][key] = value
+    path = write_config(tmp_path, raw)
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid config:", f"  - {line}"]
+    assert main([verb, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_errmap_cell_that_breaks_a_timing_rule_by_its_length_factor_is_nan(tmp_path, capsys):
+    raw = copy.deepcopy(SMALL)
+    # 0.3 t_pi is under 20 steps of dt; 3.5 t_pi no longer fits into tau
+    raw["errmap"] = {"length_factors": [0.3, 1.0, 3.5], "freq_factors": [1.0]}
+    path = write_config(tmp_path, raw)
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["errmap", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "tiny-manifest.json").read_text())
+    causes = [(cause["length_factor"], cause["message"])
+              for cause in manifest["extras"]["failed_cell_causes"]]
+    assert causes == [
+        (0.3, "dt=0.002 too coarse for pi duration 0.03: need dt <= t_pi/20"),
+        (3.5, "opening gap is negative (-0.0125): tau=0.5 too short for pulse length "
+              f"{0.1 * 3.5}"),
+    ]
