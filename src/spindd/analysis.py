@@ -191,42 +191,60 @@ def concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, lam[-1] - lam[-2] - lam[-3] - lam[-4]))
 
 
-def _trig_tables(n: np.ndarray, periods: np.ndarray) -> tuple:
-    """The periods, their ``(P, n)`` cos and sin tables, the ``(5, P)`` sums of
-    cos, sin, cos^2, cos sin and sin^2 over n, and the entries 00 01 02 11 12 22
-    of the inverse normal matrices of ``a + b cos + c sin``, as ``(6, P)``
-    cofactors over the determinant.  A period aliasing on the N grid
-    (determinant not safely positive) gets nan, and so an infinite rms.
+# bytes of each stacked array of the fit (512 kB): a table pass's phasors and
+# the working set of a screen chunk (see _best_fits), so that the fit's peak
+# stays below the walk's whatever the number of traces
+_CHUNK = 2 ** 19
 
-    On an evenly spaced grid ``n0 + s k`` the phasors ``exp(2 pi i n / p)``
-    are filled by doubling, N rows ``[k, 2 k)`` being rows ``[0, k)`` times
-    ``w^k`` with ``w = exp(2 pi i s / p)`` squared at each level:
-    ``ceil(log2 m)`` products over contiguous rows of all periods, and no
-    libm trig on the table.  Products of unit-modulus factors round in
-    proportion to their count, so an entry stays within a few ``m`` ulp of
-    libm's.  Any other grid takes ``np.cos`` and ``np.sin`` of every entry."""
+
+def _trig_tables(n: np.ndarray, periods: np.ndarray) -> tuple:
+    """The periods, their ``(m, *periods.shape)`` phasors ``exp(2 pi i n / p)``,
+    whose real and imaginary views are the cos and sin tables, the ``(5,
+    *periods.shape)`` sums over n of cos, sin, cos^2, cos sin and sin^2, and the
+    entries 00 01 02 11 12 22 of the inverse normal matrices of ``a + b cos + c
+    sin``, as ``(6, *periods.shape)`` cofactors over the determinant.  A period
+    aliasing on the N grid (determinant not safely positive) gets nan, and so
+    an infinite rms.  A period's column, sums and cofactors are formed from
+    that period alone, so they are the same bits in any table that holds it.
+
+    On an evenly spaced grid ``n0 + s k`` the phasors are filled by doubling,
+    N rows ``[k, 2 k)`` being rows ``[0, k)`` times ``w^k`` with ``w = exp(2 pi i
+    s / p)`` squared at each level: ``ceil(log2 m)`` products over contiguous
+    rows of all periods, and no libm trig on the table.  Products of
+    unit-modulus factors round in proportion to their count, so an entry stays
+    within a few ``m`` ulp of libm's.  Any other grid takes ``np.cos`` and
+    ``np.sin`` of every entry."""
     step = np.diff(n)
+    z = np.empty(n.shape + periods.shape, dtype=complex)
     if step.size and (step == step[0]).all():
-        z = np.empty((n.size, periods.size), dtype=complex)
-        z[0] = np.exp(1j * (2.0 * np.pi * n[0] / periods))
         w = np.exp(1j * (2.0 * np.pi * step[0] / periods))
+        z[0] = w if n[0] == step[0] else np.exp(1j * (2.0 * np.pi * n[0] / periods))
         k = 1
         while k < n.size:
-            z[k:2 * k] = z[:min(k, n.size - k)] * w
-            w = w * w
+            np.multiply(z[:min(k, n.size - k)], w, out=z[k:2 * k])
             k *= 2
-        cos, sin = np.ascontiguousarray(z.real.T), np.ascontiguousarray(z.imag.T)
+            if k < n.size:
+                np.multiply(w, w, out=w)
     else:
-        arg = 2.0 * np.pi * n[None, :] / periods[:, None]
-        cos, sin = np.cos(arg), np.sin(arg)
-    m, c, s = float(n.size), cos.sum(axis=1), sin.sum(axis=1)
-    cc, cs, ss = (np.einsum("ij,ij->i", u, v) for u, v in ((cos, cos), (cos, sin), (sin, sin)))
-    inv = np.stack([cc * ss - cs * cs, s * cs - c * ss, c * cs - cc * s,
-                    m * ss - s * s, c * s - m * cs, m * cc - c * c])
+        arg = 2.0 * np.pi * n.reshape(n.shape + (1,) * periods.ndim) / periods
+        z.real, z.imag = np.cos(arg), np.sin(arg)
+    # column reductions of the entries, (cos, sin) and (cos^2, sin^2) side by
+    # side on the float view
+    sums, planes = np.empty((5,) + periods.shape), z.view(float)
+    pair = planes.sum(axis=0).reshape(periods.shape + (2,))
+    sums[0], sums[1] = pair[..., 0], pair[..., 1]
+    pair = np.einsum("i...,i...->...", planes, planes).reshape(periods.shape + (2,))
+    sums[2], sums[4] = pair[..., 0], pair[..., 1]
+    np.einsum("i...,i...->...", z.real, z.imag, out=sums[3])
+    m, (c, s, cc, cs, ss) = float(n.size), sums
+    inv = np.empty((6,) + periods.shape)
+    for out, (u, v) in zip(inv, [(cc * ss, cs * cs), (s * cs, c * ss), (c * cs, cc * s),
+                                 (m * ss, s * s), (c * s, m * cs), (m * cc, c * c)]):
+        np.subtract(u, v, out=out)
     det = m * inv[0] + c * inv[1] + s * inv[2]
     # m^3 bounds the determinant, and its rounding error is about 1e-15 m^3
     inv /= np.where(det > 1e-12 * m ** 3, det, np.nan)
-    return periods, cos, sin, np.stack([c, s, cc, cs, ss]), inv
+    return periods, z, sums, inv
 
 
 @functools.lru_cache(maxsize=1)
@@ -243,12 +261,15 @@ def _coarse_tables(key: bytes) -> tuple:
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
-def _best_fit(y: np.ndarray, tables: tuple) -> tuple:
-    """``(rms, period, hypot(b, c))`` of the least-squares ``a + b cos + c sin``
-    at the trial period of least rms, the first on a tie.  The residual is
-    explicit, as the normal-equation identity for it cancels badly on
-    near-perfect fits; it is formed only at the periods the identity cannot
-    rule out.
+def _best_fits(ys: np.ndarray, tables: tuple, windows: np.ndarray) -> tuple:
+    """The ``(3, T)`` rows ``rms``, ``period`` and ``hypot(b, c)`` of the
+    least-squares ``a + b cos + c sin`` of each trace of the ``(T, m)`` ``ys``
+    at the trial period of least rms in its window of the tables, the first
+    on a tie; ``windows`` indexes the rows of the tables' ``(W, P)`` periods
+    (one window if they are ``(P,)``), in ascending order.  The
+    residual is explicit, as the normal-equation identity for it cancels
+    badly on near-perfect fits; it is formed only for the (trace, period)
+    pairs the identity cannot rule out.
 
     The identity ``|y - a - b cos - c sin|^2 = y.y - 2 (a ty + b tc + c ts) +
     m a^2 + cc b^2 + ss c^2 + 2 (c1 a b + s1 a c + cs b c)`` holds for any
@@ -257,46 +278,79 @@ def _best_fit(y: np.ndarray, tables: tuple) -> tuple:
     |a| + |b| + |c|``, which bounds every residual entry, the explicit
     residual and its sum are off the exact sum of the computed coefficients
     by at most ``(m + 7) m eps R^2``, and the identity, with its products
-    and sums, by at most about ``(m^2 + 10 m) eps R^2``; for m >= 6 both fit
-    in ``E = 16 m^2 eps R^2``, which also covers the rounding of ``rss -+ E``
-    (``tiny`` covers underflow).  A period whose ``rss - E`` exceeds the
-    least ``rss + E`` by more than 16 ulp has an explicit sum above that
-    period's by a margin that survives ``/ m`` and ``sqrt``, so it can
-    neither be the least rms nor tie it.  A period whose bound is not finite
-    (an aliasing one, or an overflowing scale) is always formed."""
-    periods, cos, sin, (c1, s1, cc, cs, ss), (i00, i01, i02, i11, i12, i22) = tables
-    m = y.size
-    ty, tc, ts = y.sum(), cos @ y, sin @ y
-    a = i00 * ty + i01 * tc + i02 * ts
-    b = i01 * ty + i11 * tc + i12 * ts
-    c = i02 * ty + i12 * tc + i22 * ts
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows have no finite scale
-        rss = (a * (m * a + 2.0 * (c1 * b + s1 * c - ty)) + b * (cc * b + 2.0 * (cs * c - tc))
-               + c * (ss * c - 2.0 * ts) + y @ y)
-        r = np.abs(y).max() + np.abs(a) + np.abs(b) + np.abs(c)
-        scale = 16.0 * m * m * r * r
-        err = _EPS * scale + 16.0 * m * m * _TINY
-        ok = np.isfinite(scale)
-        least = np.min(rss + err, where=ok, initial=np.inf)
-        rows = np.flatnonzero(~ok | (rss - err <= least * (1.0 + 16.0 * _EPS) + m * _TINY))
-    resid = y - a[rows, None]
-    resid -= b[rows, None] * cos[rows]
-    resid -= c[rows, None] * sin[rows]
-    rms = np.sqrt(np.einsum("ij,ij->i", resid, resid) / m)
-    rms[np.isnan(rms)] = np.inf
-    k = int(np.argmin(rms))
-    i = rows[k]
-    return float(rms[k]), float(periods[i]), float(np.hypot(b[i], c[i]))
+    and sums, by at most about ``(m^2 + 10 m) eps R^2``, whatever the order
+    of each sum; for m >= 6 both fit in ``E = 16 m^2 eps R^2``, which also
+    covers the rounding of ``rss -+ E`` (``tiny`` covers underflow).  A period
+    whose ``rss - E`` exceeds the least ``rss + E`` by more than 16 ulp has an
+    explicit sum above that period's by a margin that survives ``/ m`` and
+    ``sqrt``, so it can neither be the least rms nor tie it.  A period whose
+    bound is not finite (an aliasing one, or an overflowing scale) is always
+    formed.
+
+    The traces go in chunks whose ``(traces, P)`` arrays, some sixteen at
+    once, fit in ``_CHUNK`` bytes.  A trace's ``tc`` and ``ts`` are its own
+    ``(1, m) @ (m, 2 P)`` product with its window's float view, and every
+    other step works entry by entry or along one trace, so a trace's result
+    is the same bits whatever else its chunk holds."""
+    periods, z, sums, inv = tables
+    if periods.ndim == 1:  # one window
+        periods, z, sums, inv = periods[None], z[:, None], sums[:, None], inv[:, None]
+    m, (count, width) = ys.shape[1], periods.shape
+    planes = z.view(float)  # (m, W, 2 P): each period's cos and sin side by side
+    size = max(1, _CHUNK // (128 * width))
+    fits = np.empty((3, len(ys)))
+    for lo in range(0, len(ys), size):
+        y, wins = ys[lo:lo + size], windows[lo:lo + size]
+        prod = np.empty((len(y), 1, 2 * width))
+        cuts = [0] + [k for k in range(1, len(y)) if wins[k] != wins[k - 1]] + [len(y)]
+        for i, j in zip(cuts[:-1], cuts[1:]):
+            np.matmul(y[i:j, None], planes[:, wins[i]], out=prod[i:j])
+        tc, ts = prod.reshape(len(y), width, 2).transpose(2, 0, 1).copy()
+        # one window's sums broadcast over the traces; several are gathered
+        c1, s1, cc, cs, ss = sums if count == 1 else sums[:, wins]
+        i00, i01, i02, i11, i12, i22 = inv if count == 1 else inv[:, wins]
+        ty, yy = np.add.reduce(y, axis=1, keepdims=True), np.einsum("ij,ij->i", y, y)[:, None]
+        top = np.maximum.reduce(np.abs(y), axis=1, keepdims=True)
+        a = i00 * ty + i01 * tc + i02 * ts
+        b = i01 * ty + i11 * tc + i12 * ts
+        c = i02 * ty + i12 * tc + i22 * ts
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows have no finite scale
+            rss = (a * (m * a + 2.0 * (c1 * b + s1 * c - ty)) + b * (cc * b + 2.0 * (cs * c - tc))
+                   + c * (ss * c - 2.0 * ts) + yy)
+            r = top + np.abs(a) + np.abs(b) + np.abs(c)
+            scale = 16.0 * m * m * r * r
+            err = _EPS * scale + 16.0 * m * m * _TINY
+            ok = np.isfinite(scale)
+            least = np.minimum.reduce(rss + err, axis=1, where=ok, initial=np.inf, keepdims=True)
+            keep = ~ok | (rss - err <= least * (1.0 + 16.0 * _EPS) + m * _TINY)
+        # each trace keeps at least the period of its least rss + E; of its
+        # formed pairs it takes the least rms, the first on a tie
+        t, p = np.nonzero(keep)
+        entries = z[:, wins[t], p].T
+        a, b, c = a[t, p], b[t, p], c[t, p]
+        resid = y[t] - a[:, None]
+        resid -= b[:, None] * entries.real
+        resid -= c[:, None] * entries.imag
+        rms = np.sqrt(np.einsum("ij,ij->i", resid, resid) / m)
+        rms[np.isnan(rms)] = np.inf
+        best = np.lexsort((rms, t))[np.searchsorted(t, np.arange(len(y)))]
+        fits[0, lo:lo + size] = rms[best]
+        fits[1, lo:lo + size] = periods[wins, p[best]]
+        fits[2, lo:lo + size] = np.hypot(b[best], c[best])
+    return fits
 
 
 def pseudo_fidelities(n, ys, value_range) -> list:
     """``pseudo_fidelity`` of each trace of ``ys`` on one N grid ``n``: per
     trace ``(f_tilde, n_pi)`` or the ``ValueError`` that ``pseudo_fidelity``
-    raises for it, with the same checks in the same order.  The fine tables
-    are built once per distinct coarse best period, one at a time."""
+    raises for it, with the same checks in the same order.  The coarse stage
+    screens the traces against the cached coarse table in chunks.  The fine
+    stage builds the windows of several distinct coarse best periods in one
+    table pass of at most ``_CHUNK`` bytes, each window once, and screens
+    each trace against its own."""
     n = np.asarray(n, dtype=float)
     rng = float(value_range[1] - value_range[0])
-    results, coarse = [], {}  # coarse best period -> [(trace index, y, coarse fit)]
+    results, fitted = [], []
     for k, y in enumerate(ys):
         y = np.asarray(y, dtype=float)
         if rng <= 0:
@@ -307,28 +361,39 @@ def pseudo_fidelities(n, ys, value_range) -> list:
         elif not np.isfinite(y).all():
             results.append(ValueError("trace has non-finite values"))
         else:
-            # the coarse grid's first minimum, then a refinement that wins only when strictly better
-            fit = _best_fit(y, _coarse_tables(n.tobytes()))
-            coarse.setdefault(fit[1], []).append((k, y, fit))
-            results.append(None)
-    for best_t, fits in coarse.items():
-        span = n.max() - n.min()
-        tables = _trig_tables(n, np.linspace(max(2.5, best_t * 0.9), min(1.6 * span, best_t * 1.1),
-                                             400))
-        for k, y, fit in fits:
-            refined = _best_fit(y, tables)
-            rms, period, amp = refined if refined[0] < fit[0] else fit
+            fitted.append(k)
+            results.append(y)
+    if not fitted:
+        return results
+    # the coarse grid's first minimum, then a refinement that wins only when strictly better
+    y = np.array([results[k] for k in fitted])
+    coarse = _best_fits(y, _coarse_tables(n.tobytes()), np.zeros(len(y), dtype=int)).T.tolist()
+    centers = {}  # distinct coarse best period -> the traces that have it
+    for k, (_, period, _) in enumerate(coarse):
+        centers.setdefault(period, []).append(k)
+    span = n.max() - n.min()
+    count = max(1, _CHUNK // (16 * 400 * n.size))  # windows per table pass
+    groups = list(centers.items())
+    for first in range(0, len(groups), count):
+        group = groups[first:first + count]
+        tables = _trig_tables(n, np.array([
+            np.linspace(max(2.5, t * 0.9), min(1.6 * span, t * 1.1), 400) for t, _ in group]))
+        rows = [k for _, members in group for k in members]
+        windows = np.array([w for w, (_, members) in enumerate(group) for _ in members])
+        refined = _best_fits(y[rows], tables, windows).T.tolist()
+        del tables
+        for k, fine in zip(rows, refined):
+            rms, period, amp = fine if fine[0] < coarse[k][0] else coarse[k]
             if period > 1.26 * span:
-                results[k] = ValueError(
+                results[fitted[k]] = ValueError(
                     f"series spans {span:.1f} pulses but the best-fit period is {period:.1f}; "
                     "sweep does not contain a full oscillation")
             elif rms > 0.15 * rng:
-                results[k] = ValueError(
+                results[fitted[k]] = ValueError(
                     f"cosine fit residual {rms:.3g} exceeds 0.15 of the observable range "
                     f"{rng:.3g} (period {period:.2f}, amplitude {amp:.3g})")
             else:
-                results[k] = (min(2.0 * amp / rng, 1.0), period / 2.0)
-        del tables
+                results[fitted[k]] = (min(2.0 * amp / rng, 1.0), period / 2.0)
     return results
 
 

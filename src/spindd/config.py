@@ -38,8 +38,8 @@ import numpy as np
 from .analysis import FIT_MIN_POINTS, RESONANCE_MIN_POINTS
 from .hamiltonians import (GenericSystemParams, NvParams, TargetParams, generic_system, nv_system,
                            observable_labels)
-from .sequences import (WRAPPER_PHASES, DrivePulse, SimConfig, closing_halves, family_rule,
-                        pulse_gaps)
+from .sequences import (DRIVE_NORMS, WRAPPER_PHASES, DrivePulse, SimConfig, closing_halves,
+                        family_rule, node_count, phase_count, pulse_gaps)
 
 # metrics read off an N sweep: its oscillation fit or its state at some N
 _N_METRICS = ["pseudo-fidelity", "inversion-fidelity", "concurrence", "polarization"]
@@ -328,10 +328,21 @@ def _semantic_problems(raw: dict) -> list:
     # the nominal sequence's timing rules, as applying it checks them: the step
     # per pi pulse, and the gaps at the smallest tau and at each closing class
     # swept, which the first four N reach; error factors stay the cells' own
+    dt = raw["sim"]["dt"]
     try:
-        SimConfig(raw["sim"]["dt"]).validate_pi(seq["t_pi"])
+        SimConfig(dt).validate_pi(seq["t_pi"])
     except ValueError as exc:
         problems.append(f"sim.dt: {exc}")
+    # the pi pulse's step size, y = pi dt omega1 |drive_op|_2, and its phase
+    # samples at nsteps y, as building it checks them; the generic default
+    # omega1 = 1 / (2 t_pi) keeps y <= pi / 40 under the rule above
+    if "omega1" in seq:
+        y = math.pi * dt * seq["omega1"] * DRIVE_NORMS[model]
+        try:
+            node_count(y)
+            phase_count(round(seq["t_pi"] / dt) * y)
+        except ValueError as exc:
+            problems.append(f"sequence.omega1: {exc}")
     swept = []
     if has_n_range and "tau" in seq:
         swept = [("sequence.tau", seq["tau"], n) for n in n_values[:4]]

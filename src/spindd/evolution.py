@@ -42,7 +42,6 @@ that long pulses are multiplied from (see ``PropagatorCache``).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,24 +52,13 @@ from .algebra import (DensityMatrix, Operator, check_states, eig_hermitian, eig_
                       state_errors)
 from .analysis import SweepResult, expvals
 from .sequences import (Delay, DrivePulse, PulseSequence, SimConfig, closing_class,
-                        compile_sequence)
+                        compile_sequence, node_count, phase_count)
 # unused here; benchmarks/spans.py patches these names on this module
 from .sequences import compile_cpmg, compile_xyn, inject_errors  # noqa: F401
 
 _KEY_DIGITS = 12
 _RAW_PHASE = "carrier phase of the pulse started at {} is not finite"
 _FREE_PHASE = "free evolution phase of the delay of {} is not finite"
-
-# Error bound of an interpolated step exponential.  Interpolating a
-# smooth f at the K Chebyshev nodes misses it by at most
-# max|f^(K)| / (2^(K-1) K!), here in each real and imaginary part of each
-# entry.  For U(x) = exp(-2 pi i dt (h0 + omega1 x drive_op)) the
-# Duhamel expansion bounds the K-th derivative in x by
-# (2 pi dt omega1 |drive_op|_2)^K = (2 y)^K, which gives 2 y^K / K!.
-_CHEB_TOL = 1e-17
-
-# bound on the Fourier coefficients beyond a phase interpolant's; see above
-_PHASE_TOL = 1e-15
 
 # Trotter steps per block of a blocked pulse family (see PropagatorCache);
 # a power of two, so that the blocks are subtrees of the steps' reduction
@@ -88,35 +76,6 @@ def _quarter(nbytes: int) -> int:
     checks, so that a check, which holds about six copies of its group, stays
     near the exact stacks' bound while the walk holds its states."""
     return max(1, _CHUNK // (4 * nbytes))
-
-
-def _node_count(y: float) -> int:
-    """Smallest K with ``2 y^K / K! <= _CHEB_TOL``; raises where the bound
-    overflows on the way (or ``y`` is not finite)."""
-    k, bound = 1, 2.0 * y
-    while not bound <= _CHEB_TOL:
-        if not bound < math.inf:
-            raise ValueError(f"Chebyshev step bound 2 y^K / K! overflows at y = pi dt omega1 "
-                             f"|drive_op|_2 = {y:g}; lower omega1 or dt")
-        k += 1
-        bound *= y / k
-    return k
-
-
-@functools.cache
-def _phase_count(a: float) -> int:
-    """Smallest odd M = 2 h + 1 with ``q = e a / (h + 1) < 1`` and ``2 q^(h+1) /
-    (1 - q) <= _PHASE_TOL``.  No h below ``e a`` has q < 1 and a reachable h lies
-    a few dozen above it; raises if ``e a`` is not finite or the next 1000 h miss."""
-    ea = float(np.e * a)
-    if ea < math.inf:
-        first = max(0, int(ea))
-        for h in range(first, first + 1000):
-            q = ea / (h + 1)
-            if q < 1.0 and 2.0 * q ** (h + 1) / (1.0 - q) <= _PHASE_TOL:
-                return 2 * h + 1
-    raise ValueError(f"no phase sample count meets the bound at a = pi nsteps dt omega1 "
-                     f"|drive_op|_2 = {a:g}; lower omega1 or the pulse duration")
 
 
 def _cycles(raw: float) -> float:
@@ -151,7 +110,7 @@ def _step_coefficients(h0: Operator, drive_op: Operator, omega1: float, dt: floa
     Trotter step in the carrier amplitude (see ``pulse_propagator``), each
     ``c_m`` as the real ``2d x 2d`` matrix ``[[Re c_m, -Im c_m], [Im c_m, Re c_m]]``."""
     y = float(np.pi * dt * omega1 * np.linalg.norm(drive_op.mat, 2))
-    k = _node_count(y)
+    k = node_count(y)
     theta = np.pi * (np.arange(k) + 0.5) / k
     nodes = h0.mat[None] + (omega1 * np.cos(theta))[:, None, None] * drive_op.mat[None]
     w, v = np.linalg.eigh(nodes)
@@ -299,14 +258,14 @@ class PropagatorCache:
     and applies two rules once:
 
     - a shape builds each missing phase while the phases it has built plus
-      its missing ones stay within 2 M, M = ``_phase_count(nsteps y)``;
+      its missing ones stay within 2 M, M = ``phase_count(nsteps y)``;
       otherwise it builds M samples at phases ``2 pi j / M``, and every
       phase is then its FFT series ``sum_m c_m exp(2 pi i m cycles)``,
-      within twice ``_PHASE_TOL`` of the exact build (measured: 1.3e-14).
-      So a shape takes at most 3 M builds, or 1.5 times its phases.
+      within twice ``sequences.PHASE_TOL`` of the exact build (measured:
+      1.3e-14).  So a shape takes at most 3 M builds, or 1.5 times its phases.
     - a family is blocked once it holds its block series, or when the
       Trotter steps of its missing keys exceed the ``M_B B`` steps of that
-      series, ``M_B = _phase_count(B y)`` samples of a block of B =
+      series, ``M_B = phase_count(B y)`` samples of a block of B =
       ``_BLOCK`` steps.  A blocked shape reads each phase's ``nsteps // B``
       blocks off the series at their start phases, ``cycles + j omegap B
       dt``, in one batched ``(S, q, M_B) @ (M_B, d^2)`` product, and
@@ -428,12 +387,12 @@ class PropagatorCache:
         nsteps = _step_count(self.system.h0, pulse, self.system.drive_op, dt)
         blocks = self._families.get(family)
         if blocks is None:
-            blocks = self._families[family] = _Series(_phase_count(_BLOCK * steps[0]))
+            blocks = self._families[family] = _Series(phase_count(_BLOCK * steps[0]))
         if blocks.series is None and family not in sampled and planned > _BLOCK * blocks.samples:
             # each sample is built exactly: the series is set once all are
             sampled[family] = self._queue(stacks, dict.fromkeys(blocks.phases(), pulse), dt, _BLOCK)
         if state is None:
-            state = self._shapes[shape] = _Series(_phase_count(nsteps * steps[0]))
+            state = self._shapes[shape] = _Series(phase_count(nsteps * steps[0]))
         sample = state.built + len(phases) > 2 * state.samples
         drives = dict.fromkeys(state.phases(), pulse) if sample else phases
         blocked = nsteps >= _BLOCK and (blocks.series is not None or family in sampled)

@@ -14,6 +14,7 @@ each default's value, so a verb raises ``ConfigError`` only for an
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import itertools
 import json
@@ -34,6 +35,28 @@ from .evolution import sweep_n, sweep_n_cells, sweep_tau
 from .hamiltonians import polarization_target
 # unused here; benchmarks/spans.py patches these names on this module
 from .evolution import apply_sequence, inject_errors  # noqa: F401
+
+
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's heap thresholds for the sweeps this module runs.
+
+    glibc serves a block from ``mmap`` above its threshold, which starts at
+    128 kB and rises only to the largest mapped block freed so far, and it
+    returns the heap's top to the system once more than twice that is free.
+    A sweep allocates and frees its propagator stacks (0.37 MB each on the NV
+    register) at the top every pass, so with the threshold they set it gave
+    back and faulted in again about 1.3 MB per ``nv-ddgate`` pass (326 minor
+    page faults), or not, by the accident of what was freed before.  Blocks
+    below 4 MB now stay on the heap and 8 MB may stay free on it.  Where the
+    C library has no ``mallopt``, its own policy stays."""
+    if sys.platform.startswith("linux"):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+            mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_heap_thresholds()
 
 
 def _fmt(value) -> str:
@@ -157,14 +180,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dt_override: float | None = N
     scan = cfg.data.get("coupling_scan")
     labels = cfg.data["outputs"]["observables"]
 
-    sweeps, gate_times = [], {}
+    sweeps = []
     for azx in [None] if scan is None else scan:
         system = cfg.build_system(azx_override=azx)
         obs = _fit_observable(cfg, system)
         sweeps.append(_run_sweep(cfg, system, pulse, sim_cfg))
-        if azx is not None:  # every fit passes before any CSV is written
-            _, n_pi = pseudo_fidelity(sweeps[-1], obs.label, (obs.lo, obs.hi))
-            gate_times[coupling_label(azx)] = n_pi * cfg.data["sequence"]["tau"]
+    gate_times = {}
+    if scan is not None:  # one fit call for the scan; every fit passes before any CSV is written
+        fits = pseudo_fidelities(sweeps[0].values, [sweep.trace(obs.label) for sweep in sweeps],
+                                 (obs.lo, obs.hi))
+        for azx, fit in zip(scan, fits):
+            if isinstance(fit, ValueError):
+                raise fit
+            gate_times[coupling_label(azx)] = fit[1] * cfg.data["sequence"]["tau"]
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)  # only once every sweep and fit passed

@@ -32,6 +32,7 @@ not depend on ``n >= k``, and its last two depend on ``n`` only through
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,22 @@ import numpy as np
 # the carrier phase of a y-axis wrapper pulse in each model's frame: the
 # conjugated NV frame negates it (see hamiltonians.SpinSystem)
 WRAPPER_PHASES = {"generic": math.pi / 2.0, "nv": 3.0 * math.pi / 2.0}
+
+# |drive_op|_2 in each model: the drive is 2 Sx on the central spin, whose
+# largest eigenvalue is 2 S, 1 for the generic spin-1/2 and 2 for the NV spin-1
+DRIVE_NORMS = {"generic": 1.0, "nv": 2.0}
+
+# Error bound of an interpolated step exponential.  Interpolating a
+# smooth f at the K Chebyshev nodes misses it by at most
+# max|f^(K)| / (2^(K-1) K!), here in each real and imaginary part of each
+# entry.  For U(x) = exp(-2 pi i dt (h0 + omega1 x drive_op)) the
+# Duhamel expansion bounds the K-th derivative in x by
+# (2 pi dt omega1 |drive_op|_2)^K = (2 y)^K, which gives 2 y^K / K!.
+CHEB_TOL = 1e-17
+
+# bound on the Fourier coefficients beyond a phase interpolant's (see
+# evolution.PropagatorCache)
+PHASE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -138,6 +155,38 @@ class SimConfig:
             raise ValueError(
                 f"dt={self.dt} too coarse for pi duration {t_pi}: need dt <= t_pi/20"
             )
+
+
+def node_count(y: float) -> int:
+    """Smallest K with ``2 y^K / K! <= CHEB_TOL``, the Chebyshev nodes of a
+    Trotter step at ``y = pi dt omega1 |drive_op|_2``; raises where the bound
+    overflows on the way (or ``y`` is not finite).  The step-size rule that a
+    loaded config and every pulse build check."""
+    k, bound = 1, 2.0 * y
+    while not bound <= CHEB_TOL:
+        if not bound < math.inf:
+            raise ValueError(f"Chebyshev step bound 2 y^K / K! overflows at y = pi dt omega1 "
+                             f"|drive_op|_2 = {y:g}; lower omega1 or dt")
+        k += 1
+        bound *= y / k
+    return k
+
+
+@functools.cache
+def phase_count(a: float) -> int:
+    """Smallest odd M = 2 h + 1 with ``q = e a / (h + 1) < 1`` and ``2 q^(h+1) /
+    (1 - q) <= PHASE_TOL``, the phase samples of a pulse of ``a = pi nsteps dt
+    omega1 |drive_op|_2``.  No h below ``e a`` has q < 1 and a reachable h lies
+    a few dozen above it; raises if ``e a`` is not finite or the next 1000 h miss."""
+    ea = float(math.e * a)
+    if ea < math.inf:
+        first = max(0, int(ea))
+        for h in range(first, first + 1000):
+            q = ea / (h + 1)
+            if q < 1.0 and 2.0 * q ** (h + 1) / (1.0 - q) <= PHASE_TOL:
+                return 2 * h + 1
+    raise ValueError(f"no phase sample count meets the bound at a = pi nsteps dt omega1 "
+                     f"|drive_op|_2 = {a:g}; lower omega1 or the pulse duration")
 
 
 def closing_class(n: int) -> int:

@@ -18,6 +18,7 @@ from spindd.evolution import sweep_n
 from spindd.presets import PRESETS, get_preset
 from spindd import runner
 from spindd.runner import errmap_experiment, run_experiment
+from spindd.sequences import DRIVE_NORMS
 
 
 def run_cli(*args, cwd=None):
@@ -294,6 +295,39 @@ def test_the_gate_metrics_share_one_fit(monkeypatch, tmp_path):
     assert (manifest["metrics"], manifest["extras"]) == (preset["metrics"], preset["extras"])
 
 
+def test_a_coupling_scan_is_fitted_in_one_call(monkeypatch, tmp_path):
+    calls, stacked = [], runner.pseudo_fidelities
+
+    def counted(n, ys, value_range):
+        calls.append(len(ys))
+        return stacked(n, ys, value_range)
+
+    def refuse(*args):
+        raise AssertionError("a scan fits its traces one by one")
+
+    monkeypatch.setattr(runner, "pseudo_fidelities", counted)
+    monkeypatch.setattr(runner, "pseudo_fidelity", refuse)
+    run_experiment(ExperimentConfig.from_dict(get_preset("coupling-scaling")), tmp_path)
+    assert calls == [6]
+
+
+def test_a_coupling_scan_raises_its_first_failed_fit_before_any_csv(tmp_path):
+    # azx 0.01 and 0.005 each invert far beyond N = 40; the first in scan order is raised
+    raw = get_preset("coupling-scaling")
+    raw["sequence"]["n_range"] = [1, 40]
+    raw["coupling_scan"] = [0.2, 0.01, 0.005]
+    cfg = ExperimentConfig.from_dict(raw)
+    sweep = runner._run_sweep(cfg, cfg.build_system(azx_override=0.01), cfg.build_pulse(),
+                              cfg.sim_config())
+    with pytest.raises(ValueError) as alone:
+        pseudo_fidelity(sweep, "Iz", (-0.5, 0.5))
+    with pytest.raises(ValueError) as scanned:
+        run_experiment(cfg, tmp_path / "out")
+    assert str(scanned.value) == str(alone.value)
+    assert "does not contain a full oscillation" in str(alone.value)
+    assert not (tmp_path / "out").exists()
+
+
 def too_long_n_range(raw):
     raw["sequence"]["n_range"] = [1, 40, 1, 1]
     return raw
@@ -388,16 +422,34 @@ def test_dt_override_too_coarse_is_exit_3(tmp_path):
     assert "numeric failure" in proc.stderr
 
 
-def test_an_overflowing_step_bound_is_exit_3_not_a_hang(tmp_path):
+@pytest.mark.parametrize("omega1, dt, line", [
+    (1e12, None, "sequence.omega1: Chebyshev step bound 2 y^K / K! overflows at y = pi dt omega1 "
+                 "|drive_op|_2 = 1.57693e+08; lower omega1 or dt"),
+    # y = 628 passes the step bound; the pi pulse's phase series cannot resolve a = 8.1e18
+    (1e20, 1e-18, "sequence.omega1: no phase sample count meets the bound at a = pi nsteps dt "
+                  "omega1 |drive_op|_2 = 8.07389e+18; lower omega1 or the pulse duration"),
+], ids=["step-bound", "phase-count"])
+def test_an_overflowing_step_bound_is_exit_2_from_both_verbs(omega1, dt, line, tmp_path, capsys,
+                                                            monkeypatch):
+    refuse_to_sweep(monkeypatch)
     raw = get_preset("nv-polarize")
-    raw["sequence"]["omega1"] = 1e12
+    raw["sequence"]["omega1"] = omega1
+    if dt is not None:
+        raw["sim"]["dt"] = dt
     path = write_config(tmp_path, raw)
-    proc = subprocess.run([sys.executable, "-m", "spindd.cli", "run", "--config", str(path),
-                           "--out", str(tmp_path / "o")], capture_output=True, text=True,
-                          timeout=60)
-    assert proc.returncode == 3
-    assert "Chebyshev step bound 2 y^K / K! overflows at y = pi dt omega1" in proc.stderr
-    assert "lower omega1 or dt" in proc.stderr
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid config:", f"  - {line}"]
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_model_drives_with_the_norm_its_step_rule_reads():
+    for preset in ("ddgate", "three-qubit-q1", "nv-polarize"):
+        raw = get_preset(preset)
+        drive = ExperimentConfig.from_dict(raw).build_system().drive_op.mat
+        assert np.linalg.norm(drive, 2) == DRIVE_NORMS[raw["system"]["model"]]
 
 
 def test_a_free_phase_that_overflows_is_exit_3_naming_its_delay(tmp_path, capsys):

@@ -11,6 +11,7 @@ import csv
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -652,24 +653,24 @@ def test_a_fine_step_pi_pulse_stays_unitary():
 
 @pytest.mark.parametrize("y", [0.0043, 0.0157, 0.157, 0.9, 3.0])
 def test_node_count_is_the_smallest_meeting_the_bound(y):
-    k = evolution._node_count(y)
-    assert 2.0 * y**k / math.factorial(k) <= evolution._CHEB_TOL
-    assert 2.0 * y**(k - 1) / math.factorial(k - 1) > evolution._CHEB_TOL
+    k = sequences.node_count(y)
+    assert 2.0 * y**k / math.factorial(k) <= sequences.CHEB_TOL
+    assert 2.0 * y**(k - 1) / math.factorial(k - 1) > sequences.CHEB_TOL
 
 
 def test_node_counts_of_the_nv_generic_and_coarse_pulses():
     # y = pi dt omega1 |drive_op|_2; |2 Sx| is 2 on the spin-1, 1 on the spin-1/2
-    assert evolution._node_count(np.pi * 0.01285 / 512 * 27.5683 * 2.0) == 7
-    assert evolution._node_count(np.pi * 0.001 * 5.0) == 8
-    assert evolution._node_count(np.pi * 0.01 * 5.0) == 12
+    assert sequences.node_count(np.pi * 0.01285 / 512 * 27.5683 * 2.0) == 7
+    assert sequences.node_count(np.pi * 0.001 * 5.0) == 8
+    assert sequences.node_count(np.pi * 0.01 * 5.0) == 12
 
 
 def test_an_overflowing_node_bound_raises_at_once():
     # 2 y^K / K! passes 1.8e308 near K = y = 1000 before it falls again
     for y in (1e3, 1.6e8, math.inf, math.nan):
         with pytest.raises(ValueError, match="overflows at y = pi dt omega1 .*lower omega1 or dt"):
-            evolution._node_count(y)
-    assert evolution._node_count(700.0) == 1938  # the bound peaks below 1.8e308
+            sequences.node_count(y)
+    assert sequences.node_count(700.0) == 1938  # the bound peaks below 1.8e308
 
 
 def test_nv_pulse_eigendecomposes_the_nodes_not_the_steps(monkeypatch):
@@ -717,25 +718,25 @@ def phase_bound(a, h):
 
 @pytest.mark.parametrize("a", [0.0, 0.01, 0.3, np.pi * 0.1 * 5.0, 2.2, 7.0, 40.0])
 def test_phase_count_is_the_smallest_meeting_the_bound(a):
-    m = evolution._phase_count(a)
+    m = sequences.phase_count(a)
     assert m % 2 == 1
     h = (m - 1) // 2
-    assert phase_bound(a, h) <= evolution._PHASE_TOL
-    assert all(phase_bound(a, j) > evolution._PHASE_TOL for j in range(h))
+    assert phase_bound(a, h) <= sequences.PHASE_TOL
+    assert all(phase_bound(a, j) > sequences.PHASE_TOL for j in range(h))
 
 
 def test_phase_counts_of_the_nv_and_generic_pulses():
     # a = pi nsteps dt omega1 |drive_op|_2
-    assert evolution._phase_count(np.pi * 0.01285 * 27.5683 * 2.0) == 51        # NV pi
-    assert evolution._phase_count(np.pi * 0.01285 / 2 * 27.5683 * 2.0) == 39    # NV pi/2
-    assert evolution._phase_count(np.pi * 0.1 * 5.0) == 43                      # generic pi
+    assert sequences.phase_count(np.pi * 0.01285 * 27.5683 * 2.0) == 51        # NV pi
+    assert sequences.phase_count(np.pi * 0.01285 / 2 * 27.5683 * 2.0) == 39    # NV pi/2
+    assert sequences.phase_count(np.pi * 0.1 * 5.0) == 43                      # generic pi
 
 
 @pytest.mark.parametrize("a", [math.inf, math.nan, 1e300])
 def test_an_unreachable_phase_count_raises_at_once(a):
     # at e a = 2.7e300, q = e a / (h + 1) rounds to 1 for every h within reach
     with pytest.raises(ValueError, match="no phase sample count meets the bound at a = "):
-        evolution._phase_count(a)
+        sequences.phase_count(a)
 
 
 def request_phases(cache, pulse, dt, cycles):
@@ -1123,16 +1124,30 @@ def test_a_warm_pass_stays_within_its_measured_memory(name, bound_mb, tmp_path):
     assert peak <= bound_mb * 1e6
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap thresholds")
+def test_a_warm_nv_pass_keeps_its_heap(tmp_path):
+    # with the heap thresholds that importing the runner fixes, a warm
+    # nv-ddgate pass reuses the heap that the pass before it freed: measured
+    # 0 or 1 minor page faults, against 326 when glibc gave the top back
+    import resource
+
+    cfg = ExperimentConfig.from_dict(get_preset("nv-ddgate"))
+    for k in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_experiment(cfg, tmp_path / str(k))
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 64
+
+
 # ---------------------------------------------------------------- block route
 
 NV_3HALF = replace(NV_PI, duration=0.01285 * 1.5)
 
 
 def test_block_phase_counts_of_the_nv_and_generic_families():
-    # M_B = _phase_count(32 y), y = pi dt omega1 |drive_op|_2
+    # M_B = phase_count(32 y), y = pi dt omega1 |drive_op|_2
     assert evolution._BLOCK == 32
-    assert evolution._phase_count(32 * np.pi * NV_DT * 27.5683 * 2.0) == 21
-    assert evolution._phase_count(32 * np.pi * 0.001 * 5.0) == 29
+    assert sequences.phase_count(32 * np.pi * NV_DT * 27.5683 * 2.0) == 21
+    assert sequences.phase_count(32 * np.pi * 0.001 * 5.0) == 29
 
 
 @pytest.mark.parametrize("system, pulse, dt, nsteps", [
@@ -1427,9 +1442,9 @@ def test_coarse_fit_tables_are_shared_and_read_only():
     info = analysis._coarse_tables.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     tables = analysis._coarse_tables(n.tobytes())
-    # the periods, the cos and sin tables, five sums and six inverse normal-matrix entries
-    # per period
-    assert [t.shape for t in tables] == [(600,), (600, 40), (600, 40), (5, 600), (6, 600)]
+    # the periods, the N x period phasors (cos and sin as their real and imaginary
+    # views), five sums and six inverse normal-matrix entries per period
+    assert [t.shape for t in tables] == [(600,), (40, 600), (5, 600), (6, 600)]
     for table in tables:
         assert not table.flags.writeable
     # another n replaces the one entry

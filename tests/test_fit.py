@@ -1,11 +1,13 @@
-"""The screened, stacked cosine fit against a full-residual scan kept here,
-its trig tables against libm, and its fits against the benchmark's
-independent oracle."""
+"""The screened, batched cosine fit against a full-residual scan kept here,
+each trace's fit against the same trace fitted alone, its trig tables
+against libm, its memory, and its fits against the benchmark's independent
+oracle."""
 
 import csv
 import importlib.util
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +23,12 @@ RANGE = (-0.5, 0.5)
 
 
 def full_scan(y, tables):
-    """``(rms, period, amp)`` with the explicit residual at every trial period."""
-    periods, cos, sin, _, (i00, i01, i02, i11, i12, i22) = tables
-    ty, tc, ts = y.sum(), cos @ y, sin @ y
+    """``(rms, period, amp)`` with the explicit residual at every trial period
+    of one window's ``(periods, phasors, sums, cofactors)``; ``tc`` and ``ts``
+    are the screen's own product with the phasors' float view."""
+    periods, z, _, (i00, i01, i02, i11, i12, i22) = tables
+    cos, sin = z.real.T, z.imag.T
+    ty, (tc, ts) = y.sum(), (y @ z.view(float)).reshape(-1, 2).T
     a = i00 * ty + i01 * tc + i02 * ts
     b = i01 * ty + i11 * tc + i12 * ts
     c = i02 * ty + i12 * tc + i22 * ts
@@ -71,18 +76,28 @@ def same(a, b):
     return np.array_equal(np.array(a, dtype=float), np.array(b, dtype=float), equal_nan=True)
 
 
+def window(tables, w):
+    """Window ``w`` of a table pass: its periods, phasors, sums and cofactors."""
+    periods, z, sums, inv = tables
+    if periods.ndim == 1:  # a table of one window
+        return tables
+    return periods[w], z[:, w], sums[:, w], inv[:, w]
+
+
 @pytest.fixture
 def scans(monkeypatch):
-    """Per scan its trial period count, the screened ``(rms, period, amp)`` and
-    the full scan's."""
-    seen, screened = [], analysis._best_fit
+    """Per trace of each batched screen its window's trial period count, the
+    screened ``(rms, period, amp)`` and the full scan's on the same window."""
+    seen, screened = [], analysis._best_fits
 
-    def both(y, tables):
-        got = screened(y, tables)
-        seen.append((tables[0].size, got, full_scan(y, tables)))
+    def both(ys, tables, windows):
+        got = screened(ys, tables, windows)
+        for y, w, fit in zip(ys, windows, got.T):
+            own = window(tables, w)
+            seen.append((own[0].size, tuple(fit), full_scan(y, own)))
         return got
 
-    monkeypatch.setattr(analysis, "_best_fit", both)
+    monkeypatch.setattr(analysis, "_best_fits", both)
     return seen
 
 
@@ -129,9 +144,9 @@ def test_the_screened_stacked_fit_is_the_full_scan(n, extra, scans):
     assert all(same(screened, full) for _, screened, full in scans)
     if extra == "uneven":  # no phasor products off an evenly spaced grid: libm, bit for bit
         for periods in (analysis._coarse_tables(n.tobytes())[0], np.linspace(2.5, 86.4, 400)):
-            _, cos, sin, *_ = analysis._trig_tables(n, periods)
+            _, z, *_ = analysis._trig_tables(n, periods)
             want = libm_tables(n, periods)
-            assert np.array_equal(cos, want[0]) and np.array_equal(sin, want[1])
+            assert np.array_equal(z.real.T, want[0]) and np.array_equal(z.imag.T, want[1])
 
 
 EVEN_GRIDS = [pytest.param(n, id=name) for n, name in (
@@ -145,11 +160,11 @@ def test_an_even_grid_takes_tables_within_8_m_ulp_of_libm(n):
     # 4.9 and 2.3 m ulp on these grids, most of it the rounding of libm's own
     # argument 2 pi n / p
     periods = np.linspace(2.5, 1.6 * (n.max() - n.min()), 4000)
-    _, cos, sin, *_ = analysis._trig_tables(n, periods)
+    _, z, *_ = analysis._trig_tables(n, periods)
     want_cos, want_sin = libm_tables(n, periods)
     bound = 8 * n.size * np.finfo(float).eps
-    assert np.abs(cos - want_cos).max() <= bound and np.abs(sin - want_sin).max() <= bound
-    assert cos.flags.c_contiguous and sin.flags.c_contiguous
+    assert z.shape == (n.size, periods.size)  # N rows, one column per period
+    assert np.abs(z.real.T - want_cos).max() <= bound and np.abs(z.imag.T - want_sin).max() <= bound
 
 
 @pytest.mark.parametrize("n", EVEN_GRIDS)
@@ -176,7 +191,8 @@ def test_two_periods_that_tie_take_the_first():
         y = 0.3 * np.cos(2.0 * np.pi * n / 6.0 + k) + 0.01 * k * rng.normal(size=n.size)
         rms = [full_scan(y, analysis._trig_tables(n, periods[i:i + 1]))[0] for i in range(5)]
         assert rms[1] == rms[4] and math.isclose(rms[1], rms[3], rel_tol=1e-9, abs_tol=1e-12)
-        assert same(analysis._best_fit(y, tables), full_scan(y, tables))
+        got = analysis._best_fits(y[None], tables, np.zeros(1, dtype=int))[:, 0]
+        assert same(got, full_scan(y, tables))
 
 
 def test_each_pseudo_fidelity_message_is_unchanged():
@@ -199,10 +215,10 @@ def test_each_pseudo_fidelity_message_is_unchanged():
 
 
 def test_the_map_builds_one_fine_table_per_distinct_coarse_period(monkeypatch, tmp_path, scans):
-    sizes, build = [], analysis._trig_tables
+    built, build = [], analysis._trig_tables
 
     def counted(n, periods):
-        sizes.append(periods.size)
+        built.append(periods)
         return build(n, periods)
 
     monkeypatch.setattr(analysis, "_trig_tables", counted)
@@ -212,9 +228,74 @@ def test_the_map_builds_one_fine_table_per_distinct_coarse_period(monkeypatch, t
     coarse = {got[1] for size, got, _ in scans if size == 600}
     assert manifest["extras"]["failed_cells"] == 0
     assert len(scans) == 182 and all(same(screened, full) for _, screened, full in scans)
-    # the coarse table once, then one fine table per distinct coarse best period
-    assert sizes == [600] + [400] * len(coarse)
+    # the coarse table once, then one window of 400 periods per distinct coarse
+    # best period, each built once, as many to a table pass as _CHUNK holds
+    assert built[0].shape == (600,)
+    windows = [tuple(w) for periods in built[1:] for w in periods]
+    assert sorted(windows) == sorted(tuple(np.linspace(max(2.5, t * 0.9), min(1.6 * 39, t * 1.1),
+                                                       400)) for t in coarse)
     assert len(coarse) == 66
+    per_pass = analysis._CHUNK // (16 * 400 * 40)
+    assert per_pass > 1 and len(built) == 1 + math.ceil(66 / per_pass)
+
+
+@pytest.fixture(scope="module")
+def map_fit(tmp_path_factory):
+    """The error map's N grid, its 91 traces and their range, as the runner fits them."""
+    fitted, stacked = [], runner.pseudo_fidelities
+
+    def kept(n, ys, value_range):
+        fitted.append((n, ys, value_range))
+        return stacked(n, ys, value_range)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "pseudo_fidelities", kept)
+        runner.errmap_experiment(ExperimentConfig.from_dict(get_preset("pulse-error-map")),
+                                 tmp_path_factory.mktemp("map"))
+    (fit,) = fitted
+    return fit
+
+
+def bits(result):
+    """A fit's floats as hex, or its error message."""
+    return str(result) if isinstance(result, ValueError) else tuple(map(float.hex, result))
+
+
+def test_each_map_trace_fits_as_it_does_alone(map_fit):
+    n, ys, value_range = map_fit
+    assert len(ys) == 91
+    assert [bits(g) for g in pseudo_fidelities(n, ys, value_range)] == [
+        bits(pseudo_fidelities(n, [y], value_range)[0]) for y in ys]
+
+
+def test_seeded_traces_fit_as_they_do_alone_across_chunk_boundaries():
+    n, rng = ONE_TO_40, np.random.default_rng(11)
+    # 40 random traces span several coarse chunks; 24 near-copies of one
+    # cosine share its coarse best period, so one window's traces span
+    # several fine chunks
+    base = 0.4 * np.cos(2.0 * np.pi * n / 13.7 + 0.3)
+    ys = traces(rng, n, 40) + [base + 1e-4 * rng.normal(size=n.size) for _ in range(24)]
+    coarse = analysis._best_fits(np.array(ys), analysis._coarse_tables(n.tobytes()),
+                                 np.zeros(len(ys), dtype=int))[1]
+    assert len(ys) > analysis._CHUNK // (128 * 600)
+    assert np.unique(coarse, return_counts=True)[1].max() > analysis._CHUNK // (128 * 400)
+    assert [bits(g) for g in pseudo_fidelities(n, ys, RANGE)] == [
+        bits(pseudo_fidelities(n, [y], RANGE)[0]) for y in ys]
+
+
+def test_a_warm_map_fit_stays_within_its_measured_memory(map_fit):
+    # the tracemalloc peak of fitting the map's 91 traces once the coarse
+    # table is cached: measured 1.05 MB, a table pass of two windows and a
+    # screen chunk, each bounded by _CHUNK; the walk before it peaks at 1.49 MB
+    n, ys, value_range = map_fit
+    pseudo_fidelities(n, ys, value_range)
+    tracemalloc.start()
+    try:
+        pseudo_fidelities(n, ys, value_range)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2e6
 
 
 @pytest.fixture

@@ -11,6 +11,13 @@ oracle: each compares two runs of the program that physics says must agree.
   ``2 pi f t`` and every step count as it was.  For ``s`` a power of two
   the scaling is exact in floating point, so the traces are the same bits;
   for ``s = 3`` they agree to rounding.
+- Exchanging the two targets of a register (their ``omega0`` and ``azx``)
+  exchanges their traces ``Iz1`` and ``Iz2`` and leaves ``Sz`` as it is:
+  relabelling the sites is a permutation of the tensor factors, and the
+  polarized initial state is symmetric under it.
+- A target with ``azx = 0`` factors out: its ``omega0 Iz`` commutes with
+  everything else, so the other spins evolve as in the register without
+  it, and its own ``Iz`` stays at its initial 0.5.
 """
 
 import copy
@@ -25,6 +32,11 @@ from spindd.presets import get_preset
 # measured worst |delta| at s = 3: 1.3e-12 (ddgate), 9.0e-13 (pulse-error-map's
 # nominal XY-n sweep) and 3.3e-13 (gate-resonance)
 SCALE_3_BOUND = 5e-12
+# measured worst |delta| on three-qubit-q1: 7.3e-13 for the target exchange;
+# 1.23e-12 for Sz and Iz1 against the one-target run and 1.01e-12 for the
+# uncoupled Iz2 against 0.5
+EXCHANGE_BOUND = 2e-12
+UNCOUPLED_BOUND = 3e-12
 
 
 def traces(raw) -> dict:
@@ -82,3 +94,32 @@ def test_scaling_frequencies_up_and_times_down_by_3_changes_only_rounding(preset
     raw, base = preset
     got = traces(scaled(raw, 3.0))
     assert all(np.abs(got[label] - base[label]).max() <= SCALE_3_BOUND for label in base)
+
+
+@pytest.fixture(scope="module")
+def register():
+    """``three-qubit-q1``, a CPMG N sweep of two coupled targets, as a plain run."""
+    raw = get_preset("three-qubit-q1")
+    return raw, traces(raw)
+
+
+def test_exchanging_the_two_targets_exchanges_their_traces(register):
+    raw, base = register
+    swapped = copy.deepcopy(raw)
+    swapped["system"]["targets"].reverse()
+    got = traces(swapped)
+    pairs = [("Sz", "Sz"), ("Iz1", "Iz2"), ("Iz2", "Iz1")]
+    assert all(np.abs(got[a] - base[b]).max() <= EXCHANGE_BOUND for a, b in pairs)
+
+
+def test_an_uncoupled_target_leaves_the_rest_as_the_register_without_it(register):
+    raw, _ = register
+    uncoupled = copy.deepcopy(raw)
+    uncoupled["system"]["targets"][1]["azx"] = 0.0
+    alone = copy.deepcopy(raw)
+    alone["system"]["targets"] = alone["system"]["targets"][:1]
+    alone["outputs"]["fit_observable"] = "Iz"
+    got, want = traces(uncoupled), traces(alone)
+    assert np.abs(got["Sz"] - want["Sz"]).max() <= UNCOUPLED_BOUND
+    assert np.abs(got["Iz1"] - want["Iz"]).max() <= UNCOUPLED_BOUND
+    assert np.abs(got["Iz2"] - 0.5).max() <= UNCOUPLED_BOUND
